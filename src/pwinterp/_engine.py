@@ -1,19 +1,31 @@
 """Vectorized evaluation of windowed node products.
 
-Two complementary paths approximate the symmetric infinite product
+Two complementary kernels approximate the symmetric infinite product
 
     S(z) = prod_k (1 - z/lambda_k)        (factor z for a node at 0):
 
-* a point-wise paired product for arbitrary complex arguments, multiplied
-  in symmetric pair order with periodic renormalization so the running
-  magnitude never overflows, and
-* a bulk real-axis path that splits each evaluation into a directly
-  multiplied near window plus a smooth far field, with the far log-sums
-  assembled from FFT convolutions of short Taylor moments.
+* ``eval_points``, the pointwise path: a paired product for arbitrary
+  complex arguments, multiplied in symmetric pair order with periodic
+  renormalization so the running magnitude never overflows, and
+* ``logabs_real``, the bulk path: real points only, each split into a
+  directly multiplied near window plus a smooth far field, with the far
+  log-sums assembled from FFT convolutions of short Taylor moments.
 
-Both paths add the far-tail series of :mod:`pwinterp._tails` when the
+Both kernels add the far-tail series of :mod:`pwinterp._tails` when the
 sequence carries a generated-family pattern, so values approximate the
 infinite product rather than the bare window truncation.
+
+Callers go through two entry points: :meth:`ProductCore.value`, the complex
+value S(z), which can leave out one node factor per point, and
+:meth:`ProductCore.logabs`, log|S(z)| with dist(z, Lambda) and the nearest
+node.  One rule picks the kernel for each call: the bulk path runs when
+the core is ``fast_ok`` (a real, index-contiguous window with every node
+within 1.5 of its index), every point is real and the batch holds at
+least 256 points; everything else runs pointwise.  Below 256 points one
+pointwise evaluation is cheaper than a cold bulk moment set.  The rule
+sees only the batch it is given, so the cancelled-factor batches of
+``GeneratingFunction.weight`` (its switch zone) and of ``reconstruct``
+(grid points near support nodes) pick their own path by their own size.
 """
 from __future__ import annotations
 
@@ -33,12 +45,31 @@ _J_DELTA = 8
 _S_ORD = 4
 _SPECIAL_DELTA = 0.95
 _PAIR_CHUNK = 32  # 64 factors between renormalizations
+_BULK_MIN_BATCH = 256
+# the nearest-node scan holds at most 4096 rows and about 2^22 distances
+_SCAN_ROWS = 4096
+_SCAN_ELEMENTS = 1 << 22
 
 _LN2 = math.log(2.0)
 
 
 class OverflowReported(OverflowError):
     """Product magnitude left the representable range despite scaling."""
+
+
+def nearest_nodes(pos, z):
+    """dist(z, pos) and the offset of the nearest entry of ``pos``, by a
+    chunked brute-force scan (any complex points and nodes)."""
+    z = np.asarray(z).ravel()
+    dist = np.empty(z.size)
+    nearest = np.empty(z.size, dtype=np.int64)
+    chunk = max(1, min(_SCAN_ROWS, _SCAN_ELEMENTS // pos.size))
+    for c0 in range(0, z.size, chunk):
+        c1 = min(c0 + chunk, z.size)
+        absd = np.abs(z[c0:c1, None] - pos[None, :])
+        nearest[c0:c1] = np.argmin(absd, axis=1)
+        dist[c0:c1] = absd[np.arange(c1 - c0), nearest[c0:c1]]
+    return dist, nearest
 
 
 class ProductCore:
@@ -61,6 +92,41 @@ class ProductCore:
         self.total_lognorm = float(lognorm.sum())
         self._build_pairing()
         self._fast_setup()
+
+    # -- entry points ----------------------------------------------------
+
+    def _bulk(self, z) -> bool:
+        """The routing rule of the module docstring."""
+        return (self.fast_ok and z.size >= _BULK_MIN_BATCH
+                and not np.any(np.imag(z)))
+
+    def value(self, z, exclude=None):
+        """S(z), with node ``exclude[i]`` (an array offset, -1 for none)
+        left out at point i.
+
+        Raises :class:`OverflowReported` when a magnitude leaves the
+        floating range.
+        """
+        z = np.asarray(z).ravel()
+        if exclude is not None:
+            exclude = np.asarray(exclude, dtype=np.int64).ravel()
+        if not self._bulk(z):
+            return self.eval_points(z, exclude)
+        L, _, _ = self.logabs_real(z.real, exclude)
+        if np.any(L > 709.0):
+            raise OverflowReported("product magnitude exceeds the "
+                                   "floating range on this grid")
+        return (self.sign_real(z.real, exclude)
+                * np.exp(L)).astype(np.complex128)
+
+    def logabs(self, z):
+        """log|S(z)|, dist(z, Lambda) and the nearest node offset."""
+        z = np.asarray(z).ravel()
+        if self._bulk(z):
+            return self.logabs_real(z.real)
+        with np.errstate(divide="ignore"):
+            L = np.log(np.abs(self.eval_points(z)))
+        return (L, *nearest_nodes(self.pos, z))
 
     # -- pairing ---------------------------------------------------------
 
@@ -129,6 +195,8 @@ class ProductCore:
         """
         z = np.asarray(z, dtype=np.complex128).ravel()
         npts = z.size
+        if npts == 0:
+            return z
         mant = np.ones(npts, dtype=np.complex128)
         e2 = np.zeros(npts)
         if exclude is not None:
@@ -178,13 +246,6 @@ class ProductCore:
         out = np.zeros(npts, dtype=np.complex128)
         out[live] = mant[live] * np.exp(w[live])
         return out
-
-    def sprime_points(self, sel):
-        """Signed derivative values at node offsets ``sel`` (point-wise)."""
-        sel = np.asarray(sel, dtype=np.int64).ravel()
-        base = self.eval_points(self.pos[sel], exclude=sel)
-        fp = np.where(self.zero_mask[sel], 1.0 + 0j, -self.inv[sel])
-        return base * fp
 
     # -- bulk real-axis path ---------------------------------------------
 
@@ -258,22 +319,20 @@ class ProductCore:
     def logabs_real(self, x, exclude=None):
         """log|product|, dist(x, Lambda) and nearest offset on real points.
 
-        ``x`` must be ascending.  ``exclude`` (one offset per point, -1 for
-        none) removes that node's factor; excluded nodes must lie in the
+        ``x`` may come in any order.  ``exclude`` (one offset per point, -1
+        for none) removes that node's factor; excluded nodes must lie in the
         near window of their point.
         """
         x = np.asarray(x, dtype=np.float64)
-        if not self.fast_ok:
-            return self._logabs_pointwise(x, exclude)
         K = self.K
         n = np.floor(x).astype(np.int64)
-        if n.size and (n[0] - _W_NEAR < -K or n[-1] + _W_NEAR > K):
+        n_base, n_top = int(n.min()), int(n.max())
+        if n_base - _W_NEAR < -K or n_top + _W_NEAR > K:
             raise ValueError(
                 "evaluation points too close to the window edge; "
                 "enlarge the node window"
             )
-        M0, Ts = self._conv_moments(int(n[0]), int(n[-1]))
-        n_base = int(n[0])
+        M0, Ts = self._conv_moments(n_base, n_top)
         L_out = np.empty(x.size)
         dist = np.empty(x.size)
         nearest = np.empty(x.size, dtype=np.int64)
@@ -327,56 +386,25 @@ class ProductCore:
             L_out += np.where(inside, self.tail.log_tail(x), 0.0)
         return L_out, dist, nearest
 
-    def _logabs_pointwise(self, x, exclude=None):
-        dist = np.empty(x.size)
-        nearest = np.empty(x.size, dtype=np.int64)
-        chunk = 4096
-        for c0 in range(0, x.size, chunk):
-            c1 = min(c0 + chunk, x.size)
-            absd = np.abs(x[c0:c1, None] - self.pos[None, :])
-            nearest[c0:c1] = np.argmin(absd, axis=1)
-            dist[c0:c1] = np.min(absd, axis=1)
-        vals = self.eval_points(x.astype(np.complex128), exclude=exclude)
-        with np.errstate(divide="ignore"):
-            L = np.log(np.abs(vals))
-        return L, dist, nearest
+    def sign_real(self, x, exclude=None):
+        """Sign of the (real) product at real points off the zero set, with
+        node ``exclude[i]`` (an offset, -1 for none) left out at point i.
 
-    def sign_real(self, x):
-        """Sign of the (real) product at real points off the zero set."""
-        x = np.asarray(x, dtype=np.float64)
-        count_less = np.searchsorted(self._nonzero_sorted, x, side="left")
-        parity = (count_less + self._n_neg_inv) % 2
-        sign = np.where(parity == 0, 1.0, -1.0)
-        if np.any(self.zero_mask):
-            sign = sign * np.where(x >= 0, 1.0, -1.0)
-        return sign
-
-    def logabs_sprime(self, sel):
-        """log|derivative| at node offsets ``sel`` through the bulk path."""
-        sel = np.asarray(sel, dtype=np.int64).ravel()
-        order = np.argsort(self.pos.real[sel], kind="stable")
-        xs = self.pos.real[sel[order]]
-        L, _, _ = self.logabs_real(xs, exclude=sel[order])
-        out = np.empty(sel.size)
-        out[order] = L - self.lognorm[sel[order]]
-        return out
-
-    def sprime_signed_bulk(self, sel):
-        """Signed derivative values on real sequences via the bulk path.
-
-        The sign is the parity of negative factors: nodes left of the
-        target, negative normalizations, the zero-node factor and the
-        leading -1/lambda.
+        Each nonzero node's factor (lambda - x)/lambda is negative when
+        exactly one of lambda < x, lambda < 0 holds; the zero node's factor
+        x is negative for x < 0.
         """
-        sel = np.asarray(sel, dtype=np.int64).ravel()
-        L = self.logabs_sprime(sel)
-        lam = self.pos.real[sel]
-        A = np.searchsorted(self._nonzero_sorted, lam, side="left")
-        B = self._n_neg_inv - (lam < 0).astype(np.int64)
-        has_zero = bool(np.any(self.zero_mask))
-        C = ((lam < 0) & has_zero).astype(np.int64)
-        D = (lam > 0).astype(np.int64)
-        parity = (A + B + C + D) % 2
-        sign = np.where(parity == 0, 1.0, -1.0)
-        sign[self.zero_mask[sel]] = 1.0
-        return sign * np.exp(L)
+        x = np.asarray(x, dtype=np.float64)
+        negative = (np.searchsorted(self._nonzero_sorted, x, side="left")
+                    + self._n_neg_inv)
+        zero_factor = np.any(self.zero_mask) & (x < 0)
+        if exclude is not None:
+            exc = np.asarray(exclude, dtype=np.int64)
+            hit = exc >= 0
+            at_zero = hit & self.zero_mask[exc]
+            lam = self.pos.real[exc]
+            drop = hit & ~at_zero
+            negative -= drop * ((lam < x).astype(np.int64) + (lam < 0))
+            zero_factor &= ~at_zero
+        negative += zero_factor
+        return np.where(negative % 2 == 0, 1.0, -1.0)

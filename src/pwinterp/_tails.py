@@ -6,8 +6,9 @@ The symmetric product over a window [-K, K] omits all pattern nodes with
     T(z) = sum_{k > K} log(1 + A_k z + B_k z^2),
 
 with A_k = -(1/lambda_k + 1/lambda_{-k}) and B_k = 1/(lambda_k lambda_{-k}).
-For generated families A_k and B_k follow smooth formulas in k (per parity
-for the alternating kind), so T expands as a power series in z whose
+Every generated family's tail is a two-sided shift of the lattice,
+lambda_{+-k} = +-k + shift, with fixed shifts per parity class, so A_k and
+B_k are smooth in k and T expands as a power series in z whose
 coefficients are tail sums evaluated by Euler-Maclaurin summation.  The
 series converges rapidly for |z| well inside the window; terms up to z^16
 keep the truncation error negligible for |z| <= (K+1)/4.
@@ -63,34 +64,26 @@ def _euler_maclaurin(g, start: float, stride: float) -> float:
 
 
 def _streams(kind: str, d: float, K: int):
-    """Arithmetic sub-streams of pair index k > K with smooth (A(k), B(k)).
+    """Sub-streams (start, stride, a, b) of pair indices k > K.
 
-    Each entry is (start, stride, A_func, B_func); the alternating kind is
-    split by parity so both member functions stay smooth.
+    Within a stream the pair is lambda_k = k + a, lambda_{-k} = -k + b, so
+
+        A_k = (a + b) / ((k + a)(k - b)),   B_k = -1 / ((k + a)(k - b)).
+
+    The alternating kind splits by parity into two stride-2 streams so each
+    keeps fixed shifts.
     """
     if kind in ("integer", "random"):
         # Random perturbations are unknowable beyond the window; the
         # zero-mean lattice tail is the documented stand-in.
-        return [(K + 1.0, 1.0, lambda t: 0.0, lambda t: -1.0 / t ** 2)]
-    if kind == "signed":
-        return [(K + 1.0, 1.0, lambda t: 0.0, lambda t: -1.0 / (t + d) ** 2)]
+        return [(K + 1, 1, 0.0, 0.0)]
     if kind == "constant_shift":
-        return [(
-            K + 1.0, 1.0,
-            lambda t: 2.0 * d / (t * t - d * d),
-            lambda t: -1.0 / (t * t - d * d),
-        )]
+        return [(K + 1, 1, d, d)]
+    if kind == "signed":
+        return [(K + 1, 1, d, -d)]
     if kind == "alternating":
-        out = []
-        for parity in (0, 1):
-            start = K + 1 if (K + 1) % 2 == parity else K + 2
-            sgn = 1.0 if parity == 0 else -1.0
-            out.append((
-                float(start), 2.0,
-                lambda t, s=sgn: 2.0 * s * d / (t * t - d * d),
-                lambda t: -1.0 / (t * t - d * d),
-            ))
-        return out
+        even, odd = (K + 1, K + 2) if K % 2 else (K + 2, K + 1)
+        return [(even, 2, d, d), (odd, 2, -d, -d)]
     raise ValueError(f"no tail pattern for kind {kind!r}")
 
 
@@ -98,9 +91,10 @@ def build_tail(kind: str, d: float, K: int,
                n_terms: int = N_TERMS) -> TailCompensation:
     """Tail coefficients C_P = sum_{k>K} [z^P] log(1 + A_k z + B_k z^2)."""
     coeffs = np.zeros(n_terms + 1)
-    for start, stride, A_f, B_f in _streams(kind, d, K):
+    for start, stride, a, b in _streams(kind, d, K):
         for P in range(1, n_terms + 1):
-            g = lambda t: _log_poly_coeff(P, A_f(t), B_f(t))
+            g = lambda t: _log_poly_coeff(P, (a + b) / ((t + a) * (t - b)),
+                                          -1.0 / ((t + a) * (t - b)))
             coeffs[P] += _euler_maclaurin(g, start, stride)
     coeffs.setflags(write=False)
     return TailCompensation(coeffs=coeffs, radius=(K + 1) / 4.0)

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
 from . import nodes as _nodes
-from .genfn import (Exponents, build_generating_function,
+from .genfn import (Exponents, _linear_fit, build_generating_function,
                     fit_weight_exponent)
 from .criteria import (IntervalFamily, Thresholds, continuous_ap,
                        full_verdict, select_subsequence)
@@ -63,6 +64,11 @@ def _parse_family(text: str) -> _nodes.FamilySpec:
                 raise UsageError(f"unknown family option {key!r}")
         else:
             d = float(part)
+    return _family_spec(kind, d, **kwargs)
+
+
+def _family_spec(kind: str, d: float = 0.0, **kwargs) -> _nodes.FamilySpec:
+    """A FamilySpec whose rejection is a usage error."""
     try:
         return _nodes.FamilySpec(kind, d, **kwargs)
     except ValueError as exc:
@@ -165,7 +171,7 @@ def _verdict_payload(args, seq, rep) -> dict:
             "thresholds": vars(Thresholds()),
             "node_count": len(seq),
         },
-        "report": rep.as_dict(),
+        "report": dataclasses.asdict(rep),
     }
 
 
@@ -270,20 +276,15 @@ def _cmd_counterexample(args) -> int:
         ap = continuous_ap(lambda x: gf.weight(x) ** p.p, p, fam, quad)
         # origin-anchored quotients at the requested lengths
         idx = [int(np.round(np.log2(X))) - m_min for X in X_values]
-        anchored = []
         t = np.log1p(np.asarray(X_values)) ** (p.p - 1.0)
         q = ap.level_max[idx]
-        A = np.vstack([t, np.ones_like(t)]).T
-        coef, *_ = np.linalg.lstsq(A, q, rcond=None)
-        pred = A @ coef
-        ss_tot = float(np.sum((q - q.mean()) ** 2))
-        r2 = 1.0 - float(np.sum((q - pred) ** 2)) / ss_tot if ss_tot else 1.0
+        slope, _, r2 = _linear_fit(t, q)
         results[orient] = {
             "d": sign * d_crit,
             "weight_exponent": fit.slope,
             "quotients": [{"X": X, "quotient": float(qq)}
                           for X, qq in zip(X_values, q)],
-            "slope_vs_logp": float(coef[0]),
+            "slope_vs_logp": slope,
             "r2": r2,
             "ring_ratio": ap.ring_ratio,
         }
@@ -304,19 +305,18 @@ def _cmd_alpha_scaling(args) -> int:
     if spec.kind == "file":
         raise UsageError("alpha-scaling needs a generated family")
     alphas = [float(t) for t in args.alphas.split(",")]
+    # every scaled family is checked before any fit runs
+    scaled_specs = [
+        _family_spec("integer") if alpha == 0.0 else
+        _family_spec(spec.kind, alpha * spec.d, delta0=alpha * spec.delta0,
+                     seed=spec.seed)
+        for alpha in alphas
+    ]
     base = _nodes.make_family(spec, args.K)
     gf0 = build_generating_function(base)
     base_fit = fit_weight_exponent(gf0, args.fit_min, args.fit_max)
     rows = []
-    for alpha in alphas:
-        if abs(alpha * spec.d) >= 0.5 and spec.kind in ("alternating",
-                                                        "random"):
-            raise UsageError("scaled perturbation collapses separation")
-        scaled = _nodes.FamilySpec(spec.kind, alpha * spec.d,
-                                   delta0=alpha * spec.delta0,
-                                   seed=spec.seed)
-        if alpha == 0.0:
-            scaled = _nodes.FamilySpec("integer")
+    for alpha, scaled in zip(alphas, scaled_specs):
         seq = _nodes.make_family(scaled, args.K)
         gf = build_generating_function(seq)
         fit = fit_weight_exponent(gf, args.fit_min, args.fit_max)

@@ -391,7 +391,7 @@ def select_probe_points(gf: GeneratingFunction, sel: AnchorSelection,
 
     def circle_mod(th):
         z = anchors + eps_eff * np.exp(1j * th)
-        vals = gf._core.eval_points(z)
+        vals = gf.value(z)
         return np.abs(vals) / eps_eff
 
     mods = np.empty((n_scan, m))
@@ -463,22 +463,6 @@ class CriteriaReport:
     failed_checks: tuple = ()
     ring_ratio: float = float("nan")
     carleson_half: float = float("nan")
-
-    def as_dict(self) -> dict:
-        return {
-            "separation": self.separation,
-            "carleson_sup": self.carleson_sup,
-            "density_r0": self.density_r0,
-            "convergence_probe": self.convergence_probe,
-            "ap_quotients": [list(row) for row in self.ap_quotients],
-            "ap_sup": self.ap_sup,
-            "growth_slope": self.growth_slope,
-            "growth_r2": self.growth_r2,
-            "verdict": self.verdict,
-            "failed_checks": list(self.failed_checks),
-            "ring_ratio": self.ring_ratio,
-            "carleson_half": self.carleson_half,
-        }
 
 
 _DENSITY_CANDIDATES = (0.5, 0.6, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nodes as _nodes
-from ._engine import ProductCore, OverflowReported
+from ._engine import ProductCore, OverflowReported, nearest_nodes
 from ._tails import build_tail
 
 __all__ = [
@@ -36,8 +36,6 @@ __all__ = [
 _PROBE_POINTS = np.array(
     [0.437, 1.618, 2.718, 3.303, 4.669, 5.567, 6.854, 8.243]
 )
-
-_ENGINE_MIN_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -80,28 +78,18 @@ class GeneratingFunction:
         self.tau_switch = self.separation / 4.0
         self.convergence_probe = convergence_probe
         self.tail_compensated = core.tail is not None
-        self.pairing_plan = core.pairing_plan()
         self._sprime_cache: dict[int, complex] = {}
 
     # -- S ----------------------------------------------------------------
 
-    def value(self, z):
-        """Product value S(z); accepts scalars or arrays."""
+    def value(self, z, exclude=None):
+        """Product value S(z); accepts scalars or arrays.
+
+        ``exclude`` (optional, shaped like ``z``) names per point the array
+        offset of one node whose factor is left out, or -1 for none.
+        """
         scalar = np.isscalar(z) or np.asarray(z).ndim == 0
-        zz = np.atleast_1d(np.asarray(z))
-        real_input = (not np.iscomplexobj(zz)) or bool(np.all(zz.imag == 0))
-        if (self._core.fast_ok and zz.size >= _ENGINE_MIN_BATCH
-                and real_input):
-            x = zz.real.astype(float)
-            order = np.argsort(x, kind="stable")
-            L, _, _ = self._core.logabs_real(x[order])
-            if np.any(L > 709.0):
-                raise OverflowReported("product magnitude exceeds the "
-                                       "floating range on this grid")
-            vals = np.empty(x.size, dtype=np.complex128)
-            vals[order] = self._core.sign_real(x[order]) * np.exp(L)
-        else:
-            vals = self._core.eval_points(zz.astype(np.complex128))
+        vals = self._core.value(z, exclude)
         return complex(vals[0]) if scalar else vals.reshape(np.shape(z))
 
     # -- S' at nodes --------------------------------------------------------
@@ -115,10 +103,11 @@ class GeneratingFunction:
         missing = [k for k in ks if k not in self._sprime_cache]
         if missing:
             sel = self.seq.array_offset(np.asarray(missing))
-            if self._core.fast_ok and len(missing) >= _ENGINE_MIN_BATCH:
-                vals = self._core.sprime_signed_bulk(sel).astype(complex)
-            else:
-                vals = self._core.sprime_points(sel)
+            core = self._core
+            # S'(lambda_k): the product without node k times -1/lambda_k
+            # (times 1 for a node at 0)
+            fp = np.where(core.zero_mask[sel], 1.0, -core.inv[sel])
+            vals = core.value(core.pos[sel], exclude=sel) * fp
             if np.any(vals == 0):
                 raise ValueError("vanishing node derivative: multiple zero")
             for k, v in zip(missing, vals):
@@ -126,13 +115,8 @@ class GeneratingFunction:
         return np.array([self._sprime_cache[k] for k in ks])
 
     def node_derivative_logabs(self, ks) -> np.ndarray:
-        """log|derivative| for bulk index arrays (unsigned fast path)."""
-        ks = np.asarray(ks)
-        sel = self.seq.array_offset(ks)
-        if self._core.fast_ok and ks.size >= _ENGINE_MIN_BATCH:
-            return self._core.logabs_sprime(sel)
-        vals = self._core.sprime_points(sel)
-        return np.log(np.abs(vals))
+        """log|derivative| for index arrays."""
+        return np.log(np.abs(self.node_derivatives(ks)))
 
     # -- F ------------------------------------------------------------------
 
@@ -145,29 +129,17 @@ class GeneratingFunction:
         """
         scalar = np.isscalar(x) or np.asarray(x).ndim == 0
         xx = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-        order = np.argsort(xx, kind="stable")
-        xs = xx[order]
         core = self._core
-        if core.fast_ok and xs.size >= _ENGINE_MIN_BATCH:
-            L, dist, near = core.logabs_real(xs)
-        else:
-            L, dist, near = core._logabs_pointwise(xs)
+        L, dist, near = core.logabs(xx)
         switch = (dist < self.tau_switch) & (core.pos[near].imag == 0)
-        F = np.empty(xs.size)
+        F = np.empty(xx.size)
         keep = ~switch
         F[keep] = np.exp(L[keep]) / dist[keep]
         if np.any(switch):
-            sub = xs[switch]
             exc = near[switch]
-            if core.fast_ok and xs.size >= _ENGINE_MIN_BATCH:
-                Lx, _, _ = core.logabs_real(sub, exclude=exc)
-            else:
-                vx = core.eval_points(sub.astype(np.complex128), exclude=exc)
-                Lx = np.log(np.abs(vx))
-            F[switch] = np.exp(Lx - core.lognorm[exc])
-        out = np.empty_like(F)
-        out[order] = F
-        return float(out[0]) if scalar else out.reshape(np.shape(x))
+            cancelled = core.value(xx[switch], exclude=exc)
+            F[switch] = np.abs(cancelled) * np.exp(-core.lognorm[exc])
+        return float(F[0]) if scalar else F.reshape(np.shape(x))
 
 
 def build_generating_function(seq, tol_rel: float = 1e-3,
@@ -208,8 +180,8 @@ def build_generating_function(seq, tol_rel: float = 1e-3,
         core_h = ProductCore(half, tail_h)
         span = min(_PROBE_POINTS[-1], seq.half_width / 4)
         pts = (_PROBE_POINTS * span / _PROBE_POINTS[-1]).astype(complex)
-        full_v = core.eval_points(pts)
-        half_v = core_h.eval_points(pts)
+        full_v = core.value(pts)
+        half_v = core_h.value(pts)
         scale = np.maximum(np.abs(full_v), 1e-300)
         conv = float(np.max(np.abs(full_v - half_v) / scale))
     return GeneratingFunction(seq, core, tol_rel, conv)
@@ -308,19 +280,14 @@ def modulus_margin(gf: GeneratingFunction, p, eps: float,
     """
     p = as_exponents(p)
     z = np.asarray(samples, dtype=np.complex128).ravel()
-    pos = gf.seq.positions
-    dist = np.empty(z.size)
-    chunk = 2048
-    for c0 in range(0, z.size, chunk):
-        c1 = min(c0 + chunk, z.size)
-        dist[c0:c1] = np.min(np.abs(z[c0:c1, None] - pos[None, :]), axis=1)
+    dist, _ = nearest_nodes(gf.seq.positions, z)
     bad = dist <= eps * (1.0 + np.abs(z.imag))
     if np.any(bad):
         raise ValueError(
             f"{np.count_nonzero(bad)} samples violate the admissibility "
             "condition dist(z, nodes) > eps (1 + |Im z|)"
         )
-    vals = gf._core.eval_points(z)
+    vals = gf.value(z)
     with np.errstate(divide="ignore"):
         logm = (np.log(np.abs(vals)) + np.log1p(np.abs(z)) / p.p
                 - np.pi * np.abs(z.imag))

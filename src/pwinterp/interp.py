@@ -152,40 +152,23 @@ def reconstruct(gf: GeneratingFunction, s: SampleSet,
     seq = gf.seq
     sprime = gf.node_derivatives(s.indices)
     S = gf.value(x)
-    out = np.zeros(x.size, dtype=np.complex128)
-    core = gf._core
     off = seq.array_offset(s.indices)
-    # collect every grid point in some support node's switch zone so the
-    # cancelled-factor products evaluate in one batch
-    near_x, near_exc, near_pos = [], [], []
-    near_masks = []
+    # tau_switch = separation/4 puts each grid point in at most one support
+    # node's switch zone, so one exclusion per point covers every term
+    exclude = np.full(x.size, -1, dtype=np.int64)
     for k_off in off:
+        exclude[np.abs(x - seq.positions[k_off]) < gf.tau_switch] = k_off
+    near = np.flatnonzero(exclude >= 0)
+    cancelled = gf.value(x[near], exclude=exclude[near])
+    out = np.zeros(x.size, dtype=np.complex128)
+    for a_k, k_off, sp in zip(s.values, off, sprime):
         lam = seq.positions[k_off]
-        near = np.abs(x - lam) < gf.tau_switch
-        near_masks.append(near)
-        idx = np.flatnonzero(near)
-        near_x.append(x[idx])
-        near_exc.append(np.full(idx.size, k_off, dtype=np.int64))
-        near_pos.append(idx)
-    cancelled = {}
-    if near_x and sum(arr.size for arr in near_x) > 0:
-        all_x = np.concatenate(near_x).astype(np.complex128)
-        all_exc = np.concatenate(near_exc)
-        vals = core.eval_points(all_x, exclude=all_exc)
-        c0 = 0
-        for i, arr in enumerate(near_x):
-            cancelled[i] = vals[c0:c0 + arr.size]
-            c0 += arr.size
-    for i, (a_k, k_off, sp) in enumerate(zip(s.values, off, sprime)):
-        lam = seq.positions[k_off]
-        d = x - lam
-        near = near_masks[i]
+        mine = exclude[near] == k_off
         term = np.empty(x.size, dtype=np.complex128)
-        far = ~near
-        term[far] = S[far] / d[far]
-        if np.any(near):
-            fac = 1.0 if core.zero_mask[k_off] else -core.inv[k_off]
-            term[near_pos[i]] = cancelled[i] * fac
+        far = exclude != k_off
+        term[far] = S[far] / (x[far] - lam)
+        # S(x)/(x - lam) is the cancelled product times -1/lam (1 at 0)
+        term[near[mine]] = cancelled[mine] * (-1.0 / lam if lam != 0 else 1.0)
         out += (a_k / sp) * term
     return GridFunction(grid=x, values=out, step=grid.step)
 

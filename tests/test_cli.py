@@ -159,6 +159,13 @@ class TestSweepCommands:
             assert row["exponent"] == pytest.approx(row["expected"],
                                                     abs=0.1)
 
+    @pytest.mark.parametrize("family", ["signed:0.5", "alternating:0.3"])
+    def test_alpha_scaling_collapsed_family_is_usage_error(self, family):
+        # alpha = 2 scales both families past their separation bound
+        code = run_cli(["alpha-scaling", "--family", family,
+                        "--K", "32768", "--alphas", "1,2"])
+        assert code == 64
+
 
 class TestDeterminism:
     def test_check_byte_identical(self, tmp_path):

@@ -3,9 +3,11 @@ series, against closed-form and brute-force oracles."""
 import numpy as np
 import pytest
 
-from pwinterp import FamilySpec, integer_lattice, make_family
+from pwinterp import (FamilySpec, GridSpec, SampleSet,
+                      build_generating_function, integer_lattice, make_family,
+                      reconstruct)
 from pwinterp._engine import ProductCore
-from pwinterp._tails import build_tail
+from pwinterp._tails import _euler_maclaurin, _log_poly_coeff, build_tail
 
 
 def _core(kind, d=0.0, K=2048, seed=0, tail=True):
@@ -15,6 +17,41 @@ def _core(kind, d=0.0, K=2048, seed=0, tail=True):
         seq = make_family(FamilySpec(kind, d, seed=seed), K)
     t = build_tail(kind, d, K) if tail else None
     return ProductCore(seq, t)
+
+
+def _bulk_sprime(core, sel):
+    """S' and log|S'| at node offsets ``sel`` from the bulk kernel, signed
+    by the excluded-node sign."""
+    lam = core.pos.real[sel]
+    L, _, _ = core.logabs_real(lam, exclude=sel)
+    logabs = L - core.lognorm[sel]
+    lead = np.where(core.zero_mask[sel], 1.0, -np.sign(lam))
+    return core.sign_real(lam, exclude=sel) * lead * np.exp(logabs), logabs
+
+
+def _pointwise_sprime(core, sel):
+    """S' at node offsets ``sel`` from the pointwise kernel."""
+    lead = np.where(core.zero_mask[sel], 1.0, -core.inv[sel])
+    return core.eval_points(core.pos[sel], exclude=sel) * lead
+
+
+def _per_kind_streams(kind, d, K):
+    """The tail streams as separate per-kind formulas for (A(k), B(k))."""
+    if kind in ("integer", "random"):
+        return [(K + 1.0, 1.0, lambda t: 0.0, lambda t: -1.0 / t ** 2)]
+    if kind == "signed":
+        return [(K + 1.0, 1.0, lambda t: 0.0, lambda t: -1.0 / (t + d) ** 2)]
+    if kind == "constant_shift":
+        return [(K + 1.0, 1.0, lambda t: 2.0 * d / (t * t - d * d),
+                 lambda t: -1.0 / (t * t - d * d))]
+    out = []
+    for parity in (0, 1):
+        start = K + 1 if (K + 1) % 2 == parity else K + 2
+        sgn = 1.0 if parity == 0 else -1.0
+        out.append((float(start), 2.0,
+                    lambda t, s=sgn: 2.0 * s * d / (t * t - d * d),
+                    lambda t: -1.0 / (t * t - d * d)))
+    return out
 
 
 class TestTailSeries:
@@ -33,6 +70,21 @@ class TestTailSeries:
         # odd coefficients present: T(z) != T(-z)
         assert abs(tail.log_tail(np.asarray(10.0))
                    - tail.log_tail(np.asarray(-10.0))) > 1e-6
+
+    @pytest.mark.parametrize("K", [100, 101])
+    @pytest.mark.parametrize("kind,d", [("integer", 0.0), ("random", 0.4),
+                                        ("constant_shift", 0.3),
+                                        ("signed", 0.25), ("signed", -0.2),
+                                        ("alternating", 0.3),
+                                        ("alternating", -0.2)])
+    def test_shift_streams_match_per_kind_formulas(self, kind, d, K):
+        got = build_tail(kind, d, K).coeffs
+        expect = np.zeros(got.size)
+        for start, stride, A_f, B_f in _per_kind_streams(kind, d, K):
+            for P in range(1, expect.size):
+                g = lambda t: _log_poly_coeff(P, A_f(t), B_f(t))
+                expect[P] += _euler_maclaurin(g, start, stride)
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0.0)
 
 
 class TestPairing:
@@ -82,7 +134,7 @@ class TestGridPath:
                                         ("random", 0.4)])
     def test_agrees_with_pointwise(self, kind, d, rng):
         core = _core(kind, d, K=2048, seed=9)
-        xs = np.sort(rng.uniform(-400, 400, 1200))
+        xs = rng.uniform(-400, 400, 1200)  # any order
         L, dist, nearest = core.logabs_real(xs)
         vals = core.eval_points(xs.astype(complex))
         assert np.max(np.abs(L - np.log(np.abs(vals)))) < 1e-7
@@ -111,9 +163,10 @@ class TestGridPath:
         core = _core("constant_shift", 0.2, K=2048)
         # node indexes within the tail-series radius K/4
         sel = np.arange(2048 - 500, 2048 + 500, 7)
-        bulk = np.exp(core.logabs_sprime(sel))
-        point = np.abs(core.sprime_points(sel[::10]))
-        assert np.max(np.abs(bulk[::10] - point) / point) < 1e-8
+        bulk, logabs = _bulk_sprime(core, sel)
+        point = _pointwise_sprime(core, sel[::10])
+        assert np.max(np.abs(logabs[::10] - np.log(np.abs(point)))) < 1e-8
+        assert np.max(np.abs(bulk[::10] - point) / np.abs(point)) < 1e-8
 
     def test_window_edge_guard(self):
         core = _core("integer", K=128)
@@ -128,9 +181,65 @@ class TestGridPath:
     def test_signed_bulk_sprime_matches_pointwise(self, kind, d, seed):
         core = _core(kind, d, K=1024, seed=seed)
         sel = np.arange(1024 - 150, 1024 + 151, 3)
-        bulk = core.sprime_signed_bulk(sel)
-        point = core.sprime_points(sel)
+        bulk, logabs = _bulk_sprime(core, sel)
+        point = _pointwise_sprime(core, sel)
         assert np.max(np.abs(bulk - point) / np.abs(point)) < 1e-7
+        assert np.max(np.abs(logabs - np.log(np.abs(point)))) < 1e-7
+        # of these families only the lattice has a node at 0, and sel holds
+        # it: S = sin(pi z)/pi there, so S'(0) = 1
+        at_zero = core.zero_mask[sel]
+        assert np.all(np.abs(bulk[at_zero] - 1.0) < 1e-7)
+
+
+class TestRouting:
+    """Which kernel each entry point runs, counted by wrapping both."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        log = []
+        for name, path in (("logabs_real", "bulk"),
+                           ("eval_points", "pointwise")):
+            orig = getattr(ProductCore, name)
+
+            def counted(core, z, exclude=None, _orig=orig, _path=path):
+                log.append((_path, np.size(z), exclude is not None))
+                return _orig(core, z, exclude=exclude)
+            monkeypatch.setattr(ProductCore, name, counted)
+        return log
+
+    @pytest.fixture(scope="class")
+    def gf(self):
+        return build_generating_function(integer_lattice(2048))
+
+    def test_real_batch_of_256_goes_bulk(self, gf, calls):
+        x = np.linspace(-50.3, 50.3, 256)
+        gf.value(x)
+        gf.weight(x[::-1])
+        assert calls[:2] == [("bulk", 256, False), ("bulk", 256, False)]
+        # the weight's switch zone is a batch of its own, under 256 points
+        path, n, excluded = calls[2]
+        assert (path, excluded) == ("pointwise", True) and 0 < n < 256
+
+    def test_small_and_complex_batches_go_pointwise(self, gf, calls):
+        x = np.linspace(-50.3, 50.3, 256)
+        gf.value(x[:255])
+        gf.value(x + 0.1j)
+        gf.weight(x[:255])
+        assert calls[:3] == [("pointwise", 255, False),
+                             ("pointwise", 256, False),
+                             ("pointwise", 255, False)]
+        assert all(c[0] == "pointwise" for c in calls)
+
+    def test_reconstruct_near_node_batch_goes_bulk(self, gf, calls):
+        ks = np.arange(-150, 150, 1.5).astype(int)[:200]
+        rec = reconstruct(gf, SampleSet(ks, np.ones(ks.size)),
+                          GridSpec(-160.0, 160.0, 0.01))
+        excluded = [c for c in calls if c[2]]
+        # S' at the 200 support nodes, then one cancelled-factor batch
+        assert excluded[0] == ("pointwise", 200, True)
+        assert len(excluded) == 2 and excluded[1][0] == "bulk"
+        assert excluded[1][1] > 200 * 40
+        assert np.max(np.abs(rec.values[np.isin(rec.grid, ks)] - 1.0)) < 1e-9
 
 
 class TestWindowConvergence:
