@@ -4,9 +4,12 @@ Two complementary kernels approximate the symmetric infinite product
 
     S(z) = prod_k (1 - z/lambda_k)        (factor z for a node at 0):
 
-* ``eval_points``, the pointwise path: a paired product for arbitrary
-  complex arguments, multiplied in symmetric pair order with periodic
-  renormalization so the running magnitude never overflows, and
+* ``eval_points``, the pointwise path: the product at arbitrary complex
+  arguments, with the nonzero nodes multiplied in order of increasing
+  |lambda| and the running magnitude renormalized every 64 factors (a
+  symmetric window then puts about 32 plus/minus pairs in each chunk,
+  which keeps chunk products in range; one that overflows all the same is
+  reported); a node at 0 seeds the product with z, and
 * ``logabs_real``, the bulk path: real points only, each split into a
   directly multiplied near window plus a smooth far field, with the far
   log-sums assembled from FFT convolutions of short Taylor moments.
@@ -16,16 +19,20 @@ sequence carries a generated-family pattern, so values approximate the
 infinite product rather than the bare window truncation.
 
 Callers go through two entry points: :meth:`ProductCore.value`, the complex
-value S(z), which can leave out one node factor per point, and
-:meth:`ProductCore.logabs`, log|S(z)| with dist(z, Lambda) and the nearest
-node.  One rule picks the kernel for each call: the bulk path runs when
-the core is ``fast_ok`` (a real, index-contiguous window with every node
-within 1.5 of its index), every point is real and the batch holds at
-least 256 points; everything else runs pointwise.  Below 256 points one
-pointwise evaluation is cheaper than a cold bulk moment set.  The rule
-sees only the batch it is given, so the cancelled-factor batches of
-``GeneratingFunction.weight`` (its switch zone) and of ``reconstruct``
-(grid points near support nodes) pick their own path by their own size.
+value S(z), and :meth:`ProductCore.logabs`, log|S(z)| with dist(z, Lambda)
+and the nearest node.  ``value`` takes one optional excluded node per
+point; at such a point both kernels return the divided product
+S(z)/(z - lambda_k), finite at z = lambda_k where it equals S'(lambda_k).
+This one primitive gives the node derivatives, the weight near a node and
+the near-node terms of the reconstruction series.  One rule picks the
+kernel for each call: the bulk path runs when the core is ``fast_ok`` (a
+real, index-contiguous window with every node within 1.5 of its index),
+every point is real and the batch holds at least 256 points; everything
+else runs pointwise.  Below 256 points one pointwise evaluation is cheaper
+than a cold bulk moment set.  The rule sees only the batch it is given, so
+the divided-product batches of ``GeneratingFunction.weight`` (its switch
+zone) and of ``reconstruct`` (grid points near support nodes) pick their
+own path by their own size.
 """
 from __future__ import annotations
 
@@ -44,7 +51,7 @@ _W_NEAR = 24
 _J_DELTA = 8
 _S_ORD = 4
 _SPECIAL_DELTA = 0.95
-_PAIR_CHUNK = 32  # 64 factors between renormalizations
+_CHUNK = 64  # factors between renormalizations
 _BULK_MIN_BATCH = 256
 # the nearest-node scan holds at most 4096 rows and about 2^22 distances
 _SCAN_ROWS = 4096
@@ -83,14 +90,15 @@ class ProductCore:
         self.zero_mask = pos == 0
         if np.count_nonzero(self.zero_mask) > 1:
             raise ValueError("duplicate node positions at 0")
-        inv = np.zeros_like(pos)
-        np.divide(1.0, pos, out=inv, where=~self.zero_mask)
-        self.inv = inv
-        lognorm = np.zeros(pos.size)
-        np.log(np.abs(pos), out=lognorm, where=~self.zero_mask)
-        self.lognorm = lognorm
-        self.total_lognorm = float(lognorm.sum())
-        self._build_pairing()
+        # the pointwise kernel multiplies the nonzero nodes in order of |lambda|
+        order = np.flatnonzero(~self.zero_mask)
+        order = order[np.argsort(np.abs(pos[order]), kind="stable")]
+        self._lam = pos[order]
+        self._inv = 1.0 / self._lam
+        self._column = np.full(pos.size, -1, dtype=np.int64)
+        self._column[order] = np.arange(order.size)
+        self.total_lognorm = float(
+            np.sum(np.log(np.abs(np.where(self.zero_mask, 1.0, pos)))))
         self._fast_setup()
 
     # -- entry points ----------------------------------------------------
@@ -101,8 +109,8 @@ class ProductCore:
                 and not np.any(np.imag(z)))
 
     def value(self, z, exclude=None):
-        """S(z), with node ``exclude[i]`` (an array offset, -1 for none)
-        left out at point i.
+        """S(z), or S(z)/(z - lambda_k) at points i with node
+        k = ``exclude[i]`` (an array offset, -1 for none).
 
         Raises :class:`OverflowReported` when a magnitude leaves the
         floating range.
@@ -128,103 +136,35 @@ class ProductCore:
             L = np.log(np.abs(self.eval_points(z)))
         return (L, *nearest_nodes(self.pos, z))
 
-    # -- pairing ---------------------------------------------------------
-
-    def _build_pairing(self):
-        pos = self.pos
-        n = pos.size
-        offs = np.arange(n)
-        positive = offs[pos.real > 0]
-        negative = offs[pos.real < 0]
-        axis = offs[pos.real == 0]
-        positive = positive[np.argsort(-pos.real[positive], kind="stable")]
-        negative = negative[np.argsort(pos.real[negative], kind="stable")]
-        m = min(positive.size, negative.size)
-        pa = list(positive[:m])
-        pb = list(negative[:m])
-        for leftover in (positive[m:], negative[m:], axis):
-            for off in leftover:
-                pa.append(off)
-                pb.append(-1)
-        pa = np.asarray(pa, dtype=np.int64)
-        pb = np.asarray(pb, dtype=np.int64)
-        moduli = np.abs(pos[pa])
-        paired = pb >= 0
-        moduli[paired] = np.minimum(moduli[paired], np.abs(pos[pb[paired]]))
-        order = np.argsort(moduli, kind="stable")
-        self.pair_a = pa[order]
-        self.pair_b = pb[order]
-        self.n_rows = self.pair_a.size
-        row_of = np.empty(n, dtype=np.int64)
-        partner = np.full(n, -1, dtype=np.int64)
-        row_of[self.pair_a] = np.arange(self.n_rows)
-        ok = self.pair_b >= 0
-        row_of[self.pair_b[ok]] = np.flatnonzero(ok)
-        partner[self.pair_a[ok]] = self.pair_b[ok]
-        partner[self.pair_b[ok]] = self.pair_a[ok]
-        self.pair_row_of = row_of
-        self.partner_of = partner
-
-    def pairing_plan(self):
-        """Pair/singleton node-index tuples in multiplication order."""
-        idx = self.seq.indices
-        plan = []
-        for a, b in zip(self.pair_a, self.pair_b):
-            if b >= 0:
-                plan.append((int(idx[a]), int(idx[b])))
-            else:
-                plan.append((int(idx[a]),))
-        return tuple(plan)
-
     # -- point-wise path -------------------------------------------------
 
-    def _factor(self, offs, z):
-        """(npts, m) factor matrix for node offsets ``offs`` at points z."""
-        f = (self.pos[offs][None, :] - z[:, None]) * self.inv[offs][None, :]
-        zcols = np.flatnonzero(self.zero_mask[offs])
-        if zcols.size:
-            f[:, zcols] = z[:, None]
-        return f
-
     def eval_points(self, z, exclude=None):
-        """Compensated product at complex points, node ``exclude`` skipped.
+        """Compensated product at complex points.
 
-        ``exclude`` holds one node array-offset per point (or -1).  Raises
-        :class:`OverflowReported` when the final magnitude cannot be
-        represented even after the scaled accumulation.
+        ``exclude`` holds one node array-offset per point (or -1); at a
+        point with node k excluded the result is the divided product
+        S(z)/(z - lambda_k), whose factor for node k is -1/lambda_k (1 for
+        the zero node).  Raises :class:`OverflowReported` when the final
+        magnitude cannot be represented even after the scaled accumulation.
         """
         z = np.asarray(z, dtype=np.complex128).ravel()
         npts = z.size
         if npts == 0:
             return z
-        mant = np.ones(npts, dtype=np.complex128)
+        exclude = (np.full(npts, -1, dtype=np.int64) if exclude is None
+                   else np.asarray(exclude, dtype=np.int64).ravel())
+        has_exc = exclude >= 0
+        # a node at 0 contributes the bare factor z
+        mant = z.copy() if np.any(self.zero_mask) else np.ones(npts, complex)
+        mant[has_exc & self.zero_mask[exclude]] = 1.0
+        col = np.where(has_exc, self._column[exclude], -1)
         e2 = np.zeros(npts)
-        if exclude is not None:
-            exclude = np.asarray(exclude, dtype=np.int64).ravel()
-            has_exc = exclude >= 0
-            exc_row = np.where(has_exc, self.pair_row_of[exclude], -1)
-            part = np.where(has_exc, self.partner_of[exclude], -1)
-            repl = np.ones(npts, dtype=np.complex128)
-            with_partner = part >= 0
-            if np.any(with_partner):
-                pp = part[with_partner]
-                zz = z[with_partner]
-                f = (self.pos[pp] - zz) * self.inv[pp]
-                zp = self.zero_mask[pp]
-                f[zp] = zz[zp]
-                repl[with_partner] = f
-        for c0 in range(0, self.n_rows, _PAIR_CHUNK):
-            c1 = min(c0 + _PAIR_CHUNK, self.n_rows)
-            fa = self._factor(self.pair_a[c0:c1], z)
-            bsel = self.pair_b[c0:c1]
-            paired = bsel >= 0
-            if np.any(paired):
-                fa[:, paired] *= self._factor(bsel[paired], z)
-            if exclude is not None:
-                hit = np.flatnonzero((exc_row >= c0) & (exc_row < c1))
-                if hit.size:
-                    fa[hit, exc_row[hit] - c0] = repl[hit]
-            mant *= np.prod(fa, axis=1)
+        for c0 in range(0, self._lam.size, _CHUNK):
+            c1 = min(c0 + _CHUNK, self._lam.size)
+            f = (self._lam[c0:c1] - z[:, None]) * self._inv[c0:c1]
+            hit = np.flatnonzero((col >= c0) & (col < c1))
+            f[hit, col[hit] - c0] = -self._inv[col[hit]]
+            mant *= np.prod(f, axis=1)
             mag = np.abs(mant)
             live = mag > 0
             if np.any(live):
@@ -238,7 +178,8 @@ class ProductCore:
             inside = np.abs(z) <= self.tail.radius
             w = w + np.where(inside, self.tail.log_tail(z), 0.0)
         logmag[live] = np.log(np.abs(mant[live])) + w.real[live]
-        if np.any(logmag > 709.0):
+        # NaN marks a chunk product that overflowed before renormalization
+        if not np.all(logmag <= 709.0):
             raise OverflowReported(
                 "product magnitude exceeds the floating range; "
                 "evaluate closer to the window or enlarge it"
@@ -266,10 +207,8 @@ class ProductCore:
         self.delta = delta
         self.regular = regular
         self.special_offs = np.flatnonzero(~regular)
-        self._sorted_real = np.sort(self.pos.real)
-        nonzero = ~self.zero_mask
-        self._n_neg_inv = int(np.count_nonzero(self.pos.real[nonzero] < 0))
-        self._nonzero_sorted = np.sort(self.pos.real[nonzero])
+        self._nonzero_sorted = np.sort(self._lam.real)
+        self._n_neg_inv = int(np.count_nonzero(self._lam.real < 0))
         self._moment_cache = None
 
     def _conv_moments(self, n_min, n_max):
@@ -320,8 +259,8 @@ class ProductCore:
         """log|product|, dist(x, Lambda) and nearest offset on real points.
 
         ``x`` may come in any order.  ``exclude`` (one offset per point, -1
-        for none) removes that node's factor; excluded nodes must lie in the
-        near window of their point.
+        for none) gives log|S(x)/(x - lambda_k)| for that node k instead;
+        excluded nodes must lie in the near window of their point.
         """
         x = np.asarray(x, dtype=np.float64)
         K = self.K
@@ -377,34 +316,27 @@ class ProductCore:
                     lf[far_mask] += np.log(np.abs(xs[far_mask] - posr[so]))
             L_out[c0:c1] = near + lf
         L_out -= self.total_lognorm
-        if exclude is not None:
-            exc = np.asarray(exclude)
-            hit = exc >= 0
-            L_out[hit] += self.lognorm[exc[hit]]
         if self.tail is not None:
             inside = np.abs(x) <= self.tail.radius
             L_out += np.where(inside, self.tail.log_tail(x), 0.0)
         return L_out, dist, nearest
 
     def sign_real(self, x, exclude=None):
-        """Sign of the (real) product at real points off the zero set, with
-        node ``exclude[i]`` (an offset, -1 for none) left out at point i.
+        """Sign of the (real) product at real points off the zero set; at a
+        point with node ``exclude[i]`` (an offset, -1 for none) the sign of
+        the divided product S(x)/(x - lambda_k).
 
         Each nonzero node's factor (lambda - x)/lambda is negative when
         exactly one of lambda < x, lambda < 0 holds; the zero node's factor
-        x is negative for x < 0.
+        x is counted negative for x <= 0.  Dividing by x - lambda_k flips
+        the sign when lambda_k >= x (at x = lambda_k this gives the sign of
+        S'(lambda_k)).
         """
         x = np.asarray(x, dtype=np.float64)
         negative = (np.searchsorted(self._nonzero_sorted, x, side="left")
-                    + self._n_neg_inv)
-        zero_factor = np.any(self.zero_mask) & (x < 0)
+                    + self._n_neg_inv
+                    + (np.any(self.zero_mask) & (x <= 0)))
         if exclude is not None:
             exc = np.asarray(exclude, dtype=np.int64)
-            hit = exc >= 0
-            at_zero = hit & self.zero_mask[exc]
-            lam = self.pos.real[exc]
-            drop = hit & ~at_zero
-            negative -= drop * ((lam < x).astype(np.int64) + (lam < 0))
-            zero_factor &= ~at_zero
-        negative += zero_factor
+            negative += (exc >= 0) & (self.pos.real[exc] >= x)
         return np.where(negative % 2 == 0, 1.0, -1.0)

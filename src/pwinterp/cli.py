@@ -22,10 +22,10 @@ import sys
 import numpy as np
 
 from . import nodes as _nodes
-from .genfn import (Exponents, _linear_fit, build_generating_function,
-                    fit_weight_exponent)
-from .criteria import (IntervalFamily, Thresholds, continuous_ap,
-                       full_verdict, select_subsequence)
+from .genfn import (Exponents, OverflowReported, _linear_fit,
+                    build_generating_function, fit_weight_exponent)
+from .criteria import (IntervalFamily, Thresholds, TrustRadiusError,
+                       continuous_ap, full_verdict, select_subsequence)
 from .hilbert import DiscreteHilbertOperator, probe_norm
 from .interp import GridSpec, load_samples, reconstruct
 
@@ -438,10 +438,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_grid_flags(argv))
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, TrustRadiusError) as exc:
         sys.stderr.write(f"pwinterp: error: {exc}\n")
         return EXIT_USAGE
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, OverflowReported) as exc:
         sys.stderr.write(f"pwinterp: data error: {exc}\n")
         return EXIT_DATA
 

@@ -28,6 +28,7 @@ __all__ = [
     "continuous_ap",
     "SelectionError",
     "BracketingError",
+    "TrustRadiusError",
     "select_subsequence",
     "select_probe_points",
     "Thresholds",
@@ -42,6 +43,10 @@ class SelectionError(ValueError):
 
 class BracketingError(RuntimeError):
     """Circle bisection could not bracket the target modulus."""
+
+
+class TrustRadiusError(ValueError):
+    """The interval sweep reaches past the far-tail series' trust radius."""
 
 
 @dataclass(frozen=True)
@@ -498,6 +503,16 @@ def full_verdict(seq, p, gf: GeneratingFunction | None = None,
 
     if gf is None:
         gf = build_generating_function(seq)
+    K = seq.half_width
+    if x_max is None:
+        if K < 64:
+            raise ValueError("window too small for the interval sweep")
+        x_max = 2.0 ** min(13, int(np.floor(np.log2(K / 4))))
+    if x_max > gf.trust_radius:
+        raise TrustRadiusError(
+            f"x_max = {x_max:g} exceeds the trust radius "
+            f"(K+1)/4 = {gf.trust_radius:g} of the far-tail series; "
+            "lower x_max or enlarge the window")
 
     car = carleson_sum(seq)
     car_half = carleson_sum(seq.restrict(max(seq.half_width // 2, 1)))
@@ -509,11 +524,6 @@ def full_verdict(seq, p, gf: GeneratingFunction | None = None,
     if r0 is None:
         failed.append("relative_density")
 
-    K = seq.half_width
-    if x_max is None:
-        if K < 64:
-            raise ValueError("window too small for the interval sweep")
-        x_max = 2.0 ** min(13, int(np.floor(np.log2(K / 4))))
     if quad_step is None:
         quad_step = sep / 8.0
     m_max = int(np.floor(np.log2(x_max)))

@@ -69,15 +69,17 @@ class GeneratingFunction:
     :func:`build_generating_function`.
     """
 
-    def __init__(self, seq, core: ProductCore, tol_rel: float,
+    def __init__(self, seq, core: ProductCore,
                  convergence_probe: float | None):
         self.seq = seq
         self._core = core
-        self.tol_rel = tol_rel
         self.separation = _nodes.separation(seq) if len(seq) > 1 else np.inf
         self.tau_switch = self.separation / 4.0
         self.convergence_probe = convergence_probe
         self.tail_compensated = core.tail is not None
+        # where the far-tail series holds; uncompensated windows set no bound
+        self.trust_radius = (core.tail.radius if core.tail is not None
+                             else np.inf)
         self._sprime_cache: dict[int, complex] = {}
 
     # -- S ----------------------------------------------------------------
@@ -86,7 +88,8 @@ class GeneratingFunction:
         """Product value S(z); accepts scalars or arrays.
 
         ``exclude`` (optional, shaped like ``z``) names per point the array
-        offset of one node whose factor is left out, or -1 for none.
+        offset of one node k, or -1 for none; there the value is the divided
+        product S(z)/(z - lambda_k), which equals S'(lambda_k) at the node.
         """
         scalar = np.isscalar(z) or np.asarray(z).ndim == 0
         vals = self._core.value(z, exclude)
@@ -103,11 +106,7 @@ class GeneratingFunction:
         missing = [k for k in ks if k not in self._sprime_cache]
         if missing:
             sel = self.seq.array_offset(np.asarray(missing))
-            core = self._core
-            # S'(lambda_k): the product without node k times -1/lambda_k
-            # (times 1 for a node at 0)
-            fp = np.where(core.zero_mask[sel], 1.0, -core.inv[sel])
-            vals = core.value(core.pos[sel], exclude=sel) * fp
+            vals = self._core.value(self.seq.positions[sel], exclude=sel)
             if np.any(vals == 0):
                 raise ValueError("vanishing node derivative: multiple zero")
             for k, v in zip(missing, vals):
@@ -123,9 +122,9 @@ class GeneratingFunction:
     def weight(self, x):
         """F(x) = |S(x)|/dist(x, Lambda), stabilized near real nodes.
 
-        Within ``tau_switch`` of a real node the factor of that node is
-        cancelled analytically, so the value stays finite and positive and
-        equals |S'| exactly at the node.
+        Within ``tau_switch`` of a real node the value is taken as
+        |S(x)/(x - lambda)| for that node, so it stays finite and positive
+        and equals |S'| exactly at the node.
         """
         scalar = np.isscalar(x) or np.asarray(x).ndim == 0
         xx = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
@@ -136,30 +135,25 @@ class GeneratingFunction:
         keep = ~switch
         F[keep] = np.exp(L[keep]) / dist[keep]
         if np.any(switch):
-            exc = near[switch]
-            cancelled = core.value(xx[switch], exclude=exc)
-            F[switch] = np.abs(cancelled) * np.exp(-core.lognorm[exc])
+            F[switch] = np.abs(core.value(xx[switch], exclude=near[switch]))
         return float(F[0]) if scalar else F.reshape(np.shape(x))
 
 
-def build_generating_function(seq, tol_rel: float = 1e-3,
-                              compensate: bool | None = None,
-                              probe: bool = True) -> GeneratingFunction:
+def build_generating_function(seq, compensate: bool | None = None
+                              ) -> GeneratingFunction:
     """Build the product evaluator for a node sequence.
+
+    The build records the relative change of S at fixed probe points when
+    the window is halved (a convergence diagnostic for the limit product).
 
     Parameters
     ----------
     seq : NodeSequence
         Nonempty sequence with positive separation.
-    tol_rel : float
-        Relative tolerance for the window-convergence probe.
     compensate : bool, optional
         Add the far-tail series for the omitted pattern factors.  Defaults
         to on for generated families and off for loaded sequences (whose
         continuation is unknown).
-    probe : bool
-        Record the relative change of S at fixed probe points when the
-        window is halved (a convergence diagnostic for the limit product).
     """
     if len(seq) > 1 and _nodes.separation(seq) <= 0.0:
         raise ValueError("zero separation: duplicate node positions")
@@ -173,7 +167,7 @@ def build_generating_function(seq, tol_rel: float = 1e-3,
         tail = build_tail(fam.kind, fam.d, seq.half_width)
     core = ProductCore(seq, tail)
     conv = None
-    if probe and seq.half_width >= 4:
+    if seq.half_width >= 4:
         half = seq.restrict(seq.half_width // 2)
         tail_h = (build_tail(fam.kind, fam.d, half.half_width)
                   if compensate else None)
@@ -184,7 +178,7 @@ def build_generating_function(seq, tol_rel: float = 1e-3,
         half_v = core_h.value(pts)
         scale = np.maximum(np.abs(full_v), 1e-300)
         conv = float(np.max(np.abs(full_v - half_v) / scale))
-    return GeneratingFunction(seq, core, tol_rel, conv)
+    return GeneratingFunction(seq, core, conv)
 
 
 @dataclass(frozen=True)
@@ -248,9 +242,7 @@ def comparability_stats(gf: GeneratingFunction, anchors,
                        dtype=np.complex128)
     kidx = getattr(anchors, "node_indices", None)
     if kidx is None:
-        off = np.argmin(np.abs(avals[:, None] - gf.seq.positions[None, :]),
-                        axis=1)
-        kidx = gf.seq.indices[off]
+        kidx = gf.seq.indices[nearest_nodes(gf.seq.positions, avals)[1]]
     kidx = np.asarray(kidx)
     order = np.argsort(avals.real, kind="stable")
     avals = avals[order]

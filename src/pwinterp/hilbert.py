@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .genfn import as_exponents
-from .criteria import WeightSequence
+from .criteria import WeightSequence, _as_weights
 
 __all__ = [
     "DiscreteHilbertOperator",
@@ -101,8 +101,7 @@ def probe_norm(op: DiscreteHilbertOperator, w, p, trials: int = 16,
     running maximum never decreases as vectors are added.
     """
     p = as_exponents(p)
-    w = w.values if isinstance(w, WeightSequence) else \
-        WeightSequence(np.asarray(w, float)).values
+    w = _as_weights(w)
     if w.size != len(op):
         raise ValueError("weight length does not match the operator")
     vecs = _structured_vectors(op, w, p)
@@ -143,8 +142,7 @@ def witness_quotient(op: DiscreteHilbertOperator, w, p, k: int,
     carry.
     """
     p = as_exponents(p)
-    w = w.values if isinstance(w, WeightSequence) else \
-        WeightSequence(np.asarray(w, float)).values
+    w = _as_weights(w)
     if k < 0 or k + 3 * n > w.size:
         raise ValueError("window too small for the witness blocks")
     i1 = slice(k + 1, k + n + 1)

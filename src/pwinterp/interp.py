@@ -142,9 +142,9 @@ def reconstruct(gf: GeneratingFunction, s: SampleSet,
                 grid: GridSpec) -> GridFunction:
     """Evaluate the interpolation series on a grid.
 
-    Within ``tau_switch`` of a support node the corresponding term is
-    evaluated through the cancelled-factor form, so grid points at or near
-    support nodes reproduce the data exactly.  A grid point on a
+    Within ``tau_switch`` of a support node the corresponding term
+    S(x)/(x - lambda_k) is evaluated as one divided product, so grid points
+    at or near support nodes reproduce the data exactly.  A grid point on a
     non-support real node contributes S = 0 there and needs no special
     case.
     """
@@ -159,7 +159,7 @@ def reconstruct(gf: GeneratingFunction, s: SampleSet,
     for k_off in off:
         exclude[np.abs(x - seq.positions[k_off]) < gf.tau_switch] = k_off
     near = np.flatnonzero(exclude >= 0)
-    cancelled = gf.value(x[near], exclude=exclude[near])
+    divided = gf.value(x[near], exclude=exclude[near])
     out = np.zeros(x.size, dtype=np.complex128)
     for a_k, k_off, sp in zip(s.values, off, sprime):
         lam = seq.positions[k_off]
@@ -167,8 +167,7 @@ def reconstruct(gf: GeneratingFunction, s: SampleSet,
         term = np.empty(x.size, dtype=np.complex128)
         far = exclude != k_off
         term[far] = S[far] / (x[far] - lam)
-        # S(x)/(x - lam) is the cancelled product times -1/lam (1 at 0)
-        term[near[mine]] = cancelled[mine] * (-1.0 / lam if lam != 0 else 1.0)
+        term[near[mine]] = divided[mine]
         out += (a_k / sp) * term
     return GridFunction(grid=x, values=out, step=grid.step)
 

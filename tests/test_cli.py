@@ -56,6 +56,18 @@ class TestGenfnCommand:
                  "--grid", "-2:2:0.5", "-o", str(out)])
         assert out.read_text().splitlines()[0] == "x,re_S,im_S,F"
 
+    def test_overflow_is_data_error(self, tmp_path, capsys):
+        nodes = tmp_path / "lat64.csv"
+        run_cli(["family", "--family", "integer", "--K", "64",
+                 "-o", str(nodes)])
+        code = run_cli(["genfn", "--nodes", str(nodes),
+                        "--grid", "10000:10001:0.5",
+                        "-o", str(tmp_path / "g.csv")])
+        assert code == 65
+        err = capsys.readouterr().err
+        assert err.startswith("pwinterp: data error: product magnitude")
+        assert err.count("\n") == 1
+
 
 class TestCheckCommand:
     def test_lattice_passes_exit_zero(self, tmp_path):
@@ -92,6 +104,27 @@ class TestCheckCommand:
         code = run_cli(["check", "--nodes", str(tmp_path / "absent.csv"),
                         "--json", str(tmp_path / "r.json")])
         assert code == 65
+
+    def test_xmax_beyond_trust_radius_is_usage_error(self, tmp_path, capsys,
+                                                     monkeypatch):
+        import pwinterp.criteria
+
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("refusal must come before any evaluation")
+        monkeypatch.setattr(pwinterp.criteria, "carleson_sum", no_evaluation)
+        code = run_cli(["check", "--family", "integer", "--K", "256",
+                        "--xmax", "128", "--json", str(tmp_path / "r.json")])
+        assert code == 64
+        assert "trust radius (K+1)/4 = 64.25" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_loaded_window_has_no_trust_radius_refusal(self, tmp_path):
+        nodes = tmp_path / "lat.csv"
+        run_cli(["family", "--family", "integer", "--K", "256",
+                 "-o", str(nodes)])
+        code = run_cli(["check", "--nodes", str(nodes), "--xmax", "128",
+                        "--json", str(tmp_path / "r.json")])
+        assert code != 64
 
     def test_operator_probe_appended(self, tmp_path):
         out = tmp_path / "report.json"

@@ -3,7 +3,7 @@ series, against closed-form and brute-force oracles."""
 import numpy as np
 import pytest
 
-from pwinterp import (FamilySpec, GridSpec, SampleSet,
+from pwinterp import (FamilySpec, GridSpec, NodeSequence, SampleSet,
                       build_generating_function, integer_lattice, make_family,
                       reconstruct)
 from pwinterp._engine import ProductCore
@@ -20,19 +20,16 @@ def _core(kind, d=0.0, K=2048, seed=0, tail=True):
 
 
 def _bulk_sprime(core, sel):
-    """S' and log|S'| at node offsets ``sel`` from the bulk kernel, signed
-    by the excluded-node sign."""
+    """S' and log|S'| at node offsets ``sel`` from the bulk kernel: the
+    divided product S(x)/(x - lambda_k) at x = lambda_k."""
     lam = core.pos.real[sel]
     L, _, _ = core.logabs_real(lam, exclude=sel)
-    logabs = L - core.lognorm[sel]
-    lead = np.where(core.zero_mask[sel], 1.0, -np.sign(lam))
-    return core.sign_real(lam, exclude=sel) * lead * np.exp(logabs), logabs
+    return core.sign_real(lam, exclude=sel) * np.exp(L), L
 
 
 def _pointwise_sprime(core, sel):
     """S' at node offsets ``sel`` from the pointwise kernel."""
-    lead = np.where(core.zero_mask[sel], 1.0, -core.inv[sel])
-    return core.eval_points(core.pos[sel], exclude=sel) * lead
+    return core.eval_points(core.pos[sel], exclude=sel)
 
 
 def _per_kind_streams(kind, d, K):
@@ -87,17 +84,62 @@ class TestTailSeries:
         np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0.0)
 
 
-class TestPairing:
-    def test_plan_covers_each_node_once(self):
-        core = _core("signed", 0.25, K=64)
-        seen = [k for row in core.pairing_plan() for k in row]
-        assert sorted(seen) == list(range(-64, 65))
+def _oracle_windows():
+    k = np.arange(-128, 129)
+    one_sided = np.arange(0, 200)
+    return {
+        "symmetric": make_family(FamilySpec("signed", 0.25), 128),
+        "zero node": integer_lattice(100),
+        "one-sided": NodeSequence(one_sided,
+                                  one_sided + 1.0 + 0.3 * np.sin(one_sided)),
+        "complex": NodeSequence(k, k + 0.1j * (-1.0) ** k),
+    }
 
-    def test_symmetric_family_pairs_k_with_minus_k(self):
-        core = _core("integer", K=16)
-        for row in core.pairing_plan():
-            if len(row) == 2:
-                assert row[0] == -row[1]
+
+def _mp_divided(pos, z, k=-1):
+    """S(z) as the plain window product in 50-digit arithmetic, divided by
+    z - lambda_k when k >= 0."""
+    import mpmath
+    with mpmath.workdps(50):
+        # with k >= 0, a step of 1e-30 (far below double resolution) keeps
+        # the division defined at z = lambda_k, where it gives S'(lambda_k)
+        z = mpmath.mpc(z) + (mpmath.mpf("1e-30") if k >= 0 else 0)
+        out = mpmath.mpc(1)
+        for lam in map(mpmath.mpc, pos):
+            out *= z if lam == 0 else 1 - z / lam
+        if k >= 0:
+            out /= z - mpmath.mpc(pos[k])
+        return complex(out)
+
+
+class TestProductOracle:
+    """``eval_points`` on uncompensated cores against a 50-digit product;
+    the divided value S(z)/(z - lambda_k) also pins that every node's
+    factor is taken exactly once."""
+
+    @pytest.mark.parametrize("name", list(_oracle_windows()))
+    def test_matches_mpmath(self, name, rng):
+        seq = _oracle_windows()[name]
+        core = ProductCore(seq, None)
+        pos = seq.positions
+        lo, hi = pos.real.min(), pos.real.max()
+        span = hi - lo
+        z = rng.uniform(lo + 0.2 * span, hi - 0.2 * span, 12) + 0j
+        z[6:] += 1j * rng.uniform(-2.0, 2.0, 6)
+        exclude = rng.integers(0, pos.size, z.size)
+        exclude[::4] = -1
+        exclude[1] = int(np.argmin(np.abs(pos - z[1])))
+        # at a node the divided product is S'(lambda_k)
+        at_node = rng.integers(pos.size // 4, 3 * pos.size // 4, 6)
+        if np.any(pos == 0):
+            at_node[0] = int(np.flatnonzero(pos == 0)[0])
+        cases = [(z, np.full(z.size, -1)), (z, exclude),
+                 (pos[at_node], at_node)]
+        for pts, exc in cases:
+            got = core.eval_points(pts, exclude=exc)
+            expect = np.array([_mp_divided(pos, p, k)
+                               for p, k in zip(pts, exc)])
+            assert np.max(np.abs(got - expect) / np.abs(expect)) < 1e-12
 
 
 class TestPointwisePath:
@@ -124,6 +166,14 @@ class TestPointwisePath:
         core = _core("integer", K=512, tail=False)
         with pytest.raises(OverflowReported):
             core.eval_points(np.array([400.0 + 400.0j]))
+
+    def test_chunk_overflow_reported(self):
+        # one 64-factor chunk of a one-sided window already overflows here
+        from pwinterp._engine import OverflowReported
+        k = np.arange(200)
+        core = ProductCore(NodeSequence(k, k + 1.0), None)
+        with pytest.raises(OverflowReported), np.errstate(all="ignore"):
+            core.eval_points(np.array([1e7 + 0j]))
 
 
 class TestGridPath:
@@ -187,7 +237,7 @@ class TestGridPath:
         assert np.max(np.abs(logabs - np.log(np.abs(point)))) < 1e-7
         # of these families only the lattice has a node at 0, and sel holds
         # it: S = sin(pi z)/pi there, so S'(0) = 1
-        at_zero = core.zero_mask[sel]
+        at_zero = core.pos[sel] == 0
         assert np.all(np.abs(bulk[at_zero] - 1.0) < 1e-7)
 
 

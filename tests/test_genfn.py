@@ -99,7 +99,7 @@ class TestValue:
         b = build_generating_function(integer_lattice(4096))
         x = np.linspace(-10, 10, 201)
         va, vb = a.value(x), b.value(x)
-        assert np.max(np.abs(va - vb)) <= a.tol_rel * np.max(np.abs(vb))
+        assert np.max(np.abs(va - vb)) <= 1e-3 * np.max(np.abs(vb))
 
 
 class TestWeight:
