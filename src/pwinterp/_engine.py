@@ -12,7 +12,11 @@ Two complementary kernels approximate the symmetric infinite product
   reported); a node at 0 seeds the product with z, and
 * ``logabs_real``, the bulk path: real points only, each split into a
   directly multiplied near window plus a smooth far field, with the far
-  log-sums assembled from FFT convolutions of short Taylor moments.
+  log-sums assembled from FFT convolutions of short Taylor moments.  The
+  near window is one row of a sliding view over the nodes; the nearest
+  node is sought among the 9 slots around floor(x), which is exact while
+  every node lies within 1.5 of its index, and the window's factors, the
+  nearest node's left out, take a single log.
 
 Both kernels add the far-tail series of :mod:`pwinterp._tails` when the
 sequence carries a generated-family pattern, so values approximate the
@@ -23,15 +27,15 @@ value S(z), and :meth:`ProductCore.logabs`, log|S(z)| with dist(z, Lambda)
 and the nearest node.  ``value`` takes one optional excluded node per
 point; at such a point both kernels return the divided product
 S(z)/(z - lambda_k), finite at z = lambda_k where it equals S'(lambda_k).
-This one primitive gives the node derivatives, the weight near a node and
+This one primitive gives the node derivatives, the weight at a node and
 the near-node terms of the reconstruction series.  One rule picks the
 kernel for each call: the bulk path runs when the core is ``fast_ok`` (a
 real, index-contiguous window with every node within 1.5 of its index),
 every point is real and the batch holds at least 256 points; everything
 else runs pointwise.  Below 256 points one pointwise evaluation is cheaper
 than a cold bulk moment set.  The rule sees only the batch it is given, so
-the divided-product batches of ``GeneratingFunction.weight`` (its switch
-zone) and of ``reconstruct`` (grid points near support nodes) pick their
+the divided-product batches of ``GeneratingFunction.weight`` (exact node
+hits) and of ``reconstruct`` (grid points near support nodes) pick their
 own path by their own size.
 """
 from __future__ import annotations
@@ -39,6 +43,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import next_fast_len, rfft, irfft
 
 from ._tails import TailCompensation
@@ -48,6 +53,10 @@ from ._tails import TailCompensation
 # orders leave errors below 1e-8; delta expansions of the far kernels decay
 # at least as fast as (0.95/24.5)^j.
 _W_NEAR = 24
+# |delta| <= 1.5 keeps the nearest node within this many slots of floor(x)
+_BAND = 4
+_BLOCK = 1 << 14  # points per pass of the bulk kernel
+_NEAR_ROWS = 2048  # points per near-window array (49 rows of them)
 _J_DELTA = 8
 _S_ORD = 4
 _SPECIAL_DELTA = 0.95
@@ -228,15 +237,19 @@ class ProductCore:
         with np.errstate(divide="ignore"):
             logk = np.where(far, np.log(np.abs(m)), 0.0)
         khat["log"] = rfft(logk, L)
+        # powers as running products: an array ** float runs pow() per entry
+        inv = np.where(far, 1.0 / m, 0.0)
+        kern = inv
         for P in range(1, max_p + 1):
-            khat[P] = rfft(np.where(far, m ** (-float(P)), 0.0), L)
+            khat[P] = rfft(kern, L)
+            kern = kern * inv
         dhat = {}
-        base = self.regular.astype(np.float64)
+        data = self.regular.astype(np.float64)
         for j in range(_J_DELTA + 1):
-            data = base * self.delta ** j if j else base
-            if not np.any(data):
-                continue
-            dhat[j] = rfft(data, L)
+            if j:
+                data = data * self.delta
+            if np.any(data):
+                dhat[j] = rfft(data, L)
         m0_hat = np.zeros(L // 2 + 1, dtype=np.complex128)
         t_hat = [np.zeros(L // 2 + 1, dtype=np.complex128)
                  for _ in range(_S_ORD + 1)]
@@ -260,7 +273,8 @@ class ProductCore:
 
         ``x`` may come in any order.  ``exclude`` (one offset per point, -1
         for none) gives log|S(x)/(x - lambda_k)| for that node k instead;
-        excluded nodes must lie in the near window of their point.
+        excluded nodes must lie in the near window of their point.  Points
+        run in blocks of ``_BLOCK``, so every pass over them stays in cache.
         """
         x = np.asarray(x, dtype=np.float64)
         K = self.K
@@ -271,55 +285,91 @@ class ProductCore:
                 "evaluation points too close to the window edge; "
                 "enlarge the node window"
             )
-        M0, Ts = self._conv_moments(n_base, n_top)
+        moments = self._conv_moments(n_base, n_top)
+        if exclude is not None:
+            exclude = np.asarray(exclude, dtype=np.int64)
         L_out = np.empty(x.size)
         dist = np.empty(x.size)
         nearest = np.empty(x.size, dtype=np.int64)
-        offsets = np.arange(-_W_NEAR, _W_NEAR + 1, dtype=np.int64)
-        posr = self.pos.real
-        chunk = 1 << 15
-        for c0 in range(0, x.size, chunk):
-            c1 = min(c0 + chunk, x.size)
-            xs = x[c0:c1]
-            ns = n[c0:c1]
-            aoff = (ns[:, None] + offsets[None, :]) + K
-            diffs = xs[:, None] - posr[aoff]
-            absd = np.abs(diffs)
-            imin = np.argmin(absd, axis=1)
-            rows = np.arange(xs.size)
-            dist[c0:c1] = absd[rows, imin]
-            nearest[c0:c1] = aoff[rows, imin]
-            if exclude is not None:
-                exc = np.asarray(exclude[c0:c1])
-                hit = exc >= 0
-                if np.any(hit):
-                    mask = aoff == exc[:, None]
-                    if not np.array_equal(np.count_nonzero(mask, axis=1),
-                                          hit.astype(int)):
-                        raise ValueError("excluded node outside near window")
-                    absd[mask] = 1.0
-            with np.errstate(divide="ignore"):
-                # a point exactly on a node yields -inf: the true log zero
-                near = np.sum(np.log(absd), axis=1)
-            cell = ns - n_base
-            u = xs - (ns + 0.5)
-            lf = M0[cell].copy()
-            upow = u.copy()
-            for s in range(1, _S_ORD + 1):
-                sign = 1.0 if s % 2 == 1 else -1.0
-                lf += sign / s * upow * Ts[s][cell]
-                upow = upow * u
-            for so in self.special_offs:
-                k_s = int(self.seq.indices[so])
-                far_mask = np.abs(k_s - ns) > _W_NEAR
-                if np.any(far_mask):
-                    lf[far_mask] += np.log(np.abs(xs[far_mask] - posr[so]))
-            L_out[c0:c1] = near + lf
-        L_out -= self.total_lognorm
-        if self.tail is not None:
-            inside = np.abs(x) <= self.tail.radius
-            L_out += np.where(inside, self.tail.log_tail(x), 0.0)
+        for c0 in range(0, x.size, _BLOCK):
+            b = slice(c0, c0 + _BLOCK)
+            L = self._near_logs(x[b], n[b],
+                                None if exclude is None else exclude[b],
+                                dist[b], nearest[b])
+            L += self._far_logs(x[b], n[b], n[b] - n_base, *moments)
+            L -= self.total_lognorm
+            if self.tail is not None:
+                inside = np.abs(x[b]) <= self.tail.radius
+                L += np.where(inside, self.tail.log_tail(x[b]), 0.0)
+            L_out[b] = L
         return L_out, dist, nearest
+
+    def _near_logs(self, x, n, exclude, dist, nearest):
+        """Near-window part of ``logabs_real``: log|prod (x - lambda)| over
+        the 2 _W_NEAR + 1 nodes around floor(x); fills ``dist`` and
+        ``nearest``.
+
+        Each point reads its nodes as one row of a sliding view over the
+        positions.  Since |delta| <= 1.5, a node more than ``_BAND`` slots
+        from floor(x) lies strictly farther than node floor(x) itself, so
+        the nearest node is sought in that band alone (ties go to the lower
+        offset, as in a full scan).  The window's factors are multiplied
+        with one left out, the excluded node's or else the nearest node's,
+        and take one log; log(dist) is then added back at points without
+        an exclusion.
+        """
+        offset = n + (self.K - _W_NEAR)  # array offset of each window start
+        windows = sliding_window_view(self.pos.real, 2 * _W_NEAR + 1)
+        band = slice(_W_NEAR - _BAND, _W_NEAR + _BAND + 1)
+        hit = None
+        if exclude is not None:
+            hit = exclude >= 0
+            col = exclude - offset
+            if np.any(hit & ((col < 0) | (col > 2 * _W_NEAR))):
+                raise ValueError("excluded node outside near window")
+        near = np.empty(x.size)
+        # window slot by point: whole-row passes run along the points
+        absd = np.empty((2 * _W_NEAR + 1, min(x.size, _NEAR_ROWS)))
+        for c0 in range(0, x.size, _NEAR_ROWS):
+            c1 = min(c0 + _NEAR_ROWS, x.size)
+            pts = np.arange(c1 - c0)
+            d = absd[:, :c1 - c0]
+            np.subtract(windows[offset[c0:c1]].T, x[c0:c1], out=d)
+            np.abs(d, out=d)
+            imin = np.argmin(d[band], axis=0) + band.start
+            dist[c0:c1] = d[imin, pts]
+            nearest[c0:c1] = offset[c0:c1] + imin
+            drop = imin if hit is None else np.where(hit[c0:c1],
+                                                     col[c0:c1], imin)
+            d[drop, pts] = 1.0
+            near[c0:c1] = np.prod(d, axis=0)
+        with np.errstate(divide="ignore"):
+            # a point exactly on a node yields -inf: the true log zero
+            np.log(near, out=near)
+            logd = np.log(dist)
+        near += logd if hit is None else np.where(hit, 0.0, logd)
+        return near
+
+    def _far_logs(self, x, n, cell, M0, Ts):
+        """Far-field part of ``logabs_real``: the FFT moments' Taylor series
+        in x - (floor(x) + 1/2), plus the special nodes beyond the window."""
+        u = x - (n + 0.5)
+        lf = M0[cell]
+        upow = u.copy()
+        term = np.empty_like(u)
+        for s in range(1, _S_ORD + 1):
+            sign = 1.0 if s % 2 == 1 else -1.0
+            np.multiply(upow, sign / s, out=term)
+            term *= Ts[s][cell]
+            lf += term
+            upow *= u
+        posr = self.pos.real
+        for so in self.special_offs:
+            k_s = int(self.seq.indices[so])
+            far_mask = np.abs(k_s - n) > _W_NEAR
+            if np.any(far_mask):
+                lf[far_mask] += np.log(np.abs(x[far_mask] - posr[so]))
+        return lf
 
     def sign_real(self, x, exclude=None):
         """Sign of the (real) product at real points off the zero set; at a

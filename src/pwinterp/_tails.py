@@ -38,7 +38,8 @@ class TailCompensation:
         z = np.asarray(z)
         acc = np.zeros_like(z, dtype=complex if np.iscomplexobj(z) else float)
         for P in range(self.coeffs.size - 1, 0, -1):
-            acc = (acc + self.coeffs[P]) * z
+            acc += self.coeffs[P]
+            acc *= z
         return acc
 
 

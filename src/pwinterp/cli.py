@@ -17,6 +17,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -45,6 +46,38 @@ class _Parser(argparse.ArgumentParser):
 
 class UsageError(ValueError):
     pass
+
+
+# Estimated peak memory per window node and per grid row, rounded up from
+# the peak RSS growth of ``check`` from K = 2^12 to 2^17 (about 800 bytes a
+# node, weight grid included) and of ``genfn`` from 2e4 to 1e6 grid rows
+# (about 57 bytes a row).
+_NODE_BYTES = 1024
+_ROW_BYTES = 64
+
+
+def _memory_fits(count, item_bytes: int, what: str, flag: str) -> None:
+    """Refuse, before anything is allocated, a request for ``count`` items
+    whose estimated memory exceeds the machine's physical memory."""
+    most = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+            // item_bytes)
+    if count > most:
+        raise UsageError(
+            f"{flag} is too large: at about {item_bytes} bytes per {what}, "
+            f"physical memory holds at most {most} {what}s")
+
+
+def _make_family(spec: _nodes.FamilySpec, K: int) -> _nodes.NodeSequence:
+    """make_family behind the --K size guard."""
+    _memory_fits(2 * K + 1, _NODE_BYTES, "window node", f"--K {K}")
+    return _nodes.make_family(spec, K)
+
+
+def _parse_grid(text: str) -> GridSpec:
+    """GridSpec.parse behind the --grid size guard."""
+    grid = GridSpec.parse(text)
+    _memory_fits(grid.count(), _ROW_BYTES, "grid row", f"--grid {text}")
+    return grid
 
 
 def _parse_family(text: str) -> _nodes.FamilySpec:
@@ -89,7 +122,7 @@ def _load_sequence(args) -> _nodes.NodeSequence:
         return _nodes.load_nodes(args.nodes)
     if getattr(args, "family", None):
         spec = _parse_family(args.family)
-        return _nodes.make_family(spec, args.K)
+        return _make_family(spec, args.K)
     raise UsageError("provide --nodes FILE or --family SPEC")
 
 
@@ -139,15 +172,15 @@ def _write_csv(path: str | None, header, rows) -> None:
 
 def _cmd_family(args) -> int:
     spec = _parse_family(args.family)
-    seq = _nodes.make_family(spec, args.K)
+    seq = _make_family(spec, args.K)
     _nodes.save_nodes(seq, args.output)
     return EXIT_PASS
 
 
 def _cmd_genfn(args) -> int:
+    grid = _parse_grid(args.grid)
     seq = _load_sequence(args)
     gf = build_generating_function(seq)
-    grid = GridSpec.parse(args.grid)
     x = grid.points()
     S = gf.value(x)
     F = gf.weight(x)
@@ -204,10 +237,10 @@ def _cmd_check(args) -> int:
 
 def _cmd_interp(args) -> int:
     _check_p(args.p)
+    grid = _parse_grid(args.grid)
     seq = _load_sequence(args)
     gf = build_generating_function(seq)
     samples = load_samples(args.samples)
-    grid = GridSpec.parse(args.grid)
     rec = reconstruct(gf, samples, grid)
     rows = zip(map(float, rec.grid), map(float, rec.values.real),
                map(float, rec.values.imag))
@@ -228,7 +261,7 @@ def _cmd_kadets(args) -> int:
         verdicts = []
         for d in d_values:
             spec = _nodes.FamilySpec("signed", sign * d)
-            seq = _nodes.make_family(spec, args.K)
+            seq = _make_family(spec, args.K)
             rep = full_verdict(seq, p, x_max=args.xmax)
             verdicts.append((d, rep))
         seen_fail = False
@@ -266,7 +299,7 @@ def _cmd_counterexample(args) -> int:
     results = {}
     for orient, sign in (("outward", 1.0), ("inward", -1.0)):
         spec = _nodes.FamilySpec("signed", sign * d_crit)
-        seq = _nodes.make_family(spec, args.K)
+        seq = _make_family(spec, args.K)
         gf = build_generating_function(seq)
         fit = fit_weight_exponent(gf, 32.0, min(4096.0, x_max, args.K / 10))
         quad = gf.separation / 8.0
@@ -312,12 +345,12 @@ def _cmd_alpha_scaling(args) -> int:
                      seed=spec.seed)
         for alpha in alphas
     ]
-    base = _nodes.make_family(spec, args.K)
+    base = _make_family(spec, args.K)
     gf0 = build_generating_function(base)
     base_fit = fit_weight_exponent(gf0, args.fit_min, args.fit_max)
     rows = []
     for alpha, scaled in zip(alphas, scaled_specs):
-        seq = _nodes.make_family(scaled, args.K)
+        seq = _make_family(scaled, args.K)
         gf = build_generating_function(seq)
         fit = fit_weight_exponent(gf, args.fit_min, args.fit_max)
         rows.append({

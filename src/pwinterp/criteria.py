@@ -157,12 +157,21 @@ def carleson_sum(seq, max_probes: int = 512) -> CarlesonResult:
     maxfac = float(facs.max())
     lo, hi = seq.real_span()
     best, best_at, best_tail = -np.inf, 0, 0.0
-    chunk = max(1, int(4e6 // n))
+    # rows per block: about 2 MiB of distances, so each pass stays in cache
+    chunk = max(1, (1 << 18) // n)
+    off_axis = bool(np.any(pos.imag))
     for c0 in range(0, take.size, chunk):
         rows = take[c0:c0 + chunk]
-        d2 = np.abs(pos[rows, None] - pos[None, :]) ** 2
+        # squared distances in place, the imaginary part only off the axis
+        d2 = np.subtract.outer(xi[rows], xi)
+        d2 *= d2
+        if off_axis:
+            dy = np.subtract.outer(pos.imag[rows], pos.imag)
+            dy *= dy
+            d2 += dy
         d2[np.arange(rows.size), rows] = np.inf
-        sums = facs[rows] * np.sum(facs[None, :] / d2, axis=1)
+        np.divide(facs, d2, out=d2)
+        sums = facs[rows] * np.sum(d2, axis=1)
         i = int(np.argmax(sums))
         if sums[i] > best:
             best = float(sums[i])

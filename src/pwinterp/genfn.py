@@ -74,6 +74,7 @@ class GeneratingFunction:
         self.seq = seq
         self._core = core
         self.separation = _nodes.separation(seq) if len(seq) > 1 else np.inf
+        # reconstruct cancels a support node's factor within this distance
         self.tau_switch = self.separation / 4.0
         self.convergence_probe = convergence_probe
         self.tail_compensated = core.tail is not None
@@ -120,22 +121,22 @@ class GeneratingFunction:
     # -- F ------------------------------------------------------------------
 
     def weight(self, x):
-        """F(x) = |S(x)|/dist(x, Lambda), stabilized near real nodes.
+        """F(x) = |S(x)|/dist(x, Lambda), finite and positive at real nodes.
 
-        Within ``tau_switch`` of a real node the value is taken as
-        |S(x)/(x - lambda)| for that node, so it stays finite and positive
-        and equals |S'| exactly at the node.
+        One ``logabs`` pass gives F = exp(log|S| - log dist) at every point;
+        the near factor of the nearest node cancels in that difference.
+        Only at an exact node hit (dist == 0) is the value taken from the
+        divided product |S(x)/(x - lambda)|, which there equals |S'(lambda)|.
         """
         scalar = np.isscalar(x) or np.asarray(x).ndim == 0
         xx = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-        core = self._core
-        L, dist, near = core.logabs(xx)
-        switch = (dist < self.tau_switch) & (core.pos[near].imag == 0)
-        F = np.empty(xx.size)
-        keep = ~switch
-        F[keep] = np.exp(L[keep]) / dist[keep]
-        if np.any(switch):
-            F[switch] = np.abs(core.value(xx[switch], exclude=near[switch]))
+        L, dist, near = self._core.logabs(xx)
+        on_node = dist == 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            F = np.exp(L - np.log(dist))
+        if np.any(on_node):
+            F[on_node] = np.abs(self._core.value(xx[on_node],
+                                                 exclude=near[on_node]))
         return float(F[0]) if scalar else F.reshape(np.shape(x))
 
 

@@ -75,9 +75,14 @@ class GridSpec:
         if self.step <= 0 or self.x_max <= self.x_min:
             raise ValueError("need x_min < x_max and a positive step")
 
+    def count(self) -> float:
+        """Number of grid points, as a float, so that a grid too large to
+        build can still be sized."""
+        span = (self.x_max - self.x_min) / self.step * (1 + 1e-12)
+        return float(np.floor(span)) + 1.0
+
     def points(self) -> np.ndarray:
-        n = int(np.floor((self.x_max - self.x_min) / self.step * (1 + 1e-12)))
-        return self.x_min + self.step * np.arange(n + 1)
+        return self.x_min + self.step * np.arange(int(self.count()))
 
     @classmethod
     def parse(cls, text: str) -> "GridSpec":

@@ -68,6 +68,25 @@ class TestGenfnCommand:
         assert err.startswith("pwinterp: data error: product magnitude")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["genfn", "interp"])
+    def test_grid_beyond_memory_is_usage_error(self, command, tmp_path,
+                                               capsys, monkeypatch):
+        import pwinterp.nodes
+        from pwinterp.interp import GridSpec
+
+        def no_array(*args, **kwargs):
+            raise AssertionError("refusal must come before any array")
+        monkeypatch.setattr(pwinterp.nodes, "make_family", no_array)
+        monkeypatch.setattr(GridSpec, "points", no_array)
+        extra = (["--samples", str(tmp_path / "absent.csv")]
+                 if command == "interp" else [])
+        code = run_cli([command, "--family", "integer", "--K", "512",
+                        "--grid", "0:1e15:1e-6", *extra,
+                        "-o", str(tmp_path / "g.csv")])
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--grid 0:1e15:1e-6" in err
+
 
 class TestCheckCommand:
     def test_lattice_passes_exit_zero(self, tmp_path):
@@ -117,6 +136,21 @@ class TestCheckCommand:
         assert code == 64
         assert "trust radius (K+1)/4 = 64.25" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("command", ["check", "family"])
+    def test_window_beyond_memory_is_usage_error(self, command, tmp_path,
+                                                 capsys, monkeypatch):
+        import pwinterp.nodes
+
+        def no_nodes(*args, **kwargs):
+            raise AssertionError("refusal must come before any node array")
+        monkeypatch.setattr(pwinterp.nodes, "make_family", no_nodes)
+        out = ["-o", str(tmp_path / "n.csv")] if command == "family" else []
+        code = run_cli([command, "--family", "signed:0.2",
+                        "--K", str(1 << 40), *out])
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"--K {1 << 40}" in err
 
     def test_loaded_window_has_no_trust_radius_refusal(self, tmp_path):
         nodes = tmp_path / "lat.csv"

@@ -39,6 +39,34 @@ class TestCarleson:
             best = max(best, float(np.sum(1.0 / d2)))
         assert res.sup == pytest.approx(best, rel=1e-12)
 
+    @pytest.mark.parametrize("name", ["signed", "random", "one-sided",
+                                      "alternating", "complex random"])
+    def test_matches_complex_abs_reference(self, name, rng):
+        # every inner row is probed for K <= 256: the sup is the row maximum
+        # of the complex-modulus formula, summed over all k != j
+        k = np.arange(-256, 257)
+        half = k[::2]
+        seq = {
+            "signed": make_family(FamilySpec("signed", 0.25), 256),
+            "random": make_family(FamilySpec("random", 0.45, seed=2), 200),
+            "one-sided": NodeSequence(np.arange(300), np.arange(300) + 1.0
+                                      + 0.3 * np.sin(np.arange(300))),
+            "alternating": NodeSequence(half, half + 0.1j * (-1.0) ** half),
+            "complex random": NodeSequence(
+                k, k + rng.uniform(-0.3, 0.3, k.size)
+                + 1j * rng.uniform(-0.5, 0.5, k.size)),
+        }[name]
+        pos = seq.positions
+        n = pos.size
+        rows = np.arange(n // 4, n - n // 4)
+        facs = 1.0 + np.abs(pos.imag)
+        d2 = np.abs(pos[rows, None] - pos[None, :]) ** 2
+        d2[np.arange(rows.size), rows] = np.inf
+        sums = facs[rows] * np.sum(facs[None, :] / d2, axis=1)
+        res = carleson_sum(seq)
+        assert res.sup == pytest.approx(sums.max(), rel=1e-13)
+        assert res.argmax_index == seq.indices[rows[np.argmax(sums)]]
+
     def test_coincident_nodes_rejected(self):
         seq = NodeSequence([0, 1], [1 + 0j, 1 + 0j])
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 from pwinterp import (FamilySpec, GridSpec, NodeSequence, SampleSet,
                       build_generating_function, integer_lattice, make_family,
                       reconstruct)
-from pwinterp._engine import ProductCore
+from pwinterp._engine import ProductCore, nearest_nodes
 from pwinterp._tails import _euler_maclaurin, _log_poly_coeff, build_tail
 
 
@@ -209,6 +209,68 @@ class TestGridPath:
         vals = core.eval_points(xs.astype(complex), exclude=nearest)
         assert np.max(np.abs(L - np.log(np.abs(vals)))) < 1e-8
 
+    @pytest.mark.parametrize("name", ["special", "signed", "ties"])
+    def test_band_nearest_is_full_scan(self, name, rng):
+        # the bulk kernel seeks the nearest node among 9 slots; a scan over
+        # every node must give the same dist and offset, bit for bit
+        K = 512
+        if name == "special":
+            # 64 nodes between 0.95 and 1.5 off their slot: 48 at random
+            # and 4 clusters that put the nearest node of x in [c + 0.9,
+            # c + 1) at c + 3, the farthest slot the band can need
+            k = np.arange(-K, K + 1)
+            delta = rng.uniform(-0.4, 0.4, k.size)
+            special = rng.choice(np.arange(25, k.size - 20, 10), 48,
+                                 replace=False) + rng.integers(0, 4, 48)
+            delta[special] = (rng.choice([-1.0, 1.0], 48)
+                              * rng.uniform(0.95, 1.5, 48))
+            starts = np.array([-302, -102, 98, 298])
+            for c in starts:
+                delta[c + K:c + K + 4] = [-1.45, 1.45, 1.45, -1.45]
+            seq = NodeSequence(k, k + delta)
+            x = np.concatenate([rng.uniform(-480, 480, 3000),
+                                (starts[:, None]
+                                 + np.linspace(0.9, 0.99, 10)).ravel(),
+                                seq.positions.real[special] + 1e-9,
+                                seq.positions.real[special]])
+            x = x[np.abs(x) < 480]
+        elif name == "signed":
+            # delta = 1 at the origin node
+            seq = make_family(FamilySpec("signed", 0.25), K)
+            x = np.concatenate([rng.uniform(-480, 480, 3000),
+                                np.linspace(-3.0, 3.0, 601)])
+        else:
+            # x = n + 1/2 lies as far from node n as from n + 1
+            seq = integer_lattice(K)
+            x = np.arange(-480, 480) + 0.5
+        core = ProductCore(seq, None)
+        assert core.fast_ok
+        _, dist, nearest = core.logabs_real(x)
+        ref_dist, ref_nearest = nearest_nodes(core.pos, x)
+        assert np.array_equal(dist, ref_dist)
+        assert np.array_equal(nearest, ref_nearest)
+        if name == "special":
+            assert np.count_nonzero(~core.regular) == 64
+            assert np.any(nearest - np.floor(x).astype(int) - K == 3)
+        if name == "ties":
+            # the lower offset wins the tie
+            assert np.array_equal(nearest, np.floor(x).astype(int) + K)
+
+    def test_exclusion_of_other_node_agrees(self, rng):
+        core = _core("random", 0.4, K=1024, seed=5)
+        xs = rng.uniform(-200, 200, 300)
+        _, _, nearest = core.logabs_real(xs)
+        # a node of the 49-node near window other than the nearest one
+        slot = rng.integers(-24, 25, xs.size)
+        exclude = np.floor(xs).astype(int) + 1024 + slot
+        same = exclude == nearest
+        exclude[same] -= np.where(slot[same] > 0, 1, -1)
+        assert not np.any(exclude == nearest)
+        exclude[::5] = -1
+        L, _, _ = core.logabs_real(xs, exclude=exclude)
+        vals = core.eval_points(xs.astype(complex), exclude=exclude)
+        assert np.max(np.abs(L - np.log(np.abs(vals)))) < 1e-8
+
     def test_sprime_paths_agree(self):
         core = _core("constant_shift", 0.2, K=2048)
         # node indexes within the tail-series radius K/4
@@ -265,10 +327,21 @@ class TestRouting:
         x = np.linspace(-50.3, 50.3, 256)
         gf.value(x)
         gf.weight(x[::-1])
-        assert calls[:2] == [("bulk", 256, False), ("bulk", 256, False)]
-        # the weight's switch zone is a batch of its own, under 256 points
-        path, n, excluded = calls[2]
-        assert (path, excluded) == ("pointwise", True) and 0 < n < 256
+        # off the nodes the weight is one bulk pass, with no second batch
+        assert calls == [("bulk", 256, False), ("bulk", 256, False)]
+
+    def test_weight_at_exact_node_hits(self, gf, calls):
+        x = np.linspace(-50.3, 50.3, 256)
+        x[::8] = np.round(x[::8])
+        F = gf.weight(x)
+        hits = np.flatnonzero(x == np.round(x))
+        # only the exact hits are evaluated again, as S'(lambda_k)
+        assert calls == [("bulk", 256, False),
+                         ("pointwise", hits.size, True)]
+        offsets = gf.seq.array_offset(x[hits].astype(int))
+        sprime = gf.value(x[hits], exclude=offsets)
+        np.testing.assert_allclose(F[hits], np.abs(sprime), rtol=1e-12)
+        assert np.all(np.isfinite(F)) and np.all(F > 0)
 
     def test_small_and_complex_batches_go_pointwise(self, gf, calls):
         x = np.linspace(-50.3, 50.3, 256)
