@@ -19,8 +19,10 @@ Two complementary kernels approximate the symmetric infinite product
   nearest node's left out, take a single log.
 
 Both kernels add the far-tail series of :mod:`pwinterp._tails` when the
-sequence carries a generated-family pattern, so values approximate the
-infinite product rather than the bare window truncation.
+sequence carries a generated-family pattern: the closed-form sum of the
+omitted factors' logs, which the tail itself sets to 0 beyond its trust
+radius.  Values then approximate the infinite product rather than the bare
+window truncation.
 
 Callers go through two entry points: :meth:`ProductCore.value`, the complex
 value S(z), and :meth:`ProductCore.logabs`, log|S(z)| with dist(z, Lambda)
@@ -184,8 +186,7 @@ class ProductCore:
         live = mant != 0
         w = e2 * _LN2 + 0j
         if self.tail is not None:
-            inside = np.abs(z) <= self.tail.radius
-            w = w + np.where(inside, self.tail.log_tail(z), 0.0)
+            w = w + self.tail.log_tail(z)
         logmag[live] = np.log(np.abs(mant[live])) + w.real[live]
         # NaN marks a chunk product that overflowed before renormalization
         if not np.all(logmag <= 709.0):
@@ -299,8 +300,7 @@ class ProductCore:
             L += self._far_logs(x[b], n[b], n[b] - n_base, *moments)
             L -= self.total_lognorm
             if self.tail is not None:
-                inside = np.abs(x[b]) <= self.tail.radius
-                L += np.where(inside, self.tail.log_tail(x[b]), 0.0)
+                L += self.tail.log_tail(x[b])
             L_out[b] = L
         return L_out, dist, nearest
 

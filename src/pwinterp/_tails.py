@@ -1,25 +1,34 @@
 """Series compensation for product factors beyond the node window.
 
 The symmetric product over a window [-K, K] omits all pattern nodes with
-|k| > K.  Their paired factors multiply to exp(T(z)) where
+|k| > K.  Their factors multiply to exp(T(z)) where
 
-    T(z) = sum_{k > K} log(1 + A_k z + B_k z^2),
+    T(z) = sum_{|k| > K} log(1 - z/lambda_k) = sum_P C_P z^P,
+    C_P = -(1/P) sum_{|k| > K} lambda_k^(-P).
 
-with A_k = -(1/lambda_k + 1/lambda_{-k}) and B_k = 1/(lambda_k lambda_{-k}).
-Every generated family's tail is a two-sided shift of the lattice,
-lambda_{+-k} = +-k + shift, with fixed shifts per parity class, so A_k and
-B_k are smooth in k and T expands as a power series in z whose
-coefficients are tail sums evaluated by Euler-Maclaurin summation.  The
-series converges rapidly for |z| well inside the window; terms up to z^16
-keep the truncation error negligible for |z| <= (K+1)/4.
+Beyond the window every family's perturbation ``delta_k`` (read from
+:meth:`pwinterp.nodes.FamilySpec.delta`) has period 2 in k, so the omitted
+nodes form four arithmetic progressions of stride 2: for j = K+1, K+2 the
+nodes lambda_k = k + a with k = j, j+2, ... and lambda_{-k} = -(k - b),
+where a = delta_j and b = delta_{-j}.  Each progression sums in closed
+form (DLMF 25.11.1, 5.7.6): for P >= 2
+
+    C_P += -(1/P) 2^(-P) [zeta(P, (j+a)/2) + (-1)^P zeta(P, (j-b)/2)]
+
+with the Hurwitz zeta function, and for P = 1 the +- pair converges to
+
+    C_1 += -(1/2) [psi((j-b)/2) - psi((j+a)/2)]
+
+with the digamma function.  The series converges rapidly for |z| well
+inside the window; terms up to z^16 keep the truncation error negligible
+for |z| <= (K+1)/4, the trust radius beyond which T is taken as 0.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import psi, zeta
 
 __all__ = ["TailCompensation", "build_tail"]
 
@@ -34,68 +43,24 @@ class TailCompensation:
     radius: float       # series trusted for |z| <= radius
 
     def log_tail(self, z):
-        """T(z) evaluated by Horner; valid for |z| <= radius."""
+        """T(z) by Horner for |z| <= radius, and 0 beyond it."""
         z = np.asarray(z)
         acc = np.zeros_like(z, dtype=complex if np.iscomplexobj(z) else float)
         for P in range(self.coeffs.size - 1, 0, -1):
             acc += self.coeffs[P]
             acc *= z
-        return acc
+        return np.where(np.abs(z) <= self.radius, acc, 0.0)
 
 
-def _log_poly_coeff(P: int, A: float, B: float) -> float:
-    """z^P coefficient of log(1 + A z + B z^2)."""
-    total = 0.0
-    for m in range((P + 1) // 2, P + 1):
-        b = P - m          # power of B
-        a = 2 * m - P      # power of A
-        sign = 1.0 if (m + 1) % 2 == 0 else -1.0
-        total += sign / m * math.comb(m, b) * (A ** a) * (B ** b)
-    return total
-
-
-def _euler_maclaurin(g, start: float, stride: float) -> float:
-    """sum_{l=0}^{inf} g(start + stride*l) for smooth, decaying g."""
-    gt = lambda ell: g(start + stride * ell)
-    integral, _ = quad(gt, 0.0, np.inf, epsabs=0.0, epsrel=1e-11, limit=300)
-    h = 0.5
-    d1 = (gt(h) - gt(-h)) / (2 * h)
-    d3 = (gt(2 * h) - 2 * gt(h) + 2 * gt(-h) - gt(-2 * h)) / (2 * h ** 3)
-    return integral + gt(0.0) / 2.0 - d1 / 12.0 + d3 / 720.0
-
-
-def _streams(kind: str, d: float, K: int):
-    """Sub-streams (start, stride, a, b) of pair indices k > K.
-
-    Within a stream the pair is lambda_k = k + a, lambda_{-k} = -k + b, so
-
-        A_k = (a + b) / ((k + a)(k - b)),   B_k = -1 / ((k + a)(k - b)).
-
-    The alternating kind splits by parity into two stride-2 streams so each
-    keeps fixed shifts.
-    """
-    if kind in ("integer", "random"):
-        # Random perturbations are unknowable beyond the window; the
-        # zero-mean lattice tail is the documented stand-in.
-        return [(K + 1, 1, 0.0, 0.0)]
-    if kind == "constant_shift":
-        return [(K + 1, 1, d, d)]
-    if kind == "signed":
-        return [(K + 1, 1, d, -d)]
-    if kind == "alternating":
-        even, odd = (K + 1, K + 2) if K % 2 else (K + 2, K + 1)
-        return [(even, 2, d, d), (odd, 2, -d, -d)]
-    raise ValueError(f"no tail pattern for kind {kind!r}")
-
-
-def build_tail(kind: str, d: float, K: int,
-               n_terms: int = N_TERMS) -> TailCompensation:
-    """Tail coefficients C_P = sum_{k>K} [z^P] log(1 + A_k z + B_k z^2)."""
-    coeffs = np.zeros(n_terms + 1)
-    for start, stride, a, b in _streams(kind, d, K):
-        for P in range(1, n_terms + 1):
-            g = lambda t: _log_poly_coeff(P, (a + b) / ((t + a) * (t - b)),
-                                          -1.0 / ((t + a) * (t - b)))
-            coeffs[P] += _euler_maclaurin(g, start, stride)
+def build_tail(spec, K: int) -> TailCompensation:
+    """Closed-form tail coefficients for the family ``spec`` beyond [-K, K]."""
+    j = np.array([K + 1, K + 2])
+    up = (j + spec.delta(j)) / 2.0      # (j + a)/2 per parity
+    down = (j - spec.delta(-j)) / 2.0   # (j - b)/2 per parity
+    coeffs = np.zeros(N_TERMS + 1)
+    coeffs[1] = -0.5 * np.sum(psi(down) - psi(up))
+    for P in range(2, N_TERMS + 1):
+        coeffs[P] = -np.sum(zeta(P, up) + (-1) ** P * zeta(P, down)) / (
+            P * 2.0 ** P)
     coeffs.setflags(write=False)
     return TailCompensation(coeffs=coeffs, radius=(K + 1) / 4.0)

@@ -159,20 +159,20 @@ def build_generating_function(seq, compensate: bool | None = None
     if len(seq) > 1 and _nodes.separation(seq) <= 0.0:
         raise ValueError("zero separation: duplicate node positions")
     fam = seq.family
+    has_pattern = fam is not None and fam.kind != "file"
     if compensate is None:
-        compensate = fam is not None and fam.kind != "file"
-    tail = None
-    if compensate:
-        if fam is None or fam.kind == "file":
-            raise ValueError("tail compensation needs a generated family")
-        tail = build_tail(fam.kind, fam.d, seq.half_width)
-    core = ProductCore(seq, tail)
+        compensate = has_pattern
+    elif compensate and not has_pattern:
+        raise ValueError("tail compensation needs a generated family")
+
+    def core_for(window):
+        return ProductCore(window, build_tail(fam, window.half_width)
+                           if compensate else None)
+
+    core = core_for(seq)
     conv = None
     if seq.half_width >= 4:
-        half = seq.restrict(seq.half_width // 2)
-        tail_h = (build_tail(fam.kind, fam.d, half.half_width)
-                  if compensate else None)
-        core_h = ProductCore(half, tail_h)
+        core_h = core_for(seq.restrict(seq.half_width // 2))
         span = min(_PROBE_POINTS[-1], seq.half_width / 4)
         pts = (_PROBE_POINTS * span / _PROBE_POINTS[-1]).astype(complex)
         full_v = core.value(pts)

@@ -86,6 +86,24 @@ class FamilySpec:
         if self.kind == "signed" and abs(self.delta0) > 1.0:
             raise ValueError("signed family requires |delta0| <= 1")
 
+    def delta(self, k) -> np.ndarray:
+        """The pattern's perturbation ``delta_k`` at integer indices ``k``.
+
+        The random kind's seeded draws exist only inside a generated window;
+        here, and so beyond every window, it is the zero-mean lattice
+        stand-in ``delta_k = 0``.
+        """
+        k = np.asarray(k)
+        if self.kind in ("integer", "random"):
+            return np.zeros(k.shape)
+        if self.kind == "constant_shift":
+            return np.full(k.shape, self.d)
+        if self.kind == "signed":
+            return np.where(k == 0, self.delta0, np.sign(k) * self.d)
+        if self.kind == "alternating":
+            return np.where(k % 2 == 0, self.d, -self.d)
+        raise ValueError("file kind has no pattern; use load_nodes")
+
     def tag(self) -> str:
         if self.kind == "integer":
             return "integer"
@@ -206,20 +224,11 @@ def make_family(spec: FamilySpec, K: int) -> NodeSequence:
     if spec.kind == "file":
         raise ValueError("file kind has no generator; use load_nodes")
     k = np.arange(-K, K + 1, dtype=np.int64)
-    if spec.kind == "integer":
-        delta = np.zeros(k.size)
-    elif spec.kind == "constant_shift":
-        delta = np.full(k.size, spec.d)
-    elif spec.kind == "signed":
-        delta = np.sign(k) * spec.d
-        delta[K] = spec.delta0
-    elif spec.kind == "alternating":
-        delta = np.where(k % 2 == 0, spec.d, -spec.d)
-    elif spec.kind == "random":
+    if spec.kind == "random":
         rng = np.random.default_rng(spec.seed)
         delta = rng.uniform(-spec.d, spec.d, size=k.size)
-    else:  # pragma: no cover
-        raise ValueError(spec.kind)
+    else:
+        delta = spec.delta(k)
     return NodeSequence(k, k + delta + 0j, family=spec)
 
 
@@ -272,25 +281,20 @@ def nearest_distance(seq: NodeSequence, x: float) -> float:
 def separation(seq: NodeSequence) -> float:
     """Minimum pairwise distance over the window.
 
-    Nodes are sorted by real part and each is compared with the following
-    ones while their real gap stays below the running minimum, so the scan
-    is exact for arbitrary complex windows.
+    Nodes are sorted by real part and compared with the node ``s`` places
+    on, for s = 1, 2, ...  The real gaps of shift s never shrink as s grows,
+    so the scan stops, exactly, once the smallest of them reaches the
+    running minimum.
     """
     if len(seq) < 2:
         raise ValueError("separation needs at least two nodes")
     pos = seq.positions[np.argsort(seq.positions.real, kind="stable")]
-    if seq.is_real:
-        return float(np.min(np.diff(pos.real)))
     best = math.inf
-    n = pos.size
-    for i in range(n - 1):
-        j = i + 1
-        while j < n and pos[j].real - pos[i].real < best:
-            d = abs(pos[j] - pos[i])
-            if d < best:
-                best = d
-            j += 1
-    return float(best)
+    for s in range(1, pos.size):
+        if np.min(pos.real[s:] - pos.real[:-s]) >= best:
+            break
+        best = min(best, float(np.min(np.abs(pos[s:] - pos[:-s]))))
+    return best
 
 
 def relative_density(seq: NodeSequence, r_candidates) -> float | None:

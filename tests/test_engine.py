@@ -1,5 +1,6 @@
 """Cross-checks between the two product-evaluation paths and the tail
 series, against closed-form and brute-force oracles."""
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,16 +8,13 @@ from pwinterp import (FamilySpec, GridSpec, NodeSequence, SampleSet,
                       build_generating_function, integer_lattice, make_family,
                       reconstruct)
 from pwinterp._engine import ProductCore, nearest_nodes
-from pwinterp._tails import _euler_maclaurin, _log_poly_coeff, build_tail
+from pwinterp._tails import build_tail
 
 
 def _core(kind, d=0.0, K=2048, seed=0, tail=True):
-    if kind == "integer":
-        seq = integer_lattice(K)
-    else:
-        seq = make_family(FamilySpec(kind, d, seed=seed), K)
-    t = build_tail(kind, d, K) if tail else None
-    return ProductCore(seq, t)
+    spec = FamilySpec(kind, d, seed=seed)
+    seq = integer_lattice(K) if kind == "integer" else make_family(spec, K)
+    return ProductCore(seq, build_tail(spec, K) if tail else None)
 
 
 def _bulk_sprime(core, sel):
@@ -32,29 +30,79 @@ def _pointwise_sprime(core, sel):
     return core.eval_points(core.pos[sel], exclude=sel)
 
 
-def _per_kind_streams(kind, d, K):
-    """The tail streams as separate per-kind formulas for (A(k), B(k))."""
+def _tail_node(kind, d, k):
+    """lambda_k beyond the window, each kind's pattern written out on its
+    own (mpf); the random kind's tail is the zero-mean lattice stand-in."""
+    k = mpmath.mpf(k)
     if kind in ("integer", "random"):
-        return [(K + 1.0, 1.0, lambda t: 0.0, lambda t: -1.0 / t ** 2)]
-    if kind == "signed":
-        return [(K + 1.0, 1.0, lambda t: 0.0, lambda t: -1.0 / (t + d) ** 2)]
+        return k
     if kind == "constant_shift":
-        return [(K + 1.0, 1.0, lambda t: 2.0 * d / (t * t - d * d),
-                 lambda t: -1.0 / (t * t - d * d))]
-    out = []
-    for parity in (0, 1):
-        start = K + 1 if (K + 1) % 2 == parity else K + 2
-        sgn = 1.0 if parity == 0 else -1.0
-        out.append((float(start), 2.0,
-                    lambda t, s=sgn: 2.0 * s * d / (t * t - d * d),
-                    lambda t: -1.0 / (t * t - d * d)))
-    return out
+        return k + d
+    if kind == "signed":
+        return k + mpmath.sign(k) * d
+    return k + (d if int(k) % 2 == 0 else -d)  # alternating
+
+
+_N_DIRECT = 64  # tail indices per side summed term by term
+_EM_ORDER = 8   # Bernoulli terms of the Euler-Maclaurin remainder
+
+
+def _exact_tail_coeffs(kind, d, K, n_terms):
+    """C_P = -(1/P) sum_{|k|>K} lambda_k^(-P) in 40-digit arithmetic.
+
+    The first ``_N_DIRECT`` indices on each side are summed directly; past
+    them each parity class on each side is lambda = +-(q + 2l), l >= 0,
+    whose power sums follow from Euler-Maclaurin summation with exact
+    derivatives (its error is far below double precision).  At P = 1 the
+    two sides are summed as pairs, which converges.
+    """
+    with mpmath.workdps(40):
+        d = mpmath.mpf(d)
+        sums = [mpmath.mpf(0)] * (n_terms + 1)
+        for k in range(K + 1, K + 1 + _N_DIRECT):
+            for side in (1, -1):
+                inv = 1 / _tail_node(kind, d, side * k)
+                for P in range(1, n_terms + 1):
+                    sums[P] += inv ** P
+        for k0 in (K + 1 + _N_DIRECT, K + 2 + _N_DIRECT):
+            # progressions q + 2l with q = +-lambda at the first index
+            qs = {1: _tail_node(kind, d, k0), -1: -_tail_node(kind, d, -k0)}
+            for P in range(1, n_terms + 1):
+                for side, q in qs.items():
+                    # sum_l f(l), f(l) = (q + 2l)^(-P)
+                    em = 1 / (2 * q ** P)
+                    if P > 1:
+                        em += 1 / (2 * (P - 1) * q ** (P - 1))
+                    else:  # the pair's integral, (log q- - log q+) / 2
+                        em -= mpmath.log(q) / 2
+                    for j in range(1, _EM_ORDER + 1):
+                        n = 2 * j - 1  # f^(n)(0) = (-2)^n (P)_n q^(-P-n)
+                        deriv = (-2) ** n * mpmath.rf(P, n) / q ** (P + n)
+                        em -= mpmath.bernoulli(2 * j) / mpmath.factorial(
+                            2 * j) * deriv
+                    sums[P] += side ** P * em
+        return [mpmath.mpf(0)] + [-sums[P] / P
+                                  for P in range(1, n_terms + 1)]
+
+
+def _check_tail_against_exact_sums(kind, d, K, atol):
+    tail = build_tail(FamilySpec(kind, d), K)
+    coeffs = _exact_tail_coeffs(kind, d, K, tail.coeffs.size - 1)
+    r = tail.radius
+    # the circle is pulled in by a few ulps so rounding keeps it inside r
+    circle = np.exp(2j * np.pi * np.arange(16) / 16)
+    z = np.concatenate([np.linspace(-r, r, 41), r * (1 - 1e-15) * circle])
+    with mpmath.workdps(40):
+        expect = np.array([complex(mpmath.polyval(coeffs[::-1],
+                                                  mpmath.mpmathify(zz)))
+                           for zz in z])
+    np.testing.assert_allclose(tail.log_tail(z), expect, rtol=0.0, atol=atol)
 
 
 class TestTailSeries:
     def test_lattice_tail_vs_brute(self):
         K = 200
-        tail = build_tail("integer", 0.0, K)
+        tail = build_tail(FamilySpec("integer"), K)
         ks = np.arange(K + 1, 2_000_000, dtype=float)
         for z in (0.5, 3.0, 10.0, 40.0):
             brute = np.sum(np.log1p(-z * z / ks ** 2)) - z * z / ks[-1]
@@ -63,7 +111,7 @@ class TestTailSeries:
 
     def test_constant_tail_has_odd_part(self):
         K = 100
-        tail = build_tail("constant_shift", 0.3, K)
+        tail = build_tail(FamilySpec("constant_shift", 0.3), K)
         # odd coefficients present: T(z) != T(-z)
         assert abs(tail.log_tail(np.asarray(10.0))
                    - tail.log_tail(np.asarray(-10.0))) > 1e-6
@@ -75,13 +123,19 @@ class TestTailSeries:
                                         ("alternating", 0.3),
                                         ("alternating", -0.2)])
     def test_shift_streams_match_per_kind_formulas(self, kind, d, K):
-        got = build_tail(kind, d, K).coeffs
-        expect = np.zeros(got.size)
-        for start, stride, A_f, B_f in _per_kind_streams(kind, d, K):
-            for P in range(1, expect.size):
-                g = lambda t: _log_poly_coeff(P, A_f(t), B_f(t))
-                expect[P] += _euler_maclaurin(g, start, stride)
-        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0.0)
+        # T(z) on the segment [-r, r] and the circle |z| = r, r = (K+1)/4,
+        # against exact sums over each kind's own node formula
+        _check_tail_against_exact_sums(kind, d, K, atol=1e-12)
+
+    def test_large_window_matches_exact_sums(self):
+        _check_tail_against_exact_sums("alternating", 0.3, 1 << 15,
+                                       atol=1e-10)
+
+    def test_trust_radius_cuts_series(self):
+        tail = build_tail(FamilySpec("signed", 0.25), 99)
+        z = np.array([25.0, -25.0, 25.0 + 1e-9, 25j, -26j])
+        T = tail.log_tail(z)
+        assert np.all(T[[0, 1, 3]] != 0) and np.all(T[[2, 4]] == 0)
 
 
 def _oracle_windows():

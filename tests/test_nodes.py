@@ -58,6 +58,43 @@ class TestMakeFamily:
         with pytest.raises(ValueError):
             FamilySpec(kind, d)
 
+    @pytest.mark.parametrize("K", [6, 7])
+    @pytest.mark.parametrize("spec", [
+        FamilySpec("integer"), FamilySpec("constant_shift", 0.3),
+        FamilySpec("signed", 0.25), FamilySpec("signed", -0.2, delta0=0.5),
+        FamilySpec("alternating", -0.3), FamilySpec("random", 0.4, seed=3),
+    ], ids=lambda spec: spec.tag())
+    def test_positions_match_per_kind_formulas(self, spec, K):
+        # each kind's pattern written out on its own, bit for bit
+        k = np.arange(-K, K + 1)
+        d = spec.d
+        expect = {
+            "integer": lambda: k + 0.0,
+            "constant_shift": lambda: k + d,
+            "signed": lambda: np.array([kk + (spec.delta0 if kk == 0 else
+                                              (d if kk > 0 else -d))
+                                        for kk in k]),
+            "alternating": lambda: np.array([kk + (d if kk % 2 == 0 else -d)
+                                             for kk in k]),
+            "random": lambda: k + np.random.default_rng(spec.seed).uniform(
+                -d, d, size=k.size),
+        }[spec.kind]()
+        got = make_family(spec, K)
+        assert np.array_equal(got.indices, k)
+        assert np.array_equal(got.positions, expect + 0j)
+
+    def test_delta_beyond_window(self):
+        # the pattern past any window; the random kind's is the lattice
+        k = np.array([-9, -8, 8, 9])
+        assert np.array_equal(FamilySpec("alternating", 0.2).delta(k),
+                              [-0.2, 0.2, 0.2, -0.2])
+        assert np.array_equal(FamilySpec("signed", 0.2).delta(k),
+                              [-0.2, -0.2, 0.2, 0.2])
+        assert np.array_equal(FamilySpec("random", 0.4, seed=1).delta(k),
+                              np.zeros(4))
+        with pytest.raises(ValueError, match="no pattern"):
+            FamilySpec("file").delta(k)
+
     def test_signed_wide_d_allowed(self):
         # the signed pattern keeps its gaps for 1/2 <= |d| < 1
         seq = make_family(FamilySpec("signed", 0.6), 16)

@@ -1,11 +1,16 @@
 """Property tests (hypothesis) for invariants that hold on every input:
-Carleson sums under translation, and agreement of the two product kernels
-on the weight."""
+Carleson sums under translation, agreement of the two product kernels on
+the weight, conjugate symmetry and exact zeros of the product, the
+separation scan against all pairs, and the node CSV round trip."""
+import os
+import tempfile
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from pwinterp import (FamilySpec, NodeSequence, build_generating_function,
-                      carleson_sum, make_family)
+                      carleson_sum, load_nodes, make_family, save_nodes,
+                      separation)
 
 # fixed examples, so a tier-1 run is repeatable
 _SETTINGS = settings(max_examples=20, deadline=None, derandomize=True,
@@ -56,3 +61,84 @@ def test_bulk_and_pointwise_weight_agree(seq, seed, n_pts, hits):
                                 for part in np.array_split(x, 3)])
     assert np.all(np.isfinite(bulk)) and np.all(bulk > 0)
     np.testing.assert_allclose(bulk, pointwise, rtol=1e-8, atol=0.0)
+
+
+@st.composite
+def node_windows(draw):
+    """Windows of at most 300 nodes, indices in shuffled order: real,
+    with +-i offsets, clustered on a coarse grid (ties and duplicate
+    positions) or near-vertical (many nodes sharing a real part)."""
+    n = draw(st.integers(2, 300))
+    shape = draw(st.sampled_from(["real", "offset", "clustered",
+                                  "vertical"]))
+    rng = np.random.default_rng(draw(st.integers(0, 1 << 32)))
+    k = np.arange(n)
+    if shape == "real":
+        pos = k + rng.uniform(-0.45, 0.45, n) + 0j
+    elif shape == "offset":
+        # at eta = 1 the closest pair is two places apart by real part
+        eta = draw(st.sampled_from([0.1, 0.5, 1.0, 2.0]))
+        pos = k + rng.uniform(-0.45, 0.45, n) + 1j * eta * (-1.0) ** k
+    elif shape == "clustered":
+        pos = (rng.integers(0, max(1, n // 8), n)
+               + np.round(rng.normal(0.0, 1e-2, n), 3)
+               + 1j * np.round(rng.normal(0.0, 1e-2, n), 3))
+    else:
+        pos = rng.normal(0.0, 1e-6, n) + 1j * (k + rng.uniform(0, 0.5, n))
+    return NodeSequence(rng.permutation(n), pos)
+
+
+@_SETTINGS
+@given(seq=node_windows())
+def test_separation_is_all_pairs_minimum(seq):
+    p = seq.positions
+    d = np.abs(p[:, None] - p[None, :])
+    np.fill_diagonal(d, np.inf)
+    assert separation(seq) == np.min(d)
+
+
+@_SETTINGS
+@given(seq=real_families(4, 512, 0.45), seed=st.integers(0, 1 << 32))
+def test_conjugate_symmetry_on_real_windows(seq, seed):
+    gf = build_generating_function(seq)
+    rng = np.random.default_rng(seed)
+    lim = min(gf.trust_radius, seq.half_width / 2)
+    z = rng.uniform(-lim, lim, 64) + 1j * rng.uniform(-lim, lim, 64)
+    z[:8] = z[:8].real  # real arguments inside a complex batch
+    np.testing.assert_array_equal(gf.value(np.conj(z)), np.conj(gf.value(z)))
+
+
+@_SETTINGS
+@given(seq=real_families(256, 1024, 0.45), seed=st.integers(0, 1 << 32))
+def test_product_vanishes_at_nodes_on_both_kernels(seq, seed):
+    # one batch of 256 real points runs the bulk kernel, four batches of
+    # 64 the pointwise product
+    gf = build_generating_function(seq)
+    rng = np.random.default_rng(seed)
+    inner = np.flatnonzero(np.abs(seq.indices) <= seq.half_width - 26)
+    lam = seq.positions.real[rng.choice(inner, 256, replace=False)]
+    assert np.all(gf.value(lam) == 0)
+    for part in np.split(lam, 4):
+        assert np.all(gf.value(part) == 0)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@_SETTINGS
+@given(indices=st.lists(st.integers(-(1 << 40), 1 << 40), min_size=1,
+                        max_size=40, unique=True),
+       data=st.data())
+def test_nodes_csv_round_trip_bit_for_bit(indices, data):
+    re = data.draw(st.lists(_finite, min_size=len(indices),
+                            max_size=len(indices)))
+    im = data.draw(st.lists(_finite, min_size=len(indices),
+                            max_size=len(indices)))
+    seq = NodeSequence(indices, np.array(re) + 1j * np.array(im))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "nodes.csv")
+        save_nodes(seq, path)
+        back = load_nodes(path)
+    assert np.array_equal(back.indices, seq.indices)
+    # compare bits, so -0.0 and 0.0 count as different
+    assert back.positions.tobytes() == seq.positions.tobytes()
