@@ -14,7 +14,6 @@ from .nodes import (
     make_family,
     load_nodes,
     save_nodes,
-    nearest_distance,
     separation,
     relative_density,
 )

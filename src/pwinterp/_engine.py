@@ -15,8 +15,13 @@ Two complementary kernels approximate the symmetric infinite product
   log-sums assembled from FFT convolutions of short Taylor moments.  The
   near window is one row of a sliding view over the nodes; the nearest
   node is sought among the 9 slots around floor(x), which is exact while
-  every node lies within 1.5 of its index, and the window's factors, the
-  nearest node's left out, take a single log.
+  every node lies within 1.5 of its index (|lambda_k - k| <= 1.5, complex
+  nodes included), and the window's factors, the nearest node's left
+  out, take a single log.  Off the axis the near distances are complex
+  moduli and the far moments convolve Re(delta^j): with m and u real,
+  only those enter log|m + u - delta|.  The bulk path gives log|S| and
+  the sign of S on real windows, so off the axis it serves ``logabs``
+  alone.
 
 Both kernels add the far-tail series of :mod:`pwinterp._tails` when the
 sequence carries a generated-family pattern: the closed-form sum of the
@@ -31,14 +36,16 @@ point; at such a point both kernels return the divided product
 S(z)/(z - lambda_k), finite at z = lambda_k where it equals S'(lambda_k).
 This one primitive gives the node derivatives, the weight at a node and
 the near-node terms of the reconstruction series.  One rule picks the
-kernel for each call: the bulk path runs when the core is ``fast_ok`` (a
-real, index-contiguous window with every node within 1.5 of its index),
-every point is real and the batch holds at least 256 points; everything
-else runs pointwise.  Below 256 points one pointwise evaluation is cheaper
-than a cold bulk moment set.  The rule sees only the batch it is given, so
-the divided-product batches of ``GeneratingFunction.weight`` (exact node
-hits) and of ``reconstruct`` (grid points near support nodes) pick their
-own path by their own size.
+kernel for each call: the bulk path runs when the core is ``fast_ok`` (an
+index-contiguous window with every node within 1.5 of its index), every
+point is real, the batch holds at least 256 points and, for ``value``,
+the window is real; everything else runs pointwise.  Below 256 points one
+pointwise evaluation is cheaper than a cold bulk moment set.  The rule
+sees only the batch it is given, so the divided-product batches of
+``GeneratingFunction.weight`` (exact node hits) and of ``reconstruct``
+(grid points near support nodes) pick their own path by their own size.
+Off the bulk path, dist and the nearest node come from
+:func:`nearest_nodes`, a sorted search whose memory is O(points).
 """
 from __future__ import annotations
 
@@ -64,9 +71,6 @@ _S_ORD = 4
 _SPECIAL_DELTA = 0.95
 _CHUNK = 64  # factors between renormalizations
 _BULK_MIN_BATCH = 256
-# the nearest-node scan holds at most 4096 rows and about 2^22 distances
-_SCAN_ROWS = 4096
-_SCAN_ELEMENTS = 1 << 22
 
 _LN2 = math.log(2.0)
 
@@ -76,17 +80,37 @@ class OverflowReported(OverflowError):
 
 
 def nearest_nodes(pos, z):
-    """dist(z, pos) and the offset of the nearest entry of ``pos``, by a
-    chunked brute-force scan (any complex points and nodes)."""
-    z = np.asarray(z).ravel()
-    dist = np.empty(z.size)
-    nearest = np.empty(z.size, dtype=np.int64)
-    chunk = max(1, min(_SCAN_ROWS, _SCAN_ELEMENTS // pos.size))
-    for c0 in range(0, z.size, chunk):
-        c1 = min(c0 + chunk, z.size)
-        absd = np.abs(z[c0:c1, None] - pos[None, :])
-        nearest[c0:c1] = np.argmin(absd, axis=1)
-        dist[c0:c1] = absd[np.arange(c1 - c0), nearest[c0:c1]]
+    """dist(z, pos) and the offset of the nearest entry of ``pos`` (ties go
+    to the lowest offset), for any complex points and nodes.
+
+    The nodes are scanned in order of real part, outward from each point's
+    ``searchsorted`` slot on both sides.  Real gaps only grow along a side,
+    so a side is done, exactly, once its real gap exceeds the best distance
+    found: the stop rule of :func:`pwinterp.nodes.separation`.  Memory is
+    O(points), whatever the number of nodes.
+    """
+    z = np.asarray(z, dtype=np.complex128).ravel()
+    order = np.argsort(pos.real, kind="stable")
+    srt = pos[order]
+    start = np.searchsorted(srt.real, z.real)
+    dist = np.full(z.size, np.inf)
+    nearest = np.full(z.size, pos.size, dtype=np.int64)
+    for side, j in ((1, start), (-1, start - 1)):
+        live = np.arange(z.size)
+        while live.size:
+            jj = j[live]
+            keep = (jj >= 0) & (jj < srt.size)
+            live, jj = live[keep], jj[keep]
+            # real gaps only grow along a side: stop once one exceeds dist
+            keep = side * (srt.real[jj] - z.real[live]) <= dist[live]
+            live, jj = live[keep], jj[keep]
+            d = np.abs(z[live] - srt[jj])
+            off = order[jj]
+            win = (d < dist[live]) | ((d == dist[live])
+                                      & (off < nearest[live]))
+            dist[live[win]] = d[win]
+            nearest[live[win]] = off[win]
+            j[live] += side
     return dist, nearest
 
 
@@ -114,10 +138,12 @@ class ProductCore:
 
     # -- entry points ----------------------------------------------------
 
-    def _bulk(self, z) -> bool:
-        """The routing rule of the module docstring."""
-        return (self.fast_ok and z.size >= _BULK_MIN_BATCH
-                and not np.any(np.imag(z)))
+    def _bulk(self, z, signed=False) -> bool:
+        """The routing rule of the module docstring; ``signed`` asks for
+        the product's phase too, which the bulk kernel gives on real
+        windows only."""
+        return (self.fast_ok and (self.real or not signed)
+                and z.size >= _BULK_MIN_BATCH and not np.any(np.imag(z)))
 
     def value(self, z, exclude=None):
         """S(z), or S(z)/(z - lambda_k) at points i with node
@@ -129,7 +155,7 @@ class ProductCore:
         z = np.asarray(z).ravel()
         if exclude is not None:
             exclude = np.asarray(exclude, dtype=np.int64).ravel()
-        if not self._bulk(z):
+        if not self._bulk(z, signed=True):
             return self.eval_points(z, exclude)
         L, _, _ = self.logabs_real(z.real, exclude)
         if np.any(L > 709.0):
@@ -203,10 +229,13 @@ class ProductCore:
     def _fast_setup(self):
         self.fast_ok = False
         seq = self.seq
-        if not seq.is_real or not seq.index_contiguous:
+        self.real = seq.is_real
+        if not seq.index_contiguous:
             return
         K = seq.half_width
-        delta = self.pos.real - seq.indices
+        # the kernels subtract points from these: complex only off the axis
+        self._kernel_pos = self.pos.real if self.real else self.pos
+        delta = self._kernel_pos - seq.indices
         if np.max(np.abs(delta)) > 1.5:
             return
         regular = np.abs(delta) <= _SPECIAL_DELTA
@@ -245,12 +274,13 @@ class ProductCore:
             khat[P] = rfft(kern, L)
             kern = kern * inv
         dhat = {}
-        data = self.regular.astype(np.float64)
+        # m and u are real, so only Re(delta^j) enters log|m + u - delta|
+        data = self.regular.astype(self.delta.dtype)
         for j in range(_J_DELTA + 1):
             if j:
                 data = data * self.delta
-            if np.any(data):
-                dhat[j] = rfft(data, L)
+            if np.any(data.real):
+                dhat[j] = rfft(data.real, L)
         m0_hat = np.zeros(L // 2 + 1, dtype=np.complex128)
         t_hat = [np.zeros(L // 2 + 1, dtype=np.complex128)
                  for _ in range(_S_ORD + 1)]
@@ -319,7 +349,7 @@ class ProductCore:
         an exclusion.
         """
         offset = n + (self.K - _W_NEAR)  # array offset of each window start
-        windows = sliding_window_view(self.pos.real, 2 * _W_NEAR + 1)
+        windows = sliding_window_view(self._kernel_pos, 2 * _W_NEAR + 1)
         band = slice(_W_NEAR - _BAND, _W_NEAR + _BAND + 1)
         hit = None
         if exclude is not None:
@@ -330,12 +360,16 @@ class ProductCore:
         near = np.empty(x.size)
         # window slot by point: whole-row passes run along the points
         absd = np.empty((2 * _W_NEAR + 1, min(x.size, _NEAR_ROWS)))
+        # off the axis the differences are complex, and np.abs takes the
+        # same complex modulus as nearest_nodes
+        diff = absd if self.real else np.empty(absd.shape, np.complex128)
         for c0 in range(0, x.size, _NEAR_ROWS):
             c1 = min(c0 + _NEAR_ROWS, x.size)
             pts = np.arange(c1 - c0)
             d = absd[:, :c1 - c0]
-            np.subtract(windows[offset[c0:c1]].T, x[c0:c1], out=d)
-            np.abs(d, out=d)
+            np.subtract(windows[offset[c0:c1]].T, x[c0:c1],
+                        out=diff[:, :c1 - c0])
+            np.abs(diff[:, :c1 - c0], out=d)
             imin = np.argmin(d[band], axis=0) + band.start
             dist[c0:c1] = d[imin, pts]
             nearest[c0:c1] = offset[c0:c1] + imin
@@ -363,12 +397,12 @@ class ProductCore:
             term *= Ts[s][cell]
             lf += term
             upow *= u
-        posr = self.pos.real
         for so in self.special_offs:
             k_s = int(self.seq.indices[so])
             far_mask = np.abs(k_s - n) > _W_NEAR
             if np.any(far_mask):
-                lf[far_mask] += np.log(np.abs(x[far_mask] - posr[so]))
+                lf[far_mask] += np.log(np.abs(x[far_mask]
+                                              - self._kernel_pos[so]))
         return lf
 
     def sign_real(self, x, exclude=None):

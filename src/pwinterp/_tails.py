@@ -19,20 +19,31 @@ with the Hurwitz zeta function, and for P = 1 the +- pair converges to
 
     C_1 += -(1/2) [psi((j-b)/2) - psi((j+a)/2)]
 
-with the digamma function.  The series converges rapidly for |z| well
-inside the window; terms up to z^16 keep the truncation error negligible
-for |z| <= (K+1)/4, the trust radius beyond which T is taken as 0.
+with the digamma function.  Its two values lie near log(K/2) and almost
+cancel, so the difference is summed directly: both arguments are first
+shifted past 16 by psi(x) = psi(x + 1) - 1/x (DLMF 5.5.2), the shift sum
+written as sum_i (y - x)/((x + i)(y + i)), and then the asymptotic series
+(DLMF 5.11.2) gives psi(y) - psi(x) as log1p((y - x)/x) plus Bernoulli
+terms.  The series converges rapidly for |z| well inside the window;
+terms up to z^16 keep the truncation error negligible for |z| <= (K+1)/4,
+the trust radius beyond which T is taken as 0.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import psi, zeta
+from scipy.special import zeta
 
 __all__ = ["TailCompensation", "build_tail"]
 
 N_TERMS = 16
+# B_2k/(2k), k = 1..6: the digamma series psi(x) ~ log x - 1/(2x)
+# - sum_k B_2k/(2k x^2k), accurate to rounding for x >= _PSI_MIN
+_PSI_BERNOULLI = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132,
+                  -691 / 32760)
+_PSI_MIN = 16.0
 
 
 @dataclass(frozen=True)
@@ -52,13 +63,29 @@ class TailCompensation:
         return np.where(np.abs(z) <= self.radius, acc, 0.0)
 
 
+def _digamma_step(x, h):
+    """psi(x + h) - psi(x) for x, x + h > 0, without cancellation."""
+    y = x + h
+    shift = max(0, math.ceil(_PSI_MIN - min(np.min(x), np.min(y))))
+    i = np.arange(shift)[:, None]
+    out = np.sum(h / ((x + i) * (y + i)), axis=0)
+    x, y = x + shift, y + shift
+    out += np.log1p(h / x) + h / (2.0 * x * y)
+    for k, c in enumerate(_PSI_BERNOULLI, 1):
+        out -= c * (y ** (-2 * k) - x ** (-2 * k))
+    return out
+
+
 def build_tail(spec, K: int) -> TailCompensation:
     """Closed-form tail coefficients for the family ``spec`` beyond [-K, K]."""
     j = np.array([K + 1, K + 2])
-    up = (j + spec.delta(j)) / 2.0      # (j + a)/2 per parity
-    down = (j - spec.delta(-j)) / 2.0   # (j - b)/2 per parity
+    a, b = spec.delta(j), spec.delta(-j)
+    up = (j + a) / 2.0      # (j + a)/2 per parity
+    down = (j - b) / 2.0    # (j - b)/2 per parity
     coeffs = np.zeros(N_TERMS + 1)
-    coeffs[1] = -0.5 * np.sum(psi(down) - psi(up))
+    # psi(down) - psi(up), with down - up = -(a + b)/2 read off the
+    # shifts rather than off the two rounded arguments
+    coeffs[1] = -0.5 * np.sum(_digamma_step(up, -(a + b) / 2.0))
     for P in range(2, N_TERMS + 1):
         coeffs[P] = -np.sum(zeta(P, up) + (-1) ** P * zeta(P, down)) / (
             P * 2.0 ** P)

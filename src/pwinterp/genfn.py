@@ -125,8 +125,11 @@ class GeneratingFunction:
 
         One ``logabs`` pass gives F = exp(log|S| - log dist) at every point;
         the near factor of the nearest node cancels in that difference.
-        Only at an exact node hit (dist == 0) is the value taken from the
-        divided product |S(x)/(x - lambda)|, which there equals |S'(lambda)|.
+        That pass runs on the bulk kernel for batches of at least 256
+        points whenever every node lies within 1.5 of its index, complex
+        windows included, since it needs no phase.  Only at an exact node
+        hit (dist == 0) is the value taken from the divided product
+        |S(x)/(x - lambda)|, which there equals |S'(lambda)|.
         """
         scalar = np.isscalar(x) or np.asarray(x).ndim == 0
         xx = np.atleast_1d(np.asarray(x, dtype=float)).ravel()

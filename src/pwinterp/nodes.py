@@ -22,7 +22,6 @@ __all__ = [
     "make_family",
     "load_nodes",
     "save_nodes",
-    "nearest_distance",
     "separation",
     "relative_density",
 ]
@@ -271,11 +270,6 @@ def save_nodes(seq: NodeSequence, path) -> None:
         for node in seq:
             writer.writerow([node.index, repr(float(node.position.real)),
                              repr(float(node.position.imag))])
-
-
-def nearest_distance(seq: NodeSequence, x: float) -> float:
-    """dist(x, Lambda) for real x: the smallest |x - lambda_k|."""
-    return float(np.min(np.abs(x - seq.positions)))
 
 
 def separation(seq: NodeSequence) -> float:

@@ -6,11 +6,52 @@ import sys
 import numpy as np
 import pytest
 
+from pwinterp import cli
 from pwinterp.cli import main
 
 
 def run_cli(args):
     return main(list(args))
+
+
+# shortest round-trip reprs of every length, signed zero and non-finite
+_ADVERSARIAL = np.array([5e-324, -0.0, 1e16, 9999999999999998.0, 1e-4,
+                         9.999999999999999e-05, np.nan, np.inf, -np.inf,
+                         1 / 3])
+
+
+def _csv_writer_rows(fh, header, cols):
+    """The ``csv.writer`` output that ``cli._write_csv`` reproduces."""
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    for row in zip(*cols):
+        writer.writerow([repr(float(v)) for v in row])
+
+
+class TestCsvOutput:
+    @pytest.fixture
+    def cols(self, monkeypatch):
+        # blocks of 3 rows: several full blocks and a partial one
+        monkeypatch.setattr(cli, "_CSV_BLOCK", 3)
+        v = _ADVERSARIAL
+        return [v, v[::-1].copy(), -v, np.roll(v, 3)]
+
+    def test_file_bytes_match_csv_writer(self, tmp_path, cols):
+        header = ["x", "re_S", "im_S", "F"]
+        cli._write_csv(str(tmp_path / "new.csv"), header, cols)
+        with open(tmp_path / "old.csv", "w", newline="",
+                  encoding="utf-8") as fh:
+            _csv_writer_rows(fh, header, cols)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        assert new.count(b"\r\n") == 11
+
+    def test_stdout_matches_csv_writer(self, capsys, cols):
+        header = ["x", "re_f", "im_f"]
+        cli._write_csv(None, header, cols[:3])
+        new = capsys.readouterr().out
+        _csv_writer_rows(sys.stdout, header, cols[:3])
+        assert new == capsys.readouterr().out
 
 
 class TestFamilyCommand:

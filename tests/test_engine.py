@@ -7,7 +7,7 @@ import pytest
 from pwinterp import (FamilySpec, GridSpec, NodeSequence, SampleSet,
                       build_generating_function, integer_lattice, make_family,
                       reconstruct)
-from pwinterp._engine import ProductCore, nearest_nodes
+from pwinterp._engine import ProductCore
 from pwinterp._tails import build_tail
 
 
@@ -15,6 +15,19 @@ def _core(kind, d=0.0, K=2048, seed=0, tail=True):
     spec = FamilySpec(kind, d, seed=seed)
     seq = integer_lattice(K) if kind == "integer" else make_family(spec, K)
     return ProductCore(seq, build_tail(spec, K) if tail else None)
+
+
+def all_pairs_nearest(pos, z):
+    """dist(z, pos) and the nearest offset by a scan over every node (ties
+    to the lowest offset), 256 points at a time."""
+    z = np.asarray(z, dtype=complex)
+    dist = np.empty(z.size)
+    nearest = np.empty(z.size, dtype=np.int64)
+    for c0 in range(0, z.size, 256):
+        absd = np.abs(z[c0:c0 + 256, None] - pos[None, :])
+        nearest[c0:c0 + 256] = np.argmin(absd, axis=1)
+        dist[c0:c0 + 256] = np.min(absd, axis=1)
+    return dist, nearest
 
 
 def _bulk_sprime(core, sel):
@@ -131,6 +144,20 @@ class TestTailSeries:
         _check_tail_against_exact_sums("alternating", 0.3, 1 << 15,
                                        atol=1e-10)
 
+    def test_large_window_digamma_difference_does_not_cancel(self):
+        # C_1 near K/2 is a difference of two digamma values near
+        # log(K/2); taken apart, it cost 1.6e-11 here
+        _check_tail_against_exact_sums("alternating", 0.3, 1 << 15,
+                                       atol=1e-12)
+
+    @pytest.mark.parametrize("K", [1, 8, 9])
+    @pytest.mark.parametrize("kind,d", [("alternating", 0.45),
+                                        ("constant_shift", -0.7),
+                                        ("signed", 0.25)])
+    def test_small_window_shifts_digamma_arguments(self, kind, d, K):
+        # (j +- delta)/2 < 16: the digamma arguments are shifted up first
+        _check_tail_against_exact_sums(kind, d, K, atol=1e-14)
+
     def test_trust_radius_cuts_series(self):
         tail = build_tail(FamilySpec("signed", 0.25), 99)
         z = np.array([25.0, -25.0, 25.0 + 1e-9, 25j, -26j])
@@ -194,6 +221,16 @@ class TestProductOracle:
             expect = np.array([_mp_divided(pos, p, k)
                                for p, k in zip(pts, exc)])
             assert np.max(np.abs(got - expect) / np.abs(expect)) < 1e-12
+
+    def test_bulk_logabs_on_complex_window(self, rng):
+        # Im lambda enters the near distances, Re(delta^j) the far moments
+        seq = _oracle_windows()["complex"]
+        core = ProductCore(seq, None)
+        assert core.fast_ok
+        x = rng.uniform(-100.0, 100.0, 12)
+        L, _, _ = core.logabs_real(x)
+        expect = np.log(np.abs([_mp_divided(seq.positions, p) for p in x]))
+        assert np.max(np.abs(L - expect)) < 1e-8
 
 
 class TestPointwisePath:
@@ -263,24 +300,37 @@ class TestGridPath:
         vals = core.eval_points(xs.astype(complex), exclude=nearest)
         assert np.max(np.abs(L - np.log(np.abs(vals)))) < 1e-8
 
-    @pytest.mark.parametrize("name", ["special", "signed", "ties"])
+    @pytest.mark.parametrize("name", ["special", "signed", "ties",
+                                      "offaxis-alternating",
+                                      "offaxis-random", "complex-special"])
     def test_band_nearest_is_full_scan(self, name, rng):
         # the bulk kernel seeks the nearest node among 9 slots; a scan over
         # every node must give the same dist and offset, bit for bit
         K = 512
-        if name == "special":
+        k = np.arange(-K, K + 1)
+        if name in ("special", "complex-special"):
             # 64 nodes between 0.95 and 1.5 off their slot: 48 at random
             # and 4 clusters that put the nearest node of x in [c + 0.9,
             # c + 1) at c + 3, the farthest slot the band can need
-            k = np.arange(-K, K + 1)
-            delta = rng.uniform(-0.4, 0.4, k.size)
+            delta = rng.uniform(-0.4, 0.4, k.size) + 0j
             special = rng.choice(np.arange(25, k.size - 20, 10), 48,
                                  replace=False) + rng.integers(0, 4, 48)
-            delta[special] = (rng.choice([-1.0, 1.0], 48)
-                              * rng.uniform(0.95, 1.5, 48))
             starts = np.array([-302, -102, 98, 298])
+            if name == "special":
+                delta[special] = (rng.choice([-1.0, 1.0], 48)
+                                  * rng.uniform(0.95, 1.5, 48))
+                cluster = [-1.45, 1.45, 1.45, -1.45]
+            else:
+                # every node off the axis; |delta| is what makes a node
+                # special, and 16 of them lie within 0.95 in real part
+                delta += 1j * rng.uniform(-0.25, 0.25, k.size)
+                angle = rng.uniform(0.0, 2.0 * np.pi, 48)
+                angle[:16] = rng.choice([-1.0, 1.0], 16) * np.pi / 2
+                delta[special] = rng.uniform(0.95, 1.5, 48) * np.exp(
+                    1j * angle)
+                cluster = [-1.45, 1.2 + 0.8j, 1.3 + 0.7j, -1.45 + 0.3j]
             for c in starts:
-                delta[c + K:c + K + 4] = [-1.45, 1.45, 1.45, -1.45]
+                delta[c + K:c + K + 4] = cluster
             seq = NodeSequence(k, k + delta)
             x = np.concatenate([rng.uniform(-480, 480, 3000),
                                 (starts[:, None]
@@ -293,22 +343,42 @@ class TestGridPath:
             seq = make_family(FamilySpec("signed", 0.25), K)
             x = np.concatenate([rng.uniform(-480, 480, 3000),
                                 np.linspace(-3.0, 3.0, 601)])
-        else:
+        elif name == "ties":
             # x = n + 1/2 lies as far from node n as from n + 1
             seq = integer_lattice(K)
             x = np.arange(-480, 480) + 0.5
+        else:
+            # the two complex windows of the offaxis benchmark
+            eta = (0.1 * (-1.0) ** k if name == "offaxis-alternating"
+                   else rng.uniform(-0.2, 0.2, k.size))
+            seq = NodeSequence(k, k + 1j * eta)
+            x = np.concatenate([rng.uniform(-480, 480, 3000),
+                                np.arange(-480, 480, 0.25)])
         core = ProductCore(seq, None)
         assert core.fast_ok
         _, dist, nearest = core.logabs_real(x)
-        ref_dist, ref_nearest = nearest_nodes(core.pos, x)
+        ref_dist, ref_nearest = all_pairs_nearest(core.pos, x)
         assert np.array_equal(dist, ref_dist)
         assert np.array_equal(nearest, ref_nearest)
-        if name == "special":
+        if name in ("special", "complex-special"):
             assert np.count_nonzero(~core.regular) == 64
             assert np.any(nearest - np.floor(x).astype(int) - K == 3)
         if name == "ties":
             # the lower offset wins the tie
             assert np.array_equal(nearest, np.floor(x).astype(int) + K)
+
+    def test_complex_delta_bounds_use_modulus(self):
+        # fast_ok and the special nodes are set by |delta|, not |Re delta|
+        k = np.arange(-128, 129)
+        delta = np.zeros(k.size, dtype=complex)
+        delta[10] = 1.2 + 0.95j  # |delta| = 1.53 > 1.5
+        assert not ProductCore(NodeSequence(k, k + delta), None).fast_ok
+        delta[10] = 0.0
+        delta[20:85:4] = 1.2j  # 17 special nodes
+        core = ProductCore(NodeSequence(k, k + delta), None)
+        assert core.fast_ok and np.count_nonzero(~core.regular) == 17
+        delta[20:150:2] = 1.2j  # 65 special nodes
+        assert not ProductCore(NodeSequence(k, k + delta), None).fast_ok
 
     def test_exclusion_of_other_node_agrees(self, rng):
         core = _core("random", 0.4, K=1024, seed=5)
@@ -406,6 +476,16 @@ class TestRouting:
                              ("pointwise", 256, False),
                              ("pointwise", 255, False)]
         assert all(c[0] == "pointwise" for c in calls)
+
+    def test_complex_window_weight_goes_bulk(self, calls):
+        k = np.arange(-2048, 2049)
+        gf = build_generating_function(NodeSequence(k, k + 0.1j * (-1.0) ** k))
+        calls.clear()
+        x = np.linspace(-50.3, 50.3, 256)
+        gf.weight(x)
+        # the bulk kernel has no phase off the axis: values run pointwise
+        gf.value(x)
+        assert calls == [("bulk", 256, False), ("pointwise", 256, False)]
 
     def test_reconstruct_near_node_batch_goes_bulk(self, gf, calls):
         ks = np.arange(-150, 150, 1.5).astype(int)[:200]

@@ -225,8 +225,10 @@ class TestGrowthDiagnostics:
 
 
 class TestOffAxisSequences:
-    """Loaded sequences may carry complex nodes: everything routes through
-    the point-wise path."""
+    """Loaded sequences may carry complex nodes.  Values with their phase
+    always run pointwise; log|S| and the weight run on the bulk kernel for
+    batches of at least 256 real points when the window is index-contiguous
+    with every node within 1.5 of its index (these batches are smaller)."""
 
     def _seq(self):
         from pwinterp import NodeSequence

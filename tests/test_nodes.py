@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from pwinterp import (FamilySpec, NodeSequence, integer_lattice, load_nodes,
-                      make_family, nearest_distance, relative_density,
-                      save_nodes, separation)
+                      make_family, relative_density, save_nodes, separation)
+from pwinterp._engine import nearest_nodes
+
+
+def nearest_distance(seq, x):
+    """dist(x, Lambda) by the engine's sorted nearest-node search."""
+    return float(nearest_nodes(seq.positions, x)[0][0])
 
 
 class TestIntegerLattice:

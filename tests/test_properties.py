@@ -1,7 +1,8 @@
 """Property tests (hypothesis) for invariants that hold on every input:
 Carleson sums under translation, agreement of the two product kernels on
 the weight, conjugate symmetry and exact zeros of the product, the
-separation scan against all pairs, and the node CSV round trip."""
+separation scan and the nearest-node search against all pairs, and the
+node CSV round trip."""
 import os
 import tempfile
 
@@ -11,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from pwinterp import (FamilySpec, NodeSequence, build_generating_function,
                       carleson_sum, load_nodes, make_family, save_nodes,
                       separation)
+from pwinterp._engine import nearest_nodes
+from test_engine import all_pairs_nearest
 
 # fixed examples, so a tier-1 run is repeatable
 _SETTINGS = settings(max_examples=20, deadline=None, derandomize=True,
@@ -45,13 +48,21 @@ def test_carleson_sum_translation_invariant(seq, shift, eta):
 
 @_SETTINGS
 @given(seq=real_families(256, 2048, 0.45), seed=st.integers(0, 1 << 32),
-       n_pts=st.integers(256, 600), hits=st.integers(0, 8))
-def test_bulk_and_pointwise_weight_agree(seq, seed, n_pts, hits):
+       n_pts=st.integers(256, 600), hits=st.integers(0, 8),
+       eta=st.sampled_from([0.0, 0.1, 0.5]))
+def test_bulk_and_pointwise_weight_agree(seq, seed, n_pts, hits, eta):
     # one batch of >= 256 real points runs the bulk kernel, three batches
-    # of fewer than 256 run the pointwise product
+    # of fewer than 256 run the pointwise product; eta > 0 moves the nodes
+    # off the axis by +-eta i (no tail: the bare product, kept in range
+    # within a quarter of the window)
+    lim = seq.half_width - 26
+    if eta:
+        seq = NodeSequence(seq.indices,
+                           seq.positions + 1j * eta * (-1.0) ** seq.indices)
+        lim = seq.half_width / 4
     gf = build_generating_function(seq)
     rng = np.random.default_rng(seed)
-    lim = min(gf.trust_radius, seq.half_width - 26)
+    lim = min(gf.trust_radius, lim)
     x = rng.uniform(-lim, lim, n_pts)
     # exact node hits take the divided product on both kernels
     nodes = seq.positions.real
@@ -95,6 +106,25 @@ def test_separation_is_all_pairs_minimum(seq):
     d = np.abs(p[:, None] - p[None, :])
     np.fill_diagonal(d, np.inf)
     assert separation(seq) == np.min(d)
+
+
+@_SETTINGS
+@given(seq=node_windows(), seed=st.integers(0, 1 << 32))
+def test_nearest_nodes_is_all_pairs_scan(seq, seed):
+    # points: anywhere around the window, real, on the nodes, and halfway
+    # between two nodes (a tie where those two are the nearest)
+    p = seq.positions
+    rng = np.random.default_rng(seed)
+    lo, hi = p.real.min() - 2.0, p.real.max() + 2.0
+    ylo, yhi = p.imag.min() - 2.0, p.imag.max() + 2.0
+    z = rng.uniform(lo, hi, 200) + 1j * rng.uniform(ylo, yhi, 200)
+    z[:40] = z[:40].real
+    z[40:60] = rng.choice(p, 20)
+    z[60:80] = (rng.choice(p, 20) + rng.choice(p, 20)) / 2
+    dist, nearest = nearest_nodes(p, z)
+    ref_dist, ref_nearest = all_pairs_nearest(p, z)
+    assert dist.tobytes() == ref_dist.tobytes()
+    assert np.array_equal(nearest, ref_nearest)
 
 
 @_SETTINGS
