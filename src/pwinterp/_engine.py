@@ -15,19 +15,18 @@ Two complementary kernels approximate the symmetric infinite product
   log-sums assembled from FFT convolutions of short Taylor moments.  The
   near window is one row of a sliding view over the nodes; the nearest
   node is sought among the 9 slots around floor(x), which is exact while
-  every node lies within 1.5 of its index (|lambda_k - k| <= 1.5, complex
-  nodes included), and the window's factors, the nearest node's left
-  out, take a single log.  Off the axis the near distances are complex
-  moduli and the far moments convolve Re(delta^j): with m and u real,
-  only those enter log|m + u - delta|.  The bulk path gives log|S| and
-  the sign of S on real windows, so off the axis it serves ``logabs``
-  alone.
+  every node lies within ``MAX_SHIFT`` = 1.5 of its index (complex nodes
+  included), and the window's factors, the nearest node's left out, take
+  a single log.  Off the axis the near distances are complex moduli and
+  the far moments convolve Re(delta^j): with m and u real, only those
+  enter log|m + u - delta|.  The bulk path gives log|S| and the sign of S
+  on real windows, so off the axis it serves ``logabs`` alone.
 
-Both kernels add the far-tail series of :mod:`pwinterp._tails` when the
-sequence carries a generated-family pattern: the closed-form sum of the
-omitted factors' logs, which the tail itself sets to 0 beyond its trust
-radius.  Values then approximate the infinite product rather than the bare
-window truncation.
+Both kernels add the core's far-tail series of :mod:`pwinterp._tails`
+when it has one: the closed-form sum of the logs of the factors the window
+omits, continued from the window's own outer half, which the tail itself
+sets to 0 beyond its trust radius.  Values then approximate the infinite
+product rather than the bare window truncation.
 
 Callers go through two entry points: :meth:`ProductCore.value`, the complex
 value S(z), and :meth:`ProductCore.logabs`, log|S(z)| with dist(z, Lambda)
@@ -55,16 +54,17 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import next_fast_len, rfft, irfft
 
-from ._tails import TailCompensation
+from ._tails import MAX_SHIFT, TailCompensation
 
 # Near/far split parameters.  With a near half-width of 24 index slots the
 # far Taylor expansion in u = x - cell_center has ratio < 0.021, so four
 # orders leave errors below 1e-8; delta expansions of the far kernels decay
 # at least as fast as (0.95/24.5)^j.
 _W_NEAR = 24
-# |delta| <= 1.5 keeps the nearest node within this many slots of floor(x)
+# |delta| <= MAX_SHIFT keeps the nearest node within this many slots of
+# floor(x)
 _BAND = 4
-_BLOCK = 1 << 14  # points per pass of the bulk kernel
+_BLOCK = 1 << 14  # points per pass of either kernel
 _NEAR_ROWS = 2048  # points per near-window array (49 rows of them)
 _J_DELTA = 8
 _S_ORD = 4
@@ -196,18 +196,22 @@ class ProductCore:
         mant[has_exc & self.zero_mask[exclude]] = 1.0
         col = np.where(has_exc, self._column[exclude], -1)
         e2 = np.zeros(npts)
-        for c0 in range(0, self._lam.size, _CHUNK):
-            c1 = min(c0 + _CHUNK, self._lam.size)
-            f = (self._lam[c0:c1] - z[:, None]) * self._inv[c0:c1]
-            hit = np.flatnonzero((col >= c0) & (col < c1))
-            f[hit, col[hit] - c0] = -self._inv[col[hit]]
-            mant *= np.prod(f, axis=1)
-            mag = np.abs(mant)
-            live = mag > 0
-            if np.any(live):
-                e = np.floor(np.log2(mag[live]))
-                mant[live] *= np.exp2(-e)
-                e2[live] += e
+        # points in blocks, so the (points, _CHUNK) factor arrays stay small
+        for p0 in range(0, npts, _BLOCK):
+            p = slice(p0, p0 + _BLOCK)
+            zb, cb, mb, eb = z[p, None], col[p], mant[p], e2[p]  # views
+            for c0 in range(0, self._lam.size, _CHUNK):
+                c1 = min(c0 + _CHUNK, self._lam.size)
+                f = (self._lam[c0:c1] - zb) * self._inv[c0:c1]
+                hit = np.flatnonzero((cb >= c0) & (cb < c1))
+                f[hit, cb[hit] - c0] = -self._inv[cb[hit]]
+                mb *= np.prod(f, axis=1)
+                mag = np.abs(mb)
+                live = mag > 0
+                if np.any(live):
+                    e = np.floor(np.log2(mag[live]))
+                    mb[live] *= np.exp2(-e)
+                    eb[live] += e
         logmag = np.full(npts, -np.inf)
         live = mant != 0
         w = e2 * _LN2 + 0j
@@ -236,7 +240,7 @@ class ProductCore:
         # the kernels subtract points from these: complex only off the axis
         self._kernel_pos = self.pos.real if self.real else self.pos
         delta = self._kernel_pos - seq.indices
-        if np.max(np.abs(delta)) > 1.5:
+        if np.max(np.abs(delta)) > MAX_SHIFT:
             return
         regular = np.abs(delta) <= _SPECIAL_DELTA
         if np.count_nonzero(~regular) > 64:

@@ -1,17 +1,19 @@
 """Series compensation for product factors beyond the node window.
 
-The symmetric product over a window [-K, K] omits all pattern nodes with
-|k| > K.  Their factors multiply to exp(T(z)) where
+The symmetric product over a window [-K, K] omits all nodes with |k| > K.
+Their factors multiply to exp(T(z)) where
 
     T(z) = sum_{|k| > K} log(1 - z/lambda_k) = sum_P C_P z^P,
     C_P = -(1/P) sum_{|k| > K} lambda_k^(-P).
 
-Beyond the window every family's perturbation ``delta_k`` (read from
-:meth:`pwinterp.nodes.FamilySpec.delta`) has period 2 in k, so the omitted
-nodes form four arithmetic progressions of stride 2: for j = K+1, K+2 the
-nodes lambda_k = k + a with k = j, j+2, ... and lambda_{-k} = -(k - b),
-where a = delta_j and b = delta_{-j}.  Each progression sums in closed
-form (DLMF 25.11.1, 5.7.6): for P >= 2
+The omitted nodes continue the window: per side and per parity of k, each
+is k plus the mean of Re(lambda_k - k) over the outer half |k| >= K/2, so a
+generated family's period-2 pattern is returned as it is; imaginary parts
+are left out.  A window that is not index-contiguous, has a node with
+|lambda_k - k| > ``MAX_SHIFT`` or has K < 2 gets no tail.  For j = K+1, K+2
+the omitted nodes form four progressions of stride 2, lambda_k = k + a with
+k = j, j+2, ... and lambda_{-k} = -(k - b), a and b the fitted shifts of
+j's parity; each sums in closed form (DLMF 25.11.1, 5.7.6): for P >= 2
 
     C_P += -(1/P) 2^(-P) [zeta(P, (j+a)/2) + (-1)^P zeta(P, (j-b)/2)]
 
@@ -36,8 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import zeta
 
-__all__ = ["TailCompensation", "build_tail"]
+__all__ = ["MAX_SHIFT", "TailCompensation", "build_tail", "tail_from_shifts"]
 
+# Largest |lambda_k - k| of a window with a continuation; the bulk kernel's
+# nearest-node band rests on the same bound.
+MAX_SHIFT = 1.5
 N_TERMS = 16
 # B_2k/(2k), k = 1..6: the digamma series psi(x) ~ log x - 1/(2x)
 # - sum_k B_2k/(2k x^2k), accurate to rounding for x >= _PSI_MIN
@@ -76,10 +81,24 @@ def _digamma_step(x, h):
     return out
 
 
-def build_tail(spec, K: int) -> TailCompensation:
-    """Closed-form tail coefficients for the family ``spec`` beyond [-K, K]."""
+def build_tail(seq) -> TailCompensation | None:
+    """The tail of the window's own continuation beyond [-K, K], or None
+    where the window has none (see the module docstring)."""
+    K, k = seq.half_width, seq.indices
+    delta = seq.positions - k
+    if K < 2 or not seq.index_contiguous or np.max(np.abs(delta)) > MAX_SHIFT:
+        return None
+    outer = np.abs(k) >= K / 2
+    parity = [outer & ((k - j) % 2 == 0) for j in (K + 1, K + 2)]
+    a = np.array([np.mean(delta.real[fit & (k > 0)]) for fit in parity])
+    b = np.array([np.mean(delta.real[fit & (k < 0)]) for fit in parity])
+    return tail_from_shifts(a, b, K)
+
+
+def tail_from_shifts(a, b, K: int) -> TailCompensation:
+    """Closed-form tail beyond [-K, K] of the nodes k + a[i] and
+    -(k - b[i]) for k = K+1+i, K+3+i, ..., i = 0, 1."""
     j = np.array([K + 1, K + 2])
-    a, b = spec.delta(j), spec.delta(-j)
     up = (j + a) / 2.0      # (j + a)/2 per parity
     down = (j - b) / 2.0    # (j - b)/2 per parity
     coeffs = np.zeros(N_TERMS + 1)

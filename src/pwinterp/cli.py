@@ -335,8 +335,6 @@ def _cmd_counterexample(args) -> int:
 
 def _cmd_alpha_scaling(args) -> int:
     spec = _parse_family(args.family)
-    if spec.kind == "file":
-        raise UsageError("alpha-scaling needs a generated family")
     alphas = [float(t) for t in args.alphas.split(",")]
     # every scaled family is checked before any fit runs
     scaled_specs = [

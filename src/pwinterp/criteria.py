@@ -408,9 +408,7 @@ def select_probe_points(gf: GeneratingFunction, sel: AnchorSelection,
         vals = gf.value(z)
         return np.abs(vals) / eps_eff
 
-    mods = np.empty((n_scan, m))
-    for i, th in enumerate(theta):
-        mods[i] = circle_mod(np.full(m, th))
+    mods = circle_mod(theta[:, None])   # the whole scan, (n_scan, m)
     diffs = mods - target[None, :]
     lo_th = np.empty(m)
     hi_th = np.empty(m)

@@ -143,7 +143,7 @@ class GeneratingFunction:
         return float(F[0]) if scalar else F.reshape(np.shape(x))
 
 
-def build_generating_function(seq, compensate: bool | None = None
+def build_generating_function(seq, compensate: bool = True
                               ) -> GeneratingFunction:
     """Build the product evaluator for a node sequence.
 
@@ -154,23 +154,16 @@ def build_generating_function(seq, compensate: bool | None = None
     ----------
     seq : NodeSequence
         Nonempty sequence with positive separation.
-    compensate : bool, optional
-        Add the far-tail series for the omitted pattern factors.  Defaults
-        to on for generated families and off for loaded sequences (whose
-        continuation is unknown).
+    compensate : bool
+        Add the far-tail series of the window's own continuation (see
+        :mod:`pwinterp._tails`); windows without one get the bare product
+        either way.  Off, S is the bare window product.
     """
     if len(seq) > 1 and _nodes.separation(seq) <= 0.0:
         raise ValueError("zero separation: duplicate node positions")
-    fam = seq.family
-    has_pattern = fam is not None and fam.kind != "file"
-    if compensate is None:
-        compensate = has_pattern
-    elif compensate and not has_pattern:
-        raise ValueError("tail compensation needs a generated family")
 
     def core_for(window):
-        return ProductCore(window, build_tail(fam, window.half_width)
-                           if compensate else None)
+        return ProductCore(window, build_tail(window) if compensate else None)
 
     core = core_for(seq)
     conv = None

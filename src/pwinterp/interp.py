@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._engine import nearest_nodes
 from .genfn import GeneratingFunction, as_exponents
 
 __all__ = [
@@ -159,21 +160,21 @@ def reconstruct(gf: GeneratingFunction, s: SampleSet,
     S = gf.value(x)
     off = seq.array_offset(s.indices)
     # tau_switch = separation/4 puts each grid point in at most one support
-    # node's switch zone, so one exclusion per point covers every term
-    exclude = np.full(x.size, -1, dtype=np.int64)
-    for k_off in off:
-        exclude[np.abs(x - seq.positions[k_off]) < gf.tau_switch] = k_off
-    near = np.flatnonzero(exclude >= 0)
-    divided = gf.value(x[near], exclude=exclude[near])
+    # node's switch zone, that of its nearest support node, so one
+    # exclusion per point covers every term
+    dist, nearest = nearest_nodes(seq.positions[off], x)
+    exclude = np.where(dist < gf.tau_switch, off[nearest], -1)
+    near = exclude >= 0
+    divided = np.zeros(x.size, dtype=np.complex128)
+    divided[near] = gf.value(x[near], exclude=exclude[near])
     out = np.zeros(x.size, dtype=np.complex128)
-    for a_k, k_off, sp in zip(s.values, off, sprime):
-        lam = seq.positions[k_off]
-        mine = exclude[near] == k_off
-        term = np.empty(x.size, dtype=np.complex128)
-        far = exclude != k_off
-        term[far] = S[far] / (x[far] - lam)
-        term[near[mine]] = divided[mine]
-        out += (a_k / sp) * term
+    # in node k's switch zone the divided product replaces S/(x - lambda_k),
+    # which is 0/0 on the node itself
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a_k, k_off, sp in zip(s.values, off, sprime):
+            term = np.where(exclude == k_off, divided,
+                            S / (x - seq.positions[k_off]))
+            out += (a_k / sp) * term
     return GridFunction(grid=x, values=out, step=grid.step)
 
 

@@ -27,7 +27,6 @@ __all__ = [
 ]
 
 GENERATED_KINDS = ("integer", "constant_shift", "signed", "alternating", "random")
-ALL_KINDS = GENERATED_KINDS + ("file",)
 
 # Largest |d| per kind that keeps the minimum gap positive.  Constant shifts
 # never change gaps; the signed pattern only compresses near the origin;
@@ -49,7 +48,7 @@ class FamilySpec:
     ----------
     kind : str
         One of ``integer``, ``constant_shift``, ``signed``, ``alternating``,
-        ``random``, ``file``.
+        ``random``.
     d : float
         Perturbation magnitude.  ``constant_shift`` uses ``delta_k = d``,
         ``signed`` uses ``delta_k = sgn(k) * d`` for ``k != 0``,
@@ -68,32 +67,30 @@ class FamilySpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ALL_KINDS:
+        if self.kind not in GENERATED_KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if not math.isfinite(self.d):
             raise ValueError("perturbation magnitude must be finite")
-        if self.kind in GENERATED_KINDS:
-            bound = _D_BOUND[self.kind]
-            if self.kind == "integer":
-                if self.d != 0.0:
-                    raise ValueError("integer lattice takes d = 0")
-            elif abs(self.d) >= bound:
-                raise ValueError(
-                    f"|d| = {abs(self.d)} >= {bound} collapses the separation "
-                    f"of the {self.kind} family"
-                )
+        bound = _D_BOUND[self.kind]
+        if self.kind == "integer":
+            if self.d != 0.0:
+                raise ValueError("integer lattice takes d = 0")
+        elif abs(self.d) >= bound:
+            raise ValueError(
+                f"|d| = {abs(self.d)} >= {bound} collapses the separation "
+                f"of the {self.kind} family"
+            )
         if self.kind == "signed" and abs(self.delta0) > 1.0:
             raise ValueError("signed family requires |delta0| <= 1")
 
     def delta(self, k) -> np.ndarray:
         """The pattern's perturbation ``delta_k`` at integer indices ``k``.
 
-        The random kind's seeded draws exist only inside a generated window;
-        here, and so beyond every window, it is the zero-mean lattice
-        stand-in ``delta_k = 0``.
+        The random kind has no pattern: its seeded draws exist only inside
+        a window built by :func:`make_family`.
         """
         k = np.asarray(k)
-        if self.kind in ("integer", "random"):
+        if self.kind == "integer":
             return np.zeros(k.shape)
         if self.kind == "constant_shift":
             return np.full(k.shape, self.d)
@@ -101,7 +98,7 @@ class FamilySpec:
             return np.where(k == 0, self.delta0, np.sign(k) * self.d)
         if self.kind == "alternating":
             return np.where(k % 2 == 0, self.d, -self.d)
-        raise ValueError("file kind has no pattern; use load_nodes")
+        raise ValueError("random kind has no pattern; use make_family")
 
     def tag(self) -> str:
         if self.kind == "integer":
@@ -126,10 +123,9 @@ class NodeSequence:
     sequence can be shared freely across threads.
     """
 
-    __slots__ = ("indices", "positions", "family", "tag")
+    __slots__ = ("indices", "positions", "tag")
 
-    def __init__(self, indices, positions, family: FamilySpec | None = None,
-                 tag: str = ""):
+    def __init__(self, indices, positions, tag: str = "custom"):
         idx = np.asarray(indices, dtype=np.int64)
         pos = np.asarray(positions, dtype=np.complex128)
         if idx.ndim != 1 or pos.shape != idx.shape:
@@ -148,8 +144,7 @@ class NodeSequence:
         pos.setflags(write=False)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "tag", tag or (family.tag() if family else "custom"))
+        object.__setattr__(self, "tag", tag)
 
     def __setattr__(self, name, value):
         raise AttributeError("NodeSequence is immutable")
@@ -204,7 +199,7 @@ class NodeSequence:
         if not np.any(keep):
             raise ValueError("restriction leaves no nodes")
         return NodeSequence(self.indices[keep], self.positions[keep],
-                            family=self.family, tag=self.tag)
+                            tag=self.tag)
 
 
 def integer_lattice(K: int) -> NodeSequence:
@@ -220,15 +215,13 @@ def make_family(spec: FamilySpec, K: int) -> NodeSequence:
     """
     if K < 1:
         raise ValueError("window half-size K must be >= 1")
-    if spec.kind == "file":
-        raise ValueError("file kind has no generator; use load_nodes")
     k = np.arange(-K, K + 1, dtype=np.int64)
     if spec.kind == "random":
         rng = np.random.default_rng(spec.seed)
         delta = rng.uniform(-spec.d, spec.d, size=k.size)
     else:
         delta = spec.delta(k)
-    return NodeSequence(k, k + delta + 0j, family=spec)
+    return NodeSequence(k, k + delta + 0j, tag=spec.tag())
 
 
 def load_nodes(path) -> NodeSequence:
@@ -259,7 +252,7 @@ def load_nodes(path) -> NodeSequence:
             positions.append(complex(re, im))
     if not indices:
         raise ValueError("empty sequence")
-    return NodeSequence(indices, positions, family=None, tag="file")
+    return NodeSequence(indices, positions, tag="file")
 
 
 def save_nodes(seq: NodeSequence, path) -> None:

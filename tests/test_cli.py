@@ -193,13 +193,30 @@ class TestCheckCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"--K {1 << 40}" in err
 
-    def test_loaded_window_has_no_trust_radius_refusal(self, tmp_path):
+    def test_loaded_window_gets_trust_radius_refusal(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # a loaded window carries the tail of its own continuation, so it
+        # is refused past (K+1)/4 exactly as the generated family is
+        import pwinterp.criteria
+
         nodes = tmp_path / "lat.csv"
         run_cli(["family", "--family", "integer", "--K", "256",
                  "-o", str(nodes)])
-        code = run_cli(["check", "--nodes", str(nodes), "--xmax", "128",
-                        "--json", str(tmp_path / "r.json")])
-        assert code != 64
+
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("refusal must come before any evaluation")
+        monkeypatch.setattr(pwinterp.criteria, "carleson_sum", no_evaluation)
+        errs = []
+        for source in (["--family", "integer", "--K", "256"],
+                       ["--nodes", str(nodes)]):
+            capsys.readouterr()
+            code = run_cli(["check", *source, "--xmax", "128",
+                            "--json", str(tmp_path / "r.json")])
+            assert code == 64
+            errs.append(capsys.readouterr().err)
+        assert "trust radius (K+1)/4 = 64.25" in errs[1]
+        assert errs[0] == errs[1]
+        assert not (tmp_path / "r.json").exists()
 
     def test_operator_probe_appended(self, tmp_path):
         out = tmp_path / "report.json"

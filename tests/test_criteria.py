@@ -1,11 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from pwinterp import (FamilySpec, IntervalFamily, NodeSequence, Thresholds,
                       WeightSequence, build_generating_function,
                       carleson_sum, continuous_ap, discrete_ap,
-                      full_verdict, integer_lattice, make_family,
-                      select_probe_points, select_subsequence)
+                      full_verdict, integer_lattice, load_nodes, make_family,
+                      save_nodes, select_probe_points, select_subsequence)
 from pwinterp.criteria import BracketingError, SelectionError
 
 
@@ -208,6 +210,34 @@ class TestFullVerdict:
         rep = full_verdict(seq, 2.0, x_max=32.0, quad_step=1 / 16)
         assert rep.verdict == "FAIL"
         assert "relative_density" in rep.failed_checks
+
+    @pytest.mark.parametrize("spec", [
+        FamilySpec("integer"), FamilySpec("constant_shift", 0.2),
+        FamilySpec("signed", 0.2), FamilySpec("signed", 0.25),
+        FamilySpec("alternating", 0.3), FamilySpec("random", 0.35, seed=101),
+    ], ids=FamilySpec.tag)
+    def test_loaded_family_gets_generated_verdict(self, spec, tmp_path):
+        # the tail is read off the window, so the CSV round trip keeps it
+        seq = make_family(spec, 4096)
+        save_nodes(seq, tmp_path / "n.csv")
+        rep = full_verdict(seq, 2.0)
+        loaded = full_verdict(load_nodes(tmp_path / "n.csv"), 2.0)
+        assert loaded.verdict == rep.verdict
+        assert loaded.ap_sup == pytest.approx(rep.ap_sup, rel=1e-8)
+
+    @pytest.mark.parametrize("name", ["alternating 0.1i", "random 0.2i"])
+    def test_complex_window_passes_without_warnings(self, name):
+        # |lambda_k - k| <= 0.2 < 1/4: complete interpolating by Kadets'
+        # theorem; the fitted tail keeps the sweep's quotients in range
+        k = np.arange(-4096, 4097)
+        eta = {"alternating 0.1i": 0.1 * (-1.0) ** k,
+               "random 0.2i": np.random.default_rng(101).uniform(
+                   -0.2, 0.2, k.size)}[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = full_verdict(NodeSequence(k, k + 1j * eta), 2.0)
+        assert rep.verdict == "PASS"
+        assert np.isfinite(rep.ap_sup) and np.isfinite(rep.growth_r2)
 
 
 def _derivative_weight_sups(seq, gf, p, windows=(256, 512, 1024)):

@@ -8,13 +8,13 @@ from pwinterp import (FamilySpec, GridSpec, NodeSequence, SampleSet,
                       build_generating_function, integer_lattice, make_family,
                       reconstruct)
 from pwinterp._engine import ProductCore
-from pwinterp._tails import build_tail
+from pwinterp._tails import build_tail, tail_from_shifts
 
 
 def _core(kind, d=0.0, K=2048, seed=0, tail=True):
     spec = FamilySpec(kind, d, seed=seed)
     seq = integer_lattice(K) if kind == "integer" else make_family(spec, K)
-    return ProductCore(seq, build_tail(spec, K) if tail else None)
+    return ProductCore(seq, build_tail(seq) if tail else None)
 
 
 def all_pairs_nearest(pos, z):
@@ -45,7 +45,8 @@ def _pointwise_sprime(core, sel):
 
 def _tail_node(kind, d, k):
     """lambda_k beyond the window, each kind's pattern written out on its
-    own (mpf); the random kind's tail is the zero-mean lattice stand-in."""
+    own (mpf); the random kind's is the lattice, the zero-mean continuation
+    that a fit of its draws approaches."""
     k = mpmath.mpf(k)
     if kind in ("integer", "random"):
         return k
@@ -99,7 +100,11 @@ def _exact_tail_coeffs(kind, d, K, n_terms):
 
 
 def _check_tail_against_exact_sums(kind, d, K, atol):
-    tail = build_tail(FamilySpec(kind, d), K)
+    # the closed form on the pattern's exact shifts at K+1, K+2
+    j = (K + 1, K + 2)
+    a = [float(_tail_node(kind, d, jj) - jj) for jj in j]
+    b = [float(_tail_node(kind, d, -jj) + jj) for jj in j]
+    tail = tail_from_shifts(np.array(a), np.array(b), K)
     coeffs = _exact_tail_coeffs(kind, d, K, tail.coeffs.size - 1)
     r = tail.radius
     # the circle is pulled in by a few ulps so rounding keeps it inside r
@@ -115,7 +120,7 @@ def _check_tail_against_exact_sums(kind, d, K, atol):
 class TestTailSeries:
     def test_lattice_tail_vs_brute(self):
         K = 200
-        tail = build_tail(FamilySpec("integer"), K)
+        tail = build_tail(integer_lattice(K))
         ks = np.arange(K + 1, 2_000_000, dtype=float)
         for z in (0.5, 3.0, 10.0, 40.0):
             brute = np.sum(np.log1p(-z * z / ks ** 2)) - z * z / ks[-1]
@@ -124,7 +129,7 @@ class TestTailSeries:
 
     def test_constant_tail_has_odd_part(self):
         K = 100
-        tail = build_tail(FamilySpec("constant_shift", 0.3), K)
+        tail = build_tail(make_family(FamilySpec("constant_shift", 0.3), K))
         # odd coefficients present: T(z) != T(-z)
         assert abs(tail.log_tail(np.asarray(10.0))
                    - tail.log_tail(np.asarray(-10.0))) > 1e-6
@@ -159,10 +164,60 @@ class TestTailSeries:
         _check_tail_against_exact_sums(kind, d, K, atol=1e-14)
 
     def test_trust_radius_cuts_series(self):
-        tail = build_tail(FamilySpec("signed", 0.25), 99)
+        tail = build_tail(make_family(FamilySpec("signed", 0.25), 99))
         z = np.array([25.0, -25.0, 25.0 + 1e-9, 25j, -26j])
         T = tail.log_tail(z)
         assert np.all(T[[0, 1, 3]] != 0) and np.all(T[[2, 4]] == 0)
+
+    @pytest.mark.parametrize("K", [100, 101])
+    @pytest.mark.parametrize("kind,d", [("integer", 0.0),
+                                        ("constant_shift", 0.3),
+                                        ("signed", -0.2),
+                                        ("alternating", 0.3)])
+    def test_fit_reads_the_pattern(self, kind, d, K):
+        # a generated window's outer half continues with its own pattern,
+        # per side and per parity of K+1, K+2
+        spec = FamilySpec(kind, d)
+        j = np.array([K + 1, K + 2])
+        expect = tail_from_shifts(spec.delta(j), spec.delta(-j), K)
+        got = build_tail(make_family(spec, K))
+        np.testing.assert_allclose(got.coeffs, expect.coeffs, rtol=1e-12,
+                                   atol=0.0)
+        assert got.radius == expect.radius
+
+    @pytest.mark.parametrize("name", ["one-sided", "7k", "shift 1.6",
+                                      "K = 1"])
+    def test_window_without_continuation_has_no_tail(self, name):
+        # not index-contiguous, |lambda_k - k| > 1.5, or too small to fit
+        k = np.arange(-64, 65)
+        seq = {"one-sided": _oracle_windows()["one-sided"],
+               "7k": NodeSequence(k, 7.0 * k),
+               "shift 1.6": NodeSequence(k, k + 1.6 * (k == 10)),
+               "K = 1": NodeSequence([-1, 0, 1], [-1.1, 0.0, 1.1])}[name]
+        assert build_tail(seq) is None
+        gf = build_generating_function(seq)
+        assert not gf.tail_compensated and gf.trust_radius == np.inf
+
+    def test_complex_window_tail_matches_its_continuation(self):
+        # k + 0.1i(-1)^k continues with real shift 0; its tail's Re T on
+        # [-r, r] against a direct sum over the complex nodes |k| > K
+        from scipy.special import polygamma
+        K, eps = 4096, 0.1
+        k = np.arange(-K, K + 1)
+        tail = build_tail(NodeSequence(k, k + 1j * eps * (-1.0) ** k))
+        x = np.linspace(-tail.radius, tail.radius, 41)
+        # the pair +-k: |(1 - x/lambda_k)(1 - x/lambda_-k)|^2
+        # = (1 - x^2/q)^2 + (2 eps x/q)^2 with q = k^2 + eps^2
+        n = 1 << 18
+        q = np.arange(K + 1, n + 1, dtype=float) ** 2 + eps ** 2
+        direct = np.array([0.5 * np.sum(np.log1p(
+            -2 * xx ** 2 / q + (xx ** 2 / q) ** 2 + (2 * eps * xx / q) ** 2))
+            for xx in x])
+        # pairs past n: -x^2 sum k^-2 - (x^4/2) sum k^-4, error ~ x^6/n^5
+        rest = (-x ** 2 * polygamma(1, n + 1)
+                - x ** 4 / 2 * polygamma(3, n + 1) / 6)
+        np.testing.assert_allclose(tail.log_tail(x), direct + rest,
+                                   rtol=0.0, atol=1e-6)
 
 
 def _oracle_windows():
@@ -265,6 +320,20 @@ class TestPointwisePath:
         core = ProductCore(NodeSequence(k, k + 1.0), None)
         with pytest.raises(OverflowReported), np.errstate(all="ignore"):
             core.eval_points(np.array([1e7 + 0j]))
+
+    def test_point_blocks_match_one_call_per_part(self, rng):
+        # more than two blocks of points, with exclusions, equal calls on
+        # parts that each fit in one block, bit for bit
+        from pwinterp._engine import _BLOCK
+        k = np.arange(-128, 129)
+        core = ProductCore(NodeSequence(k, k + 0.1j * (-1.0) ** k), None)
+        n = 2 * _BLOCK + 3
+        z = rng.uniform(-30, 30, n) + 1j * rng.uniform(-2, 2, n)
+        exc = np.where(rng.random(n) < 0.1, rng.integers(0, k.size, n), -1)
+        parts = np.array_split(np.arange(n), 5)
+        whole = core.eval_points(z, exc)
+        assert np.array_equal(whole, np.concatenate(
+            [core.eval_points(z[i], exc[i]) for i in parts]))
 
 
 class TestGridPath:

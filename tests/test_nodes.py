@@ -89,16 +89,12 @@ class TestMakeFamily:
         assert np.array_equal(got.positions, expect + 0j)
 
     def test_delta_beyond_window(self):
-        # the pattern past any window; the random kind's is the lattice
+        # the pattern past any window
         k = np.array([-9, -8, 8, 9])
         assert np.array_equal(FamilySpec("alternating", 0.2).delta(k),
                               [-0.2, 0.2, 0.2, -0.2])
         assert np.array_equal(FamilySpec("signed", 0.2).delta(k),
                               [-0.2, -0.2, 0.2, 0.2])
-        assert np.array_equal(FamilySpec("random", 0.4, seed=1).delta(k),
-                              np.zeros(4))
-        with pytest.raises(ValueError, match="no pattern"):
-            FamilySpec("file").delta(k)
 
     def test_signed_wide_d_allowed(self):
         # the signed pattern keeps its gaps for 1/2 <= |d| < 1

@@ -53,8 +53,8 @@ def test_carleson_sum_translation_invariant(seq, shift, eta):
 def test_bulk_and_pointwise_weight_agree(seq, seed, n_pts, hits, eta):
     # one batch of >= 256 real points runs the bulk kernel, three batches
     # of fewer than 256 run the pointwise product; eta > 0 moves the nodes
-    # off the axis by +-eta i (no tail: the bare product, kept in range
-    # within a quarter of the window)
+    # off the axis by +-eta i (with the fitted real-shift tail, which
+    # holds within a quarter of the window)
     lim = seq.half_width - 26
     if eta:
         seq = NodeSequence(seq.indices,
