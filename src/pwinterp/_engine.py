@@ -5,11 +5,15 @@ Two complementary kernels approximate the symmetric infinite product
     S(z) = prod_k (1 - z/lambda_k)        (factor z for a node at 0):
 
 * ``eval_points``, the pointwise path: the product at arbitrary complex
-  arguments, with the nonzero nodes multiplied in order of increasing
-  |lambda| and the running magnitude renormalized every 64 factors (a
+  arguments.  The nonzero nodes, in order of increasing |lambda|, are
+  stored chunk-major, 64 to a chunk, as (64, n_chunks) arrays (a
   symmetric window then puts about 32 plus/minus pairs in each chunk,
   which keeps chunk products in range; one that overflows all the same is
-  reported); a node at 0 seeds the product with z, and
+  reported).  A pass over at most 2^18 complex factors (4 MiB) forms all
+  factors of its points in one array, multiplies each chunk's 64 in place
+  by halving, scales the chunk products to [1, 2) with their exponents
+  summed apart, and multiplies them pairwise, rescaling at every level; a
+  node at 0 contributes the factor z, and
 * ``logabs_real``, the bulk path: real points only, each split into a
   directly multiplied near window plus a smooth far field, with the far
   log-sums assembled from FFT convolutions of short Taylor moments.  The
@@ -64,12 +68,13 @@ _W_NEAR = 24
 # |delta| <= MAX_SHIFT keeps the nearest node within this many slots of
 # floor(x)
 _BAND = 4
-_BLOCK = 1 << 14  # points per pass of either kernel
+_BLOCK = 1 << 14  # points per pass of the bulk kernel
 _NEAR_ROWS = 2048  # points per near-window array (49 rows of them)
 _J_DELTA = 8
 _S_ORD = 4
 _SPECIAL_DELTA = 0.95
-_CHUNK = 64  # factors between renormalizations
+_CHUNK = 64  # nodes per chunk of the pointwise product
+_PASS_FACTORS = 1 << 18  # complex factors per pointwise pass: 4 MiB
 _BULK_MIN_BATCH = 256
 
 _LN2 = math.log(2.0)
@@ -125,10 +130,16 @@ class ProductCore:
         self.zero_mask = pos == 0
         if np.count_nonzero(self.zero_mask) > 1:
             raise ValueError("duplicate node positions at 0")
-        # the pointwise kernel multiplies the nonzero nodes in order of |lambda|
+        # the pointwise kernel multiplies the nonzero nodes in order of
+        # |lambda|, chunk-major: node i of that order sits at
+        # [i % 64, i // 64] of (64, n_chunks) arrays, one column per chunk
         order = np.flatnonzero(~self.zero_mask)
         order = order[np.argsort(np.abs(pos[order]), kind="stable")]
-        self._lam = pos[order]
+        n_chunks = max(1, -(-order.size // _CHUNK))
+        self._n_pad = n_chunks * _CHUNK - order.size  # in the last chunk
+        lam = np.ones(n_chunks * _CHUNK, dtype=np.complex128)
+        lam[:order.size] = pos[order]
+        self._lam = np.ascontiguousarray(lam.reshape(n_chunks, _CHUNK).T)
         self._inv = 1.0 / self._lam
         self._column = np.full(pos.size, -1, dtype=np.int64)
         self._column[order] = np.arange(order.size)
@@ -183,6 +194,20 @@ class ProductCore:
         S(z)/(z - lambda_k), whose factor for node k is -1/lambda_k (1 for
         the zero node).  Raises :class:`OverflowReported` when the final
         magnitude cannot be represented even after the scaled accumulation.
+
+        The points run in passes of at most ``_PASS_FACTORS`` = 2^18
+        complex factors (4 MiB), at least one point per pass (so past 2^18
+        nonzero nodes a pass is one point, as large as the node array).  A
+        pass forms every factor (lambda - z)/lambda of its points in one
+        (points, 64, n_chunks) array, laid out like the chunk-major nodes;
+        an excluded node's cell holds -1/lambda_k and the padding cells of
+        the last chunk hold 1.  Halving in place, ``g[:, :w] *= g[:, w:2w]``
+        for w = 32, 16, ..., 1, leaves in slot 0 the product of each chunk's
+        64 factors.  The chunk products are then scaled to [1, 2) with their
+        binary exponents summed apart, and multiplied pairwise, rescaled at
+        every level, down to one mantissa per point.  Every step is
+        elementwise along the points, so a point's value does not depend on
+        the rest of its batch.
         """
         z = np.asarray(z, dtype=np.complex128).ravel()
         npts = z.size
@@ -191,27 +216,17 @@ class ProductCore:
         exclude = (np.full(npts, -1, dtype=np.int64) if exclude is None
                    else np.asarray(exclude, dtype=np.int64).ravel())
         has_exc = exclude >= 0
-        # a node at 0 contributes the bare factor z
-        mant = z.copy() if np.any(self.zero_mask) else np.ones(npts, complex)
-        mant[has_exc & self.zero_mask[exclude]] = 1.0
         col = np.where(has_exc, self._column[exclude], -1)
-        e2 = np.zeros(npts)
-        # points in blocks, so the (points, _CHUNK) factor arrays stay small
-        for p0 in range(0, npts, _BLOCK):
-            p = slice(p0, p0 + _BLOCK)
-            zb, cb, mb, eb = z[p, None], col[p], mant[p], e2[p]  # views
-            for c0 in range(0, self._lam.size, _CHUNK):
-                c1 = min(c0 + _CHUNK, self._lam.size)
-                f = (self._lam[c0:c1] - zb) * self._inv[c0:c1]
-                hit = np.flatnonzero((cb >= c0) & (cb < c1))
-                f[hit, cb[hit] - c0] = -self._inv[cb[hit]]
-                mb *= np.prod(f, axis=1)
-                mag = np.abs(mb)
-                live = mag > 0
-                if np.any(live):
-                    e = np.floor(np.log2(mag[live]))
-                    mb[live] *= np.exp2(-e)
-                    eb[live] += e
+        mant = np.empty(npts, dtype=np.complex128)
+        e2 = np.empty(npts)
+        per = max(1, _PASS_FACTORS // self._lam.size)  # points per pass
+        g = np.empty((min(per, npts),) + self._lam.shape, dtype=np.complex128)
+        for p0 in range(0, npts, per):
+            p = slice(p0, min(p0 + per, npts))
+            mant[p], e2[p] = self._reduce(z[p], col[p], g[:p.stop - p0])
+        if np.any(self.zero_mask):
+            # a node at 0 contributes the bare factor z, 1 when excluded
+            mant *= np.where(has_exc & self.zero_mask[exclude], 1.0, z)
         logmag = np.full(npts, -np.inf)
         live = mant != 0
         w = e2 * _LN2 + 0j
@@ -227,6 +242,37 @@ class ProductCore:
         out = np.zeros(npts, dtype=np.complex128)
         out[live] = mant[live] * np.exp(w[live])
         return out
+
+    def _reduce(self, z, col, g):
+        """One pass of ``eval_points``: the mantissa (magnitude in [1, 2),
+        0 on a node) and binary exponent of the product at each point of
+        ``z``, with the node of column ``col`` (|lambda| order, -1 for
+        none) excluded, computed in ``g``."""
+        np.subtract(self._lam, z[:, None, None], out=g)
+        g *= self._inv
+        g[:, _CHUNK - self._n_pad:, -1] = 1.0
+        hit = np.flatnonzero(col >= 0)
+        chunk, slot = np.divmod(col[hit], _CHUNK)
+        g[hit, slot, chunk] = -self._inv[slot, chunk]
+        w = _CHUNK
+        while w > 1:
+            w //= 2
+            g[:, :w] *= g[:, w:2 * w]
+        q = g[:, 0]  # the chunk products
+        e2 = np.zeros(z.size)
+        w = q.shape[1]
+        while True:
+            # to [1, 2): exact power-of-two scaling of both parts
+            _, e = np.frexp(np.abs(q[:, :w]))
+            e -= 1
+            for part in (q.real[:, :w], q.imag[:, :w]):
+                np.ldexp(part, -e, out=part)
+            e2 += e.sum(axis=1)
+            if w == 1:
+                return q[:, 0], e2
+            h = w // 2  # with w odd, the middle product waits a level
+            q[:, :h] *= q[:, w - h:w]
+            w -= h
 
     # -- bulk real-axis path ---------------------------------------------
 
@@ -247,11 +293,11 @@ class ProductCore:
             return
         self.fast_ok = True
         self.K = K
-        self.delta = delta
         self.regular = regular
         self.special_offs = np.flatnonzero(~regular)
-        self._nonzero_sorted = np.sort(self._lam.real)
-        self._n_neg_inv = int(np.count_nonzero(self._lam.real < 0))
+        if self.real:  # for sign_real, whose bulk path needs a real window
+            self._nonzero_sorted = np.sort(self.pos.real[~self.zero_mask])
+            self._n_neg_inv = int(np.count_nonzero(self.pos.real < 0))
         self._moment_cache = None
 
     def _conv_moments(self, n_min, n_max):
@@ -278,11 +324,12 @@ class ProductCore:
             khat[P] = rfft(kern, L)
             kern = kern * inv
         dhat = {}
+        delta = self._kernel_pos - self.seq.indices
         # m and u are real, so only Re(delta^j) enters log|m + u - delta|
-        data = self.regular.astype(self.delta.dtype)
+        data = self.regular.astype(delta.dtype)
         for j in range(_J_DELTA + 1):
             if j:
-                data = data * self.delta
+                data = data * delta
             if np.any(data.real):
                 dhat[j] = rfft(data.real, L)
         m0_hat = np.zeros(L // 2 + 1, dtype=np.complex128)

@@ -277,6 +277,30 @@ class TestProductOracle:
                                for p, k in zip(pts, exc)])
             assert np.max(np.abs(got - expect) / np.abs(expect)) < 1e-12
 
+    @pytest.mark.parametrize("n_nonzero", [1, 64, 65])
+    def test_chunk_edges_match_mpmath(self, n_nonzero, rng):
+        # 1 node pads a whole chunk, 64 fill it exactly, 65 spill one node
+        # into a second chunk padded with 63 cells; the zero node rides
+        # along on the first two
+        if n_nonzero == 65:
+            k = np.arange(65)
+            pos = k + 0.5 + 0.2 * np.sin(k) + 0.05j * np.cos(k)
+        else:
+            k = np.arange(-(n_nonzero // 2), n_nonzero - n_nonzero // 2 + 1)
+            pos = k + 0.2 * np.sin(k) + 0.05j * np.sin(2 * k)
+        core = ProductCore(NodeSequence(k, pos), None)
+        assert np.count_nonzero(pos) == n_nonzero
+        z = (rng.uniform(pos.real.min() - 1, pos.real.max() + 1, 12)
+             + 1j * rng.uniform(-2.0, 2.0, 12))
+        exclude = rng.integers(0, pos.size, z.size)
+        exclude[::3] = -1
+        at_node = np.arange(pos.size)
+        for pts, exc in [(z, exclude), (pos, at_node)]:
+            got = core.eval_points(pts, exclude=exc)
+            expect = np.array([_mp_divided(pos, p, k)
+                               for p, k in zip(pts, exc)])
+            assert np.max(np.abs(got - expect) / np.abs(expect)) < 1e-12
+
     def test_bulk_logabs_on_complex_window(self, rng):
         # Im lambda enters the near distances, Re(delta^j) the far moments
         seq = _oracle_windows()["complex"]
@@ -322,18 +346,63 @@ class TestPointwisePath:
             core.eval_points(np.array([1e7 + 0j]))
 
     def test_point_blocks_match_one_call_per_part(self, rng):
-        # more than two blocks of points, with exclusions, equal calls on
-        # parts that each fit in one block, bit for bit
-        from pwinterp._engine import _BLOCK
-        k = np.arange(-128, 129)
+        # a batch over more than three passes, with exclusions, gives every
+        # point bit for bit the value it has when evaluated alone
+        from pwinterp._engine import _PASS_FACTORS
+        k = np.arange(-1024, 1025)
         core = ProductCore(NodeSequence(k, k + 0.1j * (-1.0) ** k), None)
-        n = 2 * _BLOCK + 3
+        n = 3 * (_PASS_FACTORS // core._lam.size) + 3
         z = rng.uniform(-30, 30, n) + 1j * rng.uniform(-2, 2, n)
-        exc = np.where(rng.random(n) < 0.1, rng.integers(0, k.size, n), -1)
-        parts = np.array_split(np.arange(n), 5)
+        exc = np.where(rng.random(n) < 0.2, rng.integers(0, k.size, n), -1)
         whole = core.eval_points(z, exc)
         assert np.array_equal(whole, np.concatenate(
-            [core.eval_points(z[i], exc[i]) for i in parts]))
+            [core.eval_points(z[i:i + 1], exc[i:i + 1]) for i in range(n)]))
+
+    def test_full_window_lattice_matches_sine(self, rng):
+        # K = 2^15: 1024 chunks; at z = x + 200i, |S| is about 1e270, so
+        # the summed exponents pass through every level of the reduction;
+        # at |x| ~ 5000 the chunks below |x| alone multiply to about
+        # e^10000, so the levels must rescale before the total comes back
+        core = _core("integer", K=1 << 15)
+        x = rng.integers(-50, 50, 30) + rng.uniform(0.1, 0.9, 30)
+        x[:2] = -5000.25, 5000.5
+        z = np.concatenate([x, x[:15] + 1j * rng.uniform(-3.0, 3.0, 15),
+                            np.linspace(-40.3, 40.7, 8) + 200j,
+                            np.linspace(-40.3, 40.7, 8) - 200j])
+        got = core.eval_points(z)
+        expect = np.sin(np.pi * z) / np.pi
+        assert np.max(np.abs(expect[-16:])) > 1e270
+        assert np.max(np.abs(got - expect) / np.abs(expect)) < 1e-10
+
+
+class TestPointwiseMemory:
+    """Working memory of ``eval_points`` and the per-core arrays stay
+    bounded; numpy reports its buffers to ``tracemalloc``."""
+
+    @pytest.fixture(scope="class")
+    def core(self):
+        k = np.arange(-4096, 4097)
+        seq = NodeSequence(k, k + 0.1j * (-1.0) ** k)
+        return ProductCore(seq, build_tail(seq))
+
+    def test_eval_points_peak(self, core, rng):
+        import tracemalloc
+        z = rng.uniform(-500, 500, 20_000) + 1j * rng.uniform(-1, 1, 20_000)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            core.eval_points(z)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 << 20
+
+    def test_core_arrays(self, core):
+        seq = core.seq
+        own = [a for a in vars(core).values() if isinstance(a, np.ndarray)
+               and not np.shares_memory(a, seq.positions)
+               and not np.shares_memory(a, seq.indices)]
+        assert sum(a.nbytes for a in own) <= 400 << 10
 
 
 class TestGridPath:
