@@ -14,17 +14,24 @@ Two complementary kernels approximate the symmetric infinite product
   by halving, scales the chunk products to [1, 2) with their exponents
   summed apart, and multiplies them pairwise, rescaling at every level; a
   node at 0 contributes the factor z, and
-* ``logabs_real``, the bulk path: real points only, each split into a
-  directly multiplied near window plus a smooth far field, with the far
-  log-sums assembled from FFT convolutions of short Taylor moments.  The
-  near window is one row of a sliding view over the nodes; the nearest
-  node is sought among the 9 slots around floor(x), which is exact while
-  every node lies within ``MAX_SHIFT`` = 1.5 of its index (complex nodes
-  included), and the window's factors, the nearest node's left out, take
-  a single log.  Off the axis the near distances are complex moduli and
-  the far moments convolve Re(delta^j): with m and u real, only those
-  enter log|m + u - delta|.  The bulk path gives log|S| and the sign of S
-  on real windows, so off the axis it serves ``logabs`` alone.
+* ``logabs_real``, the bulk path: real points only.  A point in cell
+  n = floor(x) multiplies the nodes of its 9-slot band, |k - n| <= 4,
+  gathered from a contiguous copy of the positions; the nearest node is
+  the band's argmin, which is exact while every node lies within
+  ``MAX_SHIFT`` = 1.5 of its index (complex nodes included), and the
+  band's factors, the nearest node's left out, take a single log.  Every
+  other node enters through one Taylor polynomial per cell, of order 12
+  in u = x - (n + 1/2), evaluated by one Horner pass: the mid nodes, 4 <
+  |k - n| <= 24, are summed into it directly from their true positions
+  (|a| >= 3 for a = n + 1/2 - lambda, so each node's remainder is below
+  1e-11), and the far field, |k - n| > 24, through four orders from FFT
+  convolutions of short delta moments with the kernels log|m| and m^-P.
+  Those transforms have the alias-free length next_fast_len(cells + 2K),
+  not the full linear-convolution length.  Off the axis the band takes
+  complex moduli, the mid nodes complex a, and the far moments
+  Re(delta^j): with m and u real, only those enter log|m + u - delta|.
+  The bulk path gives log|S| and the sign of S on real windows, so off
+  the axis it serves ``logabs`` alone.
 
 Both kernels add the core's far-tail series of :mod:`pwinterp._tails`
 when it has one: the closed-form sum of the logs of the factors the window
@@ -43,7 +50,7 @@ kernel for each call: the bulk path runs when the core is ``fast_ok`` (an
 index-contiguous window with every node within 1.5 of its index), every
 point is real, the batch holds at least 256 points and, for ``value``,
 the window is real; everything else runs pointwise.  Below 256 points one
-pointwise evaluation is cheaper than a cold bulk moment set.  The rule
+pointwise evaluation is cheaper than a cold bulk cell table.  The rule
 sees only the batch it is given, so the divided-product batches of
 ``GeneratingFunction.weight`` (exact node hits) and of ``reconstruct``
 (grid points near support nodes) pick their own path by their own size.
@@ -55,23 +62,33 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import next_fast_len, rfft, irfft
 
 from ._tails import MAX_SHIFT, TailCompensation
 
-# Near/far split parameters.  With a near half-width of 24 index slots the
-# far Taylor expansion in u = x - cell_center has ratio < 0.021, so four
-# orders leave errors below 1e-8; delta expansions of the far kernels decay
-# at least as fast as (0.95/24.5)^j.
-_W_NEAR = 24
-# |delta| <= MAX_SHIFT keeps the nearest node within this many slots of
-# floor(x)
+# Bulk kernel split, in index slots from a point's cell n = floor(x), with
+# u = x - (n + 1/2) in [-1/2, 1/2):
+# * the band, |k - n| <= _BAND, is multiplied directly: |delta| <= MAX_SHIFT
+#   keeps the nearest node there;
+# * the mid field, _BAND < |k - n| <= _W_NEAR, enters the cell's Taylor
+#   polynomial in u of order _T_ORD from the true positions: |a| >= 3 for
+#   a = n + 1/2 - lambda, so the ratio is at most 1/6 and the remainder,
+#   rho^13/(13 (1 - rho)), stays below 1e-11 per node;
+# * the far field, |k - n| > _W_NEAR, enters the same polynomial through
+#   _S_ORD orders of FFT moments: the ratio is below 0.5/23.55 = 0.022, so
+#   the remainder summed over one side stays below 6e-9 (the sides' odd
+#   orders cancel in the window's interior), and the delta expansions
+#   decay at least as fast as (0.95/24.5)^j.
 _BAND = 4
-_BLOCK = 1 << 14  # points per pass of the bulk kernel
-_NEAR_ROWS = 2048  # points per near-window array (49 rows of them)
-_J_DELTA = 8
+_W_NEAR = 24
+_T_ORD = 12
 _S_ORD = 4
+_J_DELTA = 8
+_BAND_SLOTS = np.arange(-_BAND, _BAND + 1)[:, None]
+# (-1)^(s+1)/s: log(1 + t) = sum_s _SERIES_COEF[s] t^s
+_SERIES_COEF = np.array([0.0] + [(-1.0) ** (s + 1) / s
+                                 for s in range(1, _T_ORD + 1)])
+_BLOCK = 1 << 14  # points per pass of the bulk kernel
 _SPECIAL_DELTA = 0.95
 _CHUNK = 64  # nodes per chunk of the pointwise product
 _PASS_FACTORS = 1 << 18  # complex factors per pointwise pass: 4 MiB
@@ -283,8 +300,10 @@ class ProductCore:
         if not seq.index_contiguous:
             return
         K = seq.half_width
-        # the kernels subtract points from these: complex only off the axis
-        self._kernel_pos = self.pos.real if self.real else self.pos
+        # the kernels subtract points from these: complex only off the axis,
+        # and contiguous, since every point gathers its band from them
+        self._kernel_pos = (np.ascontiguousarray(self.pos.real) if self.real
+                            else self.pos)
         delta = self._kernel_pos - seq.indices
         if np.max(np.abs(delta)) > MAX_SHIFT:
             return
@@ -298,76 +317,121 @@ class ProductCore:
         if self.real:  # for sign_real, whose bulk path needs a real window
             self._nonzero_sorted = np.sort(self.pos.real[~self.zero_mask])
             self._n_neg_inv = int(np.count_nonzero(self.pos.real < 0))
-        self._moment_cache = None
+        self._table_cache = None
 
-    def _conv_moments(self, n_min, n_max):
-        cached = self._moment_cache
+    def _cell_table(self, n_min, n_max):
+        """C[s, n - n_min] for cells n_min..n_max: the coefficient of u^s,
+        u = x - (n + 1/2), in the sum of log|x - lambda_k| over the nodes
+        more than ``_BAND`` slots from n (the far field's special nodes
+        aside).  One entry is cached, keyed by the cell range."""
+        cached = self._table_cache
         if cached is not None and cached[0] == (n_min, n_max):
             return cached[1]
+        table = np.zeros((_T_ORD + 1, n_max - n_min + 1))
+        self._far_moments(n_min, n_max, table[:_S_ORD + 1])
+        # the mid nodes, taken at their true positions: with
+        # a = n + 1/2 - lambda, log|a + u| = log|a| - sum_s Re((-u/a)^s)/s
+        centre = np.arange(n_min, n_max + 1) + 0.5
+        mid = np.zeros_like(table)  # sum over the mid nodes of Re(a^-s)
+        first = n_min + self.K  # array offset of node n_min
+        for j in range(_BAND + 1, _W_NEAR + 1):
+            for k0 in (first + j, first - j):
+                a = centre - self._kernel_pos[k0:k0 + centre.size]
+                mid[0] += np.log(np.abs(a))
+                inv = 1.0 / a
+                p = inv.copy()
+                for s in range(1, _T_ORD + 1):
+                    mid[s] += p.real
+                    p *= inv
+        mid[1:] *= _SERIES_COEF[1:, None]
+        table += mid
+        self._table_cache = ((n_min, n_max), table)
+        return table
+
+    def _far_moments(self, n_min, n_max, rows):
+        """Rows 0.._S_ORD of the cell table: the far field (nodes more than
+        ``_W_NEAR`` slots away with |delta| <= 0.95) from FFT convolutions
+        of the moments Re(delta^j) with the kernels log|m| and m^-P,
+        m = n - k + 1/2.
+
+        The kernel spans No = cells + 2K offsets and the data 2K + 1 <= No
+        nodes, so the cyclic convolution of length L >= No differs from the
+        linear one at output i by y[i - L] and y[i + L], both outside the
+        linear support for the outputs read back.  Each kernel's transform
+        is formed once, used for every term it feeds and dropped.
+        """
         K = self.K
-        Nd = 2 * K + 1
         o_min, o_max = n_min - K, n_max + K
-        No = o_max - o_min + 1
-        L = next_fast_len(Nd + No - 1, real=True)
-        o = np.arange(o_min, o_max + 1, dtype=np.float64)
-        far = np.abs(o) > _W_NEAR
-        m = o + 0.5
-        max_p = _S_ORD + _J_DELTA
-        khat = {}
-        with np.errstate(divide="ignore"):
-            logk = np.where(far, np.log(np.abs(m)), 0.0)
-        khat["log"] = rfft(logk, L)
-        # powers as running products: an array ** float runs pow() per entry
-        inv = np.where(far, 1.0 / m, 0.0)
-        kern = inv
-        for P in range(1, max_p + 1):
-            khat[P] = rfft(kern, L)
-            kern = kern * inv
-        dhat = {}
+        L = next_fast_len(o_max - o_min + 1, real=True)
         delta = self._kernel_pos - self.seq.indices
         # m and u are real, so only Re(delta^j) enters log|m + u - delta|
+        dhat = []
         data = self.regular.astype(delta.dtype)
         for j in range(_J_DELTA + 1):
             if j:
                 data = data * delta
-            if np.any(data.real):
-                dhat[j] = rfft(data.real, L)
-        m0_hat = np.zeros(L // 2 + 1, dtype=np.complex128)
-        t_hat = [np.zeros(L // 2 + 1, dtype=np.complex128)
-                 for _ in range(_S_ORD + 1)]
-        for j, dj in dhat.items():
-            if j == 0:
-                m0_hat += dj * khat["log"]
-            else:
-                m0_hat -= dj * khat[j] / j
-            for s in range(1, _S_ORD + 1):
-                t_hat[s] += math.comb(s + j - 1, j) * dj * khat[s + j]
+            dhat.append(rfft(data.real, L) if np.any(data.real) else None)
+        del data, delta
+        o = np.arange(o_min, o_max + 1, dtype=np.float64)
+        far = np.abs(o) > _W_NEAR
+        m = o + 0.5
+        with np.errstate(divide="ignore"):
+            kern = np.where(far, np.log(np.abs(m)), 0.0)
+        inv = np.where(far, 1.0 / m, 0.0)
+        del o, far, m
+        acc = np.zeros((_S_ORD + 1, L // 2 + 1), dtype=np.complex128)
+        scratch = np.empty(L // 2 + 1, dtype=np.complex128)
+        for P in range(_S_ORD + _J_DELTA + 1):
+            if P == 1:
+                kern = inv.copy()
+            elif P > 1:
+                kern *= inv
+            khat = rfft(kern, L)
+            # log|m - delta + u| = log|m| - sum_j Re(delta^j) m^-j / j
+            #   - sum_s (-u)^s/s sum_j C(s+j-1, j) Re(delta^j) m^-(s+j)
+            for s in range(min(P, _S_ORD) + 1):
+                j = P - s
+                if j > _J_DELTA or dhat[j] is None:
+                    continue
+                coef = (1.0 if P == 0 else -1.0 / j if s == 0
+                        else _SERIES_COEF[s] * math.comb(s + j - 1, j))
+                np.multiply(dhat[j], khat, out=scratch)
+                scratch *= coef
+                acc[s] += scratch
         lo = 2 * K
-        hi = lo + (n_max - n_min) + 1
-        M0 = irfft(m0_hat, L)[lo:hi]
-        Ts = [None] + [irfft(t_hat[s], L)[lo:hi] for s in range(1, _S_ORD + 1)]
-        moments = (M0, Ts)
-        self._moment_cache = ((n_min, n_max), moments)
-        return moments
+        for s in range(_S_ORD + 1):
+            rows[s] = irfft(acc[s], L)[lo:lo + rows.shape[1]]
 
     def logabs_real(self, x, exclude=None):
         """log|product|, dist(x, Lambda) and nearest offset on real points.
 
-        ``x`` may come in any order.  ``exclude`` (one offset per point, -1
-        for none) gives log|S(x)/(x - lambda_k)| for that node k instead;
-        excluded nodes must lie in the near window of their point.  Points
-        run in blocks of ``_BLOCK``, so every pass over them stays in cache.
+        ``x`` may come in any order.  A point in cell n = floor(x) takes
+        the nodes of its 9-slot band, |k - n| <= ``_BAND``, directly:
+        since |delta| <= 1.5, any other node lies strictly farther than
+        node n, so the nearest node is the band's ``argmin`` (ties to the
+        lower offset, as in a full scan).  The band's factors, the nearest
+        node's or the excluded node's left out, take one log.  Every other
+        node enters through the cell's Taylor polynomial in u = x - (n +
+        1/2) of order ``_T_ORD`` (see ``_cell_table``), one Horner pass;
+        special nodes past ``_W_NEAR`` slots are added directly.
+
+        ``exclude`` (one offset per point, -1 for none) gives log|S(x)/(x
+        - lambda_k)| for that node k instead: dropped from the band, or
+        its log subtracted when it lies in the mid field; it must lie
+        within ``_W_NEAR`` slots of its point's cell.  Points run in blocks
+        of ``_BLOCK``, so every pass over them stays in cache.
         """
         x = np.asarray(x, dtype=np.float64)
         K = self.K
-        n = np.floor(x).astype(np.int64)
-        n_base, n_top = int(n.min()), int(n.max())
-        if n_base - _W_NEAR < -K or n_top + _W_NEAR > K:
+        lo, hi = x.min(), x.max()
+        # floor(lo) - _W_NEAR >= -K and floor(hi) + _W_NEAR <= K, NaN failing
+        if not (lo >= _W_NEAR - K and hi < K + 1 - _W_NEAR):
             raise ValueError(
                 "evaluation points too close to the window edge; "
                 "enlarge the node window"
             )
-        moments = self._conv_moments(n_base, n_top)
+        n_base = math.floor(lo)
+        table = self._cell_table(n_base, math.floor(hi))
         if exclude is not None:
             exclude = np.asarray(exclude, dtype=np.int64)
         L_out = np.empty(x.size)
@@ -375,86 +439,66 @@ class ProductCore:
         nearest = np.empty(x.size, dtype=np.int64)
         for c0 in range(0, x.size, _BLOCK):
             b = slice(c0, c0 + _BLOCK)
-            L = self._near_logs(x[b], n[b],
-                                None if exclude is None else exclude[b],
-                                dist[b], nearest[b])
-            L += self._far_logs(x[b], n[b], n[b] - n_base, *moments)
+            L = self._block_logs(x[b], None if exclude is None else exclude[b],
+                                 table, n_base, dist[b], nearest[b])
             L -= self.total_lognorm
             if self.tail is not None:
                 L += self.tail.log_tail(x[b])
             L_out[b] = L
         return L_out, dist, nearest
 
-    def _near_logs(self, x, n, exclude, dist, nearest):
-        """Near-window part of ``logabs_real``: log|prod (x - lambda)| over
-        the 2 _W_NEAR + 1 nodes around floor(x); fills ``dist`` and
-        ``nearest``.
-
-        Each point reads its nodes as one row of a sliding view over the
-        positions.  Since |delta| <= 1.5, a node more than ``_BAND`` slots
-        from floor(x) lies strictly farther than node floor(x) itself, so
-        the nearest node is sought in that band alone (ties go to the lower
-        offset, as in a full scan).  The window's factors are multiplied
-        with one left out, the excluded node's or else the nearest node's,
-        and take one log; log(dist) is then added back at points without
-        an exclusion.
-        """
-        offset = n + (self.K - _W_NEAR)  # array offset of each window start
-        windows = sliding_window_view(self._kernel_pos, 2 * _W_NEAR + 1)
-        band = slice(_W_NEAR - _BAND, _W_NEAR + _BAND + 1)
-        hit = None
-        if exclude is not None:
-            hit = exclude >= 0
-            col = exclude - offset
-            if np.any(hit & ((col < 0) | (col > 2 * _W_NEAR))):
-                raise ValueError("excluded node outside near window")
-        near = np.empty(x.size)
-        # window slot by point: whole-row passes run along the points
-        absd = np.empty((2 * _W_NEAR + 1, min(x.size, _NEAR_ROWS)))
+    def _block_logs(self, x, exclude, table, n_base, dist, nearest):
+        """One block of ``logabs_real`` before the normalization and the
+        tail; fills ``dist`` and ``nearest``."""
+        fn = np.floor(x)
+        u = x - (fn + 0.5)
+        at = fn.astype(np.int64) + self.K  # array offset of node floor(x)
+        # band slot by point: whole-row passes run along the points
+        d = np.take(self._kernel_pos, at + _BAND_SLOTS)
+        np.subtract(d, x, out=d)
         # off the axis the differences are complex, and np.abs takes the
         # same complex modulus as nearest_nodes
-        diff = absd if self.real else np.empty(absd.shape, np.complex128)
-        for c0 in range(0, x.size, _NEAR_ROWS):
-            c1 = min(c0 + _NEAR_ROWS, x.size)
-            pts = np.arange(c1 - c0)
-            d = absd[:, :c1 - c0]
-            np.subtract(windows[offset[c0:c1]].T, x[c0:c1],
-                        out=diff[:, :c1 - c0])
-            np.abs(diff[:, :c1 - c0], out=d)
-            imin = np.argmin(d[band], axis=0) + band.start
-            dist[c0:c1] = d[imin, pts]
-            nearest[c0:c1] = offset[c0:c1] + imin
-            drop = imin if hit is None else np.where(hit[c0:c1],
-                                                     col[c0:c1], imin)
-            d[drop, pts] = 1.0
-            near[c0:c1] = np.prod(d, axis=0)
+        d = np.abs(d, out=d if self.real else None)
+        # the band's argmin, ties to the lower slot, one row at a time
+        imin = np.zeros(x.size, dtype=np.int64)
+        closer = np.empty(x.size, dtype=bool)
+        dist[:] = d[0]
+        for j in range(1, 2 * _BAND + 1):
+            np.less(d[j], dist, out=closer)
+            imin[closer] = j
+            np.minimum(dist, d[j], out=dist)
+        nearest[:] = at + (imin - _BAND)
         with np.errstate(divide="ignore"):
             # a point exactly on a node yields -inf: the true log zero
-            np.log(near, out=near)
-            logd = np.log(dist)
-        near += logd if hit is None else np.where(hit, 0.0, logd)
-        return near
-
-    def _far_logs(self, x, n, cell, M0, Ts):
-        """Far-field part of ``logabs_real``: the FFT moments' Taylor series
-        in x - (floor(x) + 1/2), plus the special nodes beyond the window."""
-        u = x - (n + 0.5)
-        lf = M0[cell]
-        upow = u.copy()
-        term = np.empty_like(u)
-        for s in range(1, _S_ORD + 1):
-            sign = 1.0 if s % 2 == 1 else -1.0
-            np.multiply(upow, sign / s, out=term)
-            term *= Ts[s][cell]
-            lf += term
-            upow *= u
+            add = np.log(dist)
+        drop = imin
+        if exclude is not None:
+            hit = exclude >= 0
+            slot = exclude - at
+            if np.any(hit & (np.abs(slot) > _W_NEAR)):
+                raise ValueError("excluded node outside near window")
+            in_band = hit & (np.abs(slot) <= _BAND)
+            drop = np.where(in_band, slot + _BAND, imin)
+            add[in_band] = 0.0
+            mid = np.flatnonzero(hit & ~in_band)
+            add[mid] -= np.log(np.abs(x[mid]
+                                      - self._kernel_pos[exclude[mid]]))
+        d[drop, np.arange(x.size)] = 1.0
+        L = np.prod(d, axis=0)
+        with np.errstate(divide="ignore"):
+            np.log(L, out=L)
+        L += add
+        cell = at - (n_base + self.K)
+        acc = table[_T_ORD].take(cell)
+        for s in range(_T_ORD - 1, -1, -1):
+            acc *= u
+            acc += table[s].take(cell)
+        L += acc
         for so in self.special_offs:
-            k_s = int(self.seq.indices[so])
-            far_mask = np.abs(k_s - n) > _W_NEAR
-            if np.any(far_mask):
-                lf[far_mask] += np.log(np.abs(x[far_mask]
-                                              - self._kernel_pos[so]))
-        return lf
+            far = np.abs(so - at) > _W_NEAR
+            if np.any(far):
+                L[far] += np.log(np.abs(x[far] - self._kernel_pos[so]))
+        return L
 
     def sign_real(self, x, exclude=None):
         """Sign of the (real) product at real points off the zero set; at a

@@ -405,6 +405,63 @@ class TestPointwiseMemory:
         assert sum(a.nbytes for a in own) <= 400 << 10
 
 
+class TestBulkMemory:
+    """Working memory of the bulk kernel's first call and what a core keeps
+    between calls; numpy reports its buffers to ``tracemalloc``."""
+
+    def test_first_call_peak(self):
+        # the genfn-dump grid: 800,001 points over 8001 cells at K = 2^15
+        import tracemalloc
+        seq = make_family(FamilySpec("signed", 0.2), 1 << 15)
+        core = ProductCore(seq, build_tail(seq))
+        x = GridSpec.parse("-4000:4000:0.01").points()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            core.logabs_real(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 36 << 20
+
+    def test_cache_after_call(self):
+        # the reconstruct grid: 32,001 points over 321 cells at K = 2^15
+        import gc
+        import tracemalloc
+        seq = integer_lattice(1 << 15)
+        core = ProductCore(seq, build_tail(seq))
+        x = GridSpec(-160.0, 160.0, 0.01).points()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = core.logabs_real(x)
+            del out
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held <= 1 << 20
+
+
+def _bulk_oracle_windows(rng):
+    """Four K = 256 windows for the bulk kernel, with the offsets of their
+    nodes at |delta| >= 1.4."""
+    K = 256
+    k = np.arange(-K, K + 1)
+    small = rng.uniform(-0.45, 0.45, k.size)
+    wide = np.arange(20, k.size - 20, 24)  # 20 nodes; 64 are allowed
+    one_five = small.copy()
+    one_five[wide] = np.where(np.arange(wide.size) % 2, 1.5, -1.5)
+    offaxis = 0.3 * small + 0.1j * (-1.0) ** k
+    offaxis_wide = offaxis.copy()
+    offaxis_wide[wide] = np.where(np.arange(wide.size) % 2, 1.4j, -1.4j)
+    none = np.array([], dtype=np.int64)
+    return {"real": (NodeSequence(k, k + small), none),
+            "real 1.5": (NodeSequence(k, k + one_five), wide),
+            "complex": (NodeSequence(k, k + offaxis), none),
+            "complex 1.4i": (NodeSequence(k, k + offaxis_wide), wide)}
+
+
 class TestGridPath:
     @pytest.mark.parametrize("kind,d", [("integer", 0.0),
                                         ("signed", 0.25),
@@ -421,6 +478,39 @@ class TestGridPath:
         sg = core.sign_real(xs)
         assert np.max(np.abs(sg * np.exp(L) - vals.real)) < 1e-6 * np.max(
             np.abs(vals))
+
+    @pytest.mark.parametrize("name", ["real", "real 1.5", "complex",
+                                      "complex 1.4i"])
+    def test_matches_fsum_of_logs(self, name, rng):
+        # log|S| of the bare window against an exactly rounded sum of the
+        # logs, with and without an excluded node within 24 slots; the
+        # cell-edge points u -> +-1/2 put a node at 1.5 off its index in
+        # slot +-5, where the mid-field series converges slowest.  The
+        # points keep 56 slots from the window edge: nearer, the far field
+        # is one-sided and its first omitted order (u^5, the same before
+        # and after the per-cell table) reaches 3e-9
+        import math
+        seq, wide = _bulk_oracle_windows(rng)[name]
+        core = ProductCore(seq, None)
+        assert core.fast_ok and np.count_nonzero(~core.regular) == wide.size
+        pos = seq.positions
+        cells = (seq.indices[wide][:, None] + np.array([-5, 5])).ravel()
+        x = np.concatenate([rng.uniform(-200.0, 200.0, 2000), cells,
+                            np.nextafter(cells + 1.0, cells)])
+        x = x[np.abs(x) < 200.0]
+        at = np.floor(x).astype(np.int64) + seq.half_width
+        exclude = np.where(rng.random(x.size) < 0.5,
+                           at + rng.integers(-24, 25, x.size), -1)
+        norm = np.log(np.abs(pos[pos != 0])).tolist()
+        for exc in (None, exclude):
+            L, _, _ = core.logabs_real(x, exc)
+            expect = []
+            for i, xx in enumerate(x):
+                logs = np.log(np.abs(xx - pos))
+                if exc is not None and exc[i] >= 0:
+                    logs = np.delete(logs, exc[i])
+                expect.append(math.fsum(logs.tolist() + [-v for v in norm]))
+            assert np.max(np.abs(L - expect)) < 2e-9
 
     def test_nearest_and_dist(self, rng):
         core = _core("random", 0.4, K=256, seed=4)
