@@ -79,6 +79,20 @@ def _parse_grid(text: str) -> GridSpec:
     return grid
 
 
+def _grid_in_trust_radius(x: np.ndarray, gf) -> None:
+    """Refuse grid points past the far-tail series' trust radius.
+
+    Called after the evaluation and before any output is written, so that
+    a product too large to represent stays a data error.
+    """
+    reach = float(np.max(np.abs(x)))
+    if reach > gf.trust_radius:
+        raise TrustRadiusError(
+            f"--grid reaches |x| = {reach:g}, past the trust radius "
+            f"(K+1)/4 = {gf.trust_radius:g} of the far-tail series; "
+            "narrow the grid or enlarge the window")
+
+
 def _parse_family(text: str) -> _nodes.FamilySpec:
     """Family spec grammar: kind[:d[:key=value ...]], e.g. signed:0.25."""
     parts = text.split(":")
@@ -186,6 +200,7 @@ def _cmd_genfn(args) -> int:
     x = grid.points()
     S = gf.value(x)
     F = gf.weight(x)
+    _grid_in_trust_radius(x, gf)
     _write_csv(args.output, ["x", "re_S", "im_S", "F"],
                [x, S.real, S.imag, F])
     return EXIT_PASS
@@ -243,6 +258,7 @@ def _cmd_interp(args) -> int:
     gf = build_generating_function(seq)
     samples = load_samples(args.samples)
     rec = reconstruct(gf, samples, grid)
+    _grid_in_trust_radius(rec.grid, gf)
     _write_csv(args.output, ["x", "re_f", "im_f"],
                [rec.grid, rec.values.real, rec.values.imag])
     return EXIT_PASS

@@ -129,6 +129,35 @@ class TestGenfnCommand:
         assert err.count("\n") == 1 and "--grid 0:1e15:1e-6" in err
 
 
+@pytest.mark.parametrize("command", ["genfn", "interp"])
+class TestGridTrustRadius:
+    """The K = 128 lattice's tail holds for |x| <= (K+1)/4 = 32.25; past
+    it |S| / |sin(pi x)/pi| jumps from 1 to about 3.6e3."""
+
+    def _run(self, command, grid, tmp_path):
+        extra = []
+        if command == "interp":
+            samples = tmp_path / "s.csv"
+            samples.write_text("k,re_a,im_a\n3,1.0,0.0\n")
+            extra = ["--samples", str(samples)]
+        return run_cli([command, "--family", "integer", "--K", "128",
+                        "--grid", grid, *extra,
+                        "-o", str(tmp_path / "g.csv")])
+
+    def test_past_radius_is_usage_error(self, command, tmp_path, capsys):
+        code = self._run(command, "-50:50:0.5", tmp_path)
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "trust radius (K+1)/4 = 32.25" in err
+        assert not (tmp_path / "g.csv").exists()
+
+    def test_inside_radius_succeeds(self, command, tmp_path):
+        code = self._run(command, "-30:30:0.5", tmp_path)
+        assert code == 0
+        assert len((tmp_path / "g.csv").read_text().splitlines()) == 122
+
+
 class TestCheckCommand:
     def test_lattice_passes_exit_zero(self, tmp_path):
         out = tmp_path / "report.json"

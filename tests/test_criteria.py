@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -73,6 +74,43 @@ class TestCarleson:
         seq = NodeSequence([0, 1], [1 + 0j, 1 + 0j])
         with pytest.raises(ValueError):
             carleson_sum(seq)
+
+    @pytest.mark.parametrize("x_row", [1.05, 2.01])
+    def test_far_series_on_a_dominant_block(self, x_row):
+        # one block of 256 nodes with c = 0 and h = 1/2, 96 and 160 of them
+        # at its two ends, carries nearly all of the probed row at x_row:
+        # at 1.05 it is near (|w| < 4h), at 2.01 far with every node at
+        # |t/w| = 0.249, where the series' terms past order 24 add about
+        # 5e-15 and those past 30 below 1e-17; two wide blocks of nodes 1e4
+        # apart fill the rest
+        edge = 0.5 - 1e-4 * np.arange(160)
+        dense = np.concatenate([-edge[:96], edge])
+        sparse = np.concatenate([-10.0 - 1e4 * np.arange(1, 257), [x_row],
+                                 10.0 + 1e4 * np.arange(1, 256)])
+        # the dense block on the outer indices, the row at index 0
+        k = np.concatenate([np.arange(-384, -256), np.arange(256, 384),
+                            np.arange(-256, 256)])
+        x = np.concatenate([dense, sparse])
+        seq = NodeSequence(k, x)
+        exact = math.fsum(1.0 / (x_row - x[x != x_row]) ** 2)
+        res = carleson_sum(seq)
+        assert res.argmax_index == 0
+        assert abs(res.sup - exact) <= 2e-15 * exact
+
+    def test_peak_memory_does_not_grow_with_probes(self):
+        # 8195 probed rows of a K = 2^15 real window: one pass over every
+        # (row, block) pair would take about 70 MiB, the near field of all
+        # rows at once about 35 MiB; numpy reports its buffers to tracemalloc
+        import tracemalloc
+        seq = make_family(FamilySpec("random", 0.35, seed=7), 1 << 15)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            carleson_sum(seq, max_probes=8192)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 << 20
 
 
 class TestDiscreteAp:

@@ -1,8 +1,8 @@
 """Property tests (hypothesis) for invariants that hold on every input:
-Carleson sums under translation, agreement of the two product kernels on
-the weight, conjugate symmetry and exact zeros of the product, the
-separation scan and the nearest-node search against all pairs, and the
-node CSV round trip."""
+Carleson sums under translation and against all pairs, agreement of the
+two product kernels on the weight, conjugate symmetry and exact zeros of
+the product, the separation scan and the nearest-node search against all
+pairs, and the node CSV round trip."""
 import os
 import tempfile
 
@@ -44,6 +44,61 @@ def test_carleson_sum_translation_invariant(seq, shift, eta):
     base = carleson_sum(NodeSequence(seq.indices, pos))
     moved = carleson_sum(NodeSequence(seq.indices, pos + shift))
     assert abs(moved.sup - base.sup) <= 1e-12 * base.sup
+
+
+@st.composite
+def real_windows(draw):
+    """Real windows of 3 to 4096 nodes with jittered spacing: index-
+    contiguous, with gaps and shuffled indices, two clusters at least 1000
+    apart, or fewer nodes than one Carleson block."""
+    shape = draw(st.sampled_from(["contiguous", "scattered", "clusters",
+                                  "small"]))
+    rng = np.random.default_rng(draw(st.integers(0, 1 << 32)))
+    if shape == "small":
+        n = draw(st.integers(2, 255))
+    else:
+        # up to 15 full blocks, so most blocks are far from most rows
+        n = 256 * draw(st.integers(1, 15)) + draw(st.integers(0, 255))
+    if shape in ("contiguous", "small"):
+        K = n // 2
+        k = np.arange(-K, K + 1)
+        return NodeSequence(k, k + rng.uniform(-0.45, 0.45, k.size))
+    pos = np.cumsum(rng.uniform(0.3, 2.0, n))
+    if shape == "clusters":
+        cut = draw(st.integers(1, n - 1))
+        pos[cut:] += draw(st.floats(1000.0, 1e5))
+    # indices with gaps, in an order unrelated to the positions
+    k = rng.choice(4 * n, n, replace=False) - 2 * n
+    return NodeSequence(k, pos)
+
+
+def _carleson_rows(n, max_probes):
+    """The rows ``carleson_sum`` probes: the inner half of the window,
+    subsampled past ``max_probes`` with both ends and the centre kept."""
+    inner = np.arange(n // 4, n - n // 4)
+    if inner.size <= max_probes:
+        return inner
+    return np.unique(np.concatenate([
+        inner[:: max(1, inner.size // max_probes)],
+        [inner[0], inner[inner.size // 2], inner[-1]]]))
+
+
+@_SETTINGS
+@given(seq=real_windows(), max_probes=st.sampled_from([16, 512, 10_000]))
+def test_carleson_sum_real_is_all_pairs(seq, max_probes):
+    # far blocks through their moments, near blocks directly, against
+    # every pair over the same rows
+    xi = seq.positions.real
+    rows = _carleson_rows(xi.size, max_probes)
+    sums = np.empty(rows.size)
+    for c0 in range(0, rows.size, 256):
+        r = rows[c0:c0 + 256]
+        d2 = (xi[r, None] - xi[None, :]) ** 2
+        d2[np.arange(r.size), r] = np.inf
+        sums[c0:c0 + 256] = np.sum(1.0 / d2, axis=1)
+    res = carleson_sum(seq, max_probes=max_probes)
+    assert abs(res.sup - sums.max()) <= 1e-13 * sums.max()
+    assert res.argmax_index == seq.indices[rows[np.argmax(sums)]]
 
 
 @_SETTINGS
