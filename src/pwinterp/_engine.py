@@ -24,14 +24,14 @@ Two complementary kernels approximate the symmetric infinite product
   in u = x - (n + 1/2), evaluated by one Horner pass: the mid nodes, 4 <
   |k - n| <= 24, are summed into it directly from their true positions
   (|a| >= 3 for a = n + 1/2 - lambda, so each node's remainder is below
-  1e-11), and the far field, |k - n| > 24, through four orders from FFT
-  convolutions of short delta moments with the kernels log|m| and m^-P.
-  Those transforms have the alias-free length next_fast_len(cells + 2K),
-  not the full linear-convolution length.  Off the axis the band takes
-  complex moduli, the mid nodes complex a, and the far moments
-  Re(delta^j): with m and u real, only those enter log|m + u - delta|.
-  The bulk path gives log|S| and the sign of S on real windows, so off
-  the axis it serves ``logabs`` alone.
+  1e-11), and the far field, every node with |k - n| > 24, through orders
+  0 to 5 from FFT convolutions of short delta moments with the kernels
+  log|m| and m^-P.  Those transforms have the alias-free length
+  next_fast_len(cells + 2K), not the full linear-convolution length.  Off
+  the axis the band takes complex moduli, the mid nodes complex a, and the
+  far moments Re(delta^j): with m and u real, only those enter
+  log|m + u - delta|.  The bulk path gives log|S| and the sign of S on
+  real windows, so off the axis it serves ``logabs`` alone.
 
 Both kernels add the core's far-tail series of :mod:`pwinterp._tails`
 when it has one: the closed-form sum of the logs of the factors the window
@@ -42,20 +42,22 @@ product rather than the bare window truncation.
 Callers go through two entry points: :meth:`ProductCore.value`, the complex
 value S(z), and :meth:`ProductCore.logabs`, log|S(z)| with dist(z, Lambda)
 and the nearest node.  ``value`` takes one optional excluded node per
-point; at such a point both kernels return the divided product
-S(z)/(z - lambda_k), finite at z = lambda_k where it equals S'(lambda_k).
+point, any node of the window; there both kernels return the divided
+product S(z)/(z - lambda_k), which equals S'(lambda_k) at z = lambda_k
+(the bulk kernel drops the node from the band, or subtracts its log).
 This one primitive gives the node derivatives, the weight at a node and
 the near-node terms of the reconstruction series.  One rule picks the
-kernel for each call: the bulk path runs when the core is ``fast_ok`` (an
-index-contiguous window with every node within 1.5 of its index), every
-point is real, the batch holds at least 256 points and, for ``value``,
-the window is real; everything else runs pointwise.  Below 256 points one
-pointwise evaluation is cheaper than a cold bulk cell table.  The rule
-sees only the batch it is given, so the divided-product batches of
-``GeneratingFunction.weight`` (exact node hits) and of ``reconstruct``
-(grid points near support nodes) pick their own path by their own size.
-Off the bulk path, dist and the nearest node come from
-:func:`nearest_nodes`, a sorted search whose memory is O(points).
+kernel for each call: the bulk path runs when the core is ``fast_ok``
+(the window passes :func:`pwinterp._tails.lattice_shifts`), every point
+is real with floor(x) at least 24 slots inside [-K, K], the batch holds
+at least 256 points and, for ``value``, the window is real; everything
+else runs pointwise.  Below 256 points one pointwise evaluation is
+cheaper than a cold bulk cell table.  The rule sees only the batch it is
+given, so the divided-product batches of ``GeneratingFunction.weight``
+(exact node hits) and of ``reconstruct`` (grid points near support
+nodes) pick their own path by their own size.  Off the bulk path, dist
+and the nearest node come from :func:`nearest_nodes`, a sorted search
+whose memory is O(points).
 """
 from __future__ import annotations
 
@@ -64,7 +66,7 @@ import math
 import numpy as np
 from scipy.fft import next_fast_len, rfft, irfft
 
-from ._tails import MAX_SHIFT, TailCompensation
+from ._tails import TailCompensation, lattice_shifts
 
 # Bulk kernel split, in index slots from a point's cell n = floor(x), with
 # u = x - (n + 1/2) in [-1/2, 1/2):
@@ -74,22 +76,28 @@ from ._tails import MAX_SHIFT, TailCompensation
 #   polynomial in u of order _T_ORD from the true positions: |a| >= 3 for
 #   a = n + 1/2 - lambda, so the ratio is at most 1/6 and the remainder,
 #   rho^13/(13 (1 - rho)), stays below 1e-11 per node;
-# * the far field, |k - n| > _W_NEAR, enters the same polynomial through
-#   _S_ORD orders of FFT moments: the ratio is below 0.5/23.55 = 0.022, so
-#   the remainder summed over one side stays below 6e-9 (the sides' odd
-#   orders cancel in the window's interior), and the delta expansions
-#   decay at least as fast as (0.95/24.5)^j.
+# * the far field, |k - n| > _W_NEAR, every node whatever its delta,
+#   enters the same polynomial through orders 0.._S_ORD of FFT moments:
+#   with m = n - k + 1/2, |m| >= 24.5 and |delta| <= MAX_SHIFT = 1.5, the
+#   ratio |u/(m - delta)| is below 0.5/23 = 0.022, so the remainder from
+#   u^6 on, summed over both sides, stays below 1.9e-10, at most
+#   (1 - 1.5/24.5)^-6 = 1.46 times its u^6 terms at delta = 0.  No
+#   cancellation between the sides is assumed: a common shift moves every
+#   far node toward one side, where orders up to u^4 alone leave 3.2e-9
+#   at the cell edges of the translate k - 1.5.  The delta expansions
+#   decay at least as fast as (1.5/24)^j, so the first omitted one, j =
+#   _J_DELTA + 1, stays below 2e-12 per node and 1.3e-11 over the far
+#   field.
 _BAND = 4
 _W_NEAR = 24
 _T_ORD = 12
-_S_ORD = 4
+_S_ORD = 5
 _J_DELTA = 8
 _BAND_SLOTS = np.arange(-_BAND, _BAND + 1)[:, None]
 # (-1)^(s+1)/s: log(1 + t) = sum_s _SERIES_COEF[s] t^s
 _SERIES_COEF = np.array([0.0] + [(-1.0) ** (s + 1) / s
                                  for s in range(1, _T_ORD + 1)])
 _BLOCK = 1 << 14  # points per pass of the bulk kernel
-_SPECIAL_DELTA = 0.95
 _CHUNK = 64  # nodes per chunk of the pointwise product
 _PASS_FACTORS = 1 << 18  # complex factors per pointwise pass: 4 MiB
 _BULK_MIN_BATCH = 256
@@ -171,7 +179,8 @@ class ProductCore:
         the product's phase too, which the bulk kernel gives on real
         windows only."""
         return (self.fast_ok and (self.real or not signed)
-                and z.size >= _BULK_MIN_BATCH and not np.any(np.imag(z)))
+                and z.size >= _BULK_MIN_BATCH and not np.any(np.imag(z))
+                and self._in_bulk_span(z.real))
 
     def value(self, z, exclude=None):
         """S(z), or S(z)/(z - lambda_k) at points i with node
@@ -294,26 +303,15 @@ class ProductCore:
     # -- bulk real-axis path ---------------------------------------------
 
     def _fast_setup(self):
-        self.fast_ok = False
-        seq = self.seq
-        self.real = seq.is_real
-        if not seq.index_contiguous:
+        self.real = self.seq.is_real
+        self.fast_ok = lattice_shifts(self.seq) is not None
+        if not self.fast_ok:
             return
-        K = seq.half_width
+        self.K = self.seq.half_width
         # the kernels subtract points from these: complex only off the axis,
         # and contiguous, since every point gathers its band from them
         self._kernel_pos = (np.ascontiguousarray(self.pos.real) if self.real
                             else self.pos)
-        delta = self._kernel_pos - seq.indices
-        if np.max(np.abs(delta)) > MAX_SHIFT:
-            return
-        regular = np.abs(delta) <= _SPECIAL_DELTA
-        if np.count_nonzero(~regular) > 64:
-            return
-        self.fast_ok = True
-        self.K = K
-        self.regular = regular
-        self.special_offs = np.flatnonzero(~regular)
         if self.real:  # for sign_real, whose bulk path needs a real window
             self._nonzero_sorted = np.sort(self.pos.real[~self.zero_mask])
             self._n_neg_inv = int(np.count_nonzero(self.pos.real < 0))
@@ -322,8 +320,7 @@ class ProductCore:
     def _cell_table(self, n_min, n_max):
         """C[s, n - n_min] for cells n_min..n_max: the coefficient of u^s,
         u = x - (n + 1/2), in the sum of log|x - lambda_k| over the nodes
-        more than ``_BAND`` slots from n (the far field's special nodes
-        aside).  One entry is cached, keyed by the cell range."""
+        more than ``_BAND`` slots from n.  One entry is cached, by range."""
         cached = self._table_cache
         if cached is not None and cached[0] == (n_min, n_max):
             return cached[1]
@@ -349,10 +346,10 @@ class ProductCore:
         return table
 
     def _far_moments(self, n_min, n_max, rows):
-        """Rows 0.._S_ORD of the cell table: the far field (nodes more than
-        ``_W_NEAR`` slots away with |delta| <= 0.95) from FFT convolutions
-        of the moments Re(delta^j) with the kernels log|m| and m^-P,
-        m = n - k + 1/2.
+        """Rows 0.._S_ORD of the cell table: the far field (every node more
+        than ``_W_NEAR`` slots away) from FFT convolutions of the moments
+        Re(delta^j), taken over all nodes (ones for j = 0), with the
+        kernels log|m| and m^-P, m = n - k + 1/2.
 
         The kernel spans No = cells + 2K offsets and the data 2K + 1 <= No
         nodes, so the cyclic convolution of length L >= No differs from the
@@ -363,10 +360,14 @@ class ProductCore:
         K = self.K
         o_min, o_max = n_min - K, n_max + K
         L = next_fast_len(o_max - o_min + 1, real=True)
-        delta = self._kernel_pos - self.seq.indices
-        # m and u are real, so only Re(delta^j) enters log|m + u - delta|
+        # the gate's delta, recomputed rather than kept on the core to bound
+        # its memory; m and u are real, so only Re(delta^j) enters
+        # log|m + u - delta|
+        delta = lattice_shifts(self.seq)
+        if self.real:
+            delta = delta.real
         dhat = []
-        data = self.regular.astype(delta.dtype)
+        data = np.ones_like(delta)
         for j in range(_J_DELTA + 1):
             if j:
                 data = data * delta
@@ -412,26 +413,21 @@ class ProductCore:
         lower offset, as in a full scan).  The band's factors, the nearest
         node's or the excluded node's left out, take one log.  Every other
         node enters through the cell's Taylor polynomial in u = x - (n +
-        1/2) of order ``_T_ORD`` (see ``_cell_table``), one Horner pass;
-        special nodes past ``_W_NEAR`` slots are added directly.
+        1/2) of order ``_T_ORD`` (see ``_cell_table``), one Horner pass.
 
         ``exclude`` (one offset per point, -1 for none) gives log|S(x)/(x
-        - lambda_k)| for that node k instead: dropped from the band, or
-        its log subtracted when it lies in the mid field; it must lie
-        within ``_W_NEAR`` slots of its point's cell.  Points run in blocks
-        of ``_BLOCK``, so every pass over them stays in cache.
+        - lambda_k)| for that node k instead, at any slot: dropped from the
+        band when it lies there, its log subtracted otherwise.  Points run
+        in blocks of ``_BLOCK``, so every pass over them stays in cache.
         """
         x = np.asarray(x, dtype=np.float64)
-        K = self.K
-        lo, hi = x.min(), x.max()
-        # floor(lo) - _W_NEAR >= -K and floor(hi) + _W_NEAR <= K, NaN failing
-        if not (lo >= _W_NEAR - K and hi < K + 1 - _W_NEAR):
+        if not self._in_bulk_span(x):
             raise ValueError(
                 "evaluation points too close to the window edge; "
                 "enlarge the node window"
             )
-        n_base = math.floor(lo)
-        table = self._cell_table(n_base, math.floor(hi))
+        n_base = math.floor(x.min())
+        table = self._cell_table(n_base, math.floor(x.max()))
         if exclude is not None:
             exclude = np.asarray(exclude, dtype=np.int64)
         L_out = np.empty(x.size)
@@ -446,6 +442,11 @@ class ProductCore:
                 L += self.tail.log_tail(x[b])
             L_out[b] = L
         return L_out, dist, nearest
+
+    def _in_bulk_span(self, x) -> bool:
+        """floor(x) -+ ``_W_NEAR`` in [-K, K] at every point, NaN failing."""
+        return bool(x.min() >= _W_NEAR - self.K
+                    and x.max() < self.K + 1 - _W_NEAR)
 
     def _block_logs(self, x, exclude, table, n_base, dist, nearest):
         """One block of ``logabs_real`` before the normalization and the
@@ -475,14 +476,12 @@ class ProductCore:
         if exclude is not None:
             hit = exclude >= 0
             slot = exclude - at
-            if np.any(hit & (np.abs(slot) > _W_NEAR)):
-                raise ValueError("excluded node outside near window")
             in_band = hit & (np.abs(slot) <= _BAND)
             drop = np.where(in_band, slot + _BAND, imin)
             add[in_band] = 0.0
-            mid = np.flatnonzero(hit & ~in_band)
-            add[mid] -= np.log(np.abs(x[mid]
-                                      - self._kernel_pos[exclude[mid]]))
+            rest = np.flatnonzero(hit & ~in_band)
+            add[rest] -= np.log(np.abs(x[rest]
+                                       - self._kernel_pos[exclude[rest]]))
         d[drop, np.arange(x.size)] = 1.0
         L = np.prod(d, axis=0)
         with np.errstate(divide="ignore"):
@@ -494,10 +493,6 @@ class ProductCore:
             acc *= u
             acc += table[s].take(cell)
         L += acc
-        for so in self.special_offs:
-            far = np.abs(so - at) > _W_NEAR
-            if np.any(far):
-                L[far] += np.log(np.abs(x[far] - self._kernel_pos[so]))
         return L
 
     def sign_real(self, x, exclude=None):

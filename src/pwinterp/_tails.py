@@ -9,11 +9,11 @@ Their factors multiply to exp(T(z)) where
 The omitted nodes continue the window: per side and per parity of k, each
 is k plus the mean of Re(lambda_k - k) over the outer half |k| >= K/2, so a
 generated family's period-2 pattern is returned as it is; imaginary parts
-are left out.  A window that is not index-contiguous, has a node with
-|lambda_k - k| > ``MAX_SHIFT`` or has K < 2 gets no tail.  For j = K+1, K+2
-the omitted nodes form four progressions of stride 2, lambda_k = k + a with
-k = j, j+2, ... and lambda_{-k} = -(k - b), a and b the fitted shifts of
-j's parity; each sums in closed form (DLMF 25.11.1, 5.7.6): for P >= 2
+are left out.  A window that :func:`lattice_shifts` turns away, or that
+has K < 2, gets no tail.  For j = K+1, K+2 the omitted nodes form four
+progressions of stride 2, lambda_k = k + a with k = j, j+2, ... and
+lambda_{-k} = -(k - b), a and b the fitted shifts of j's parity; each
+sums in closed form (DLMF 25.11.1, 5.7.6): for P >= 2
 
     C_P += -(1/P) 2^(-P) [zeta(P, (j+a)/2) + (-1)^P zeta(P, (j-b)/2)]
 
@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import zeta
 
-__all__ = ["MAX_SHIFT", "TailCompensation", "build_tail", "tail_from_shifts"]
+__all__ = ["MAX_SHIFT", "TailCompensation", "build_tail", "lattice_shifts",
+           "tail_from_shifts"]
 
 # Largest |lambda_k - k| of a window with a continuation; the bulk kernel's
 # nearest-node band rests on the same bound.
@@ -81,12 +82,21 @@ def _digamma_step(x, h):
     return out
 
 
+def lattice_shifts(seq) -> np.ndarray | None:
+    """delta_k = lambda_k - k, or None unless the window is index-contiguous
+    with every |delta_k| <= ``MAX_SHIFT``: the gate of tail and bulk kernel."""
+    if not seq.index_contiguous:
+        return None
+    delta = seq.positions - seq.indices
+    return delta if np.max(np.abs(delta)) <= MAX_SHIFT else None
+
+
 def build_tail(seq) -> TailCompensation | None:
     """The tail of the window's own continuation beyond [-K, K], or None
     where the window has none (see the module docstring)."""
     K, k = seq.half_width, seq.indices
-    delta = seq.positions - k
-    if K < 2 or not seq.index_contiguous or np.max(np.abs(delta)) > MAX_SHIFT:
+    delta = lattice_shifts(seq)
+    if K < 2 or delta is None:
         return None
     outer = np.abs(k) >= K / 2
     parity = [outer & ((k - j) % 2 == 0) for j in (K + 1, K + 2)]

@@ -231,10 +231,11 @@ def _cmd_check(args) -> int:
     rep = full_verdict(seq, p, gf=gf, x_max=args.xmax)
     payload = _verdict_payload(args, seq, rep)
     if args.with_operator_probe:
-        # keep the anchors inside the window quarter where the far-tail
-        # series is trusted
-        sel = select_subsequence(seq, r=1.0,
-                                 j_max=min(256, seq.half_width // 16))
+        # keep the anchors, each within 1 of 4j, inside the trust radius
+        # of the far-tail series: 4 j_max + 1 <= (K+1)/4
+        j_max = min(256, seq.half_width // 16,
+                    np.floor((gf.trust_radius - 1.0) / 4.0))
+        sel = select_subsequence(seq, r=1.0, j_max=j_max)
         eps = gf.separation / 10.0
         op = DiscreteHilbertOperator(sel.anchors, sel.anchors + 1j * eps)
         logw = gf.node_derivative_logabs(sel.node_indices)

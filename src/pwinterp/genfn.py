@@ -74,8 +74,6 @@ class GeneratingFunction:
         self.seq = seq
         self._core = core
         self.separation = _nodes.separation(seq) if len(seq) > 1 else np.inf
-        # reconstruct cancels a support node's factor within this distance
-        self.tau_switch = self.separation / 4.0
         self.convergence_probe = convergence_probe
         self.tail_compensated = core.tail is not None
         # where the far-tail series holds; uncompensated windows set no bound

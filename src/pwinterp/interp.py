@@ -159,11 +159,13 @@ def reconstruct(gf: GeneratingFunction, s: SampleSet,
     sprime = gf.node_derivatives(s.indices)
     S = gf.value(x)
     off = seq.array_offset(s.indices)
-    # tau_switch = separation/4 puts each grid point in at most one support
+    # a support node's factor is cancelled within tau_switch of it: a
+    # quarter of the separation puts each grid point in at most one support
     # node's switch zone, that of its nearest support node, so one
     # exclusion per point covers every term
+    tau_switch = gf.separation / 4.0
     dist, nearest = nearest_nodes(seq.positions[off], x)
-    exclude = np.where(dist < gf.tau_switch, off[nearest], -1)
+    exclude = np.where(dist < tau_switch, off[nearest], -1)
     near = exclude >= 0
     divided = np.zeros(x.size, dtype=np.complex128)
     divided[near] = gf.value(x[near], exclude=exclude[near])

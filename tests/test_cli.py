@@ -8,6 +8,7 @@ import pytest
 
 from pwinterp import cli
 from pwinterp.cli import main
+from pwinterp.hilbert import DiscreteHilbertOperator
 
 
 def run_cli(args):
@@ -108,6 +109,23 @@ class TestGenfnCommand:
         err = capsys.readouterr().err
         assert err.startswith("pwinterp: data error: product magnitude")
         assert err.count("\n") == 1
+
+    def test_grid_near_the_window_edge(self, tmp_path):
+        # K = 20 leaves no point 24 slots from the window edge: the fine
+        # grid runs pointwise, as the coarse one does, and both agree
+        rows = []
+        for step in ("0.1", "0.01"):
+            out = tmp_path / f"g{step}.csv"
+            code = run_cli(["genfn", "--family", "integer", "--K", "20",
+                            "--grid", f"-3:3:{step}", "-o", str(out)])
+            assert code == 0
+            rows.append(np.loadtxt(out, delimiter=",", skiprows=1))
+        coarse, fine = rows[0], rows[1][::10]
+        np.testing.assert_allclose(fine[:, 0], coarse[:, 0], rtol=0,
+                                   atol=1e-15)
+        np.testing.assert_allclose(fine[:, 1:3], coarse[:, 1:3], rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(fine[:, 3], coarse[:, 3], rtol=1e-12)
 
     @pytest.mark.parametrize("command", ["genfn", "interp"])
     def test_grid_beyond_memory_is_usage_error(self, command, tmp_path,
@@ -255,6 +273,28 @@ class TestCheckCommand:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["operator_probe"]["lower_bound"] > 0
+
+    @pytest.mark.parametrize("family", ["alternating:0.3",
+                                        "constant_shift:0.5"])
+    def test_operator_probe_anchors_inside_trust_radius(self, family,
+                                                         tmp_path,
+                                                         monkeypatch):
+        # at K = 4096 the far-tail series holds for |x| <= 1024.25; each
+        # anchor lies within 1 of 4j, so |j| <= 255 keeps them all inside
+        anchors = []
+
+        def recorded(sources, targets):
+            anchors.append(np.asarray(sources))
+            return DiscreteHilbertOperator(sources, targets)
+        monkeypatch.setattr(cli, "DiscreteHilbertOperator", recorded)
+        out = tmp_path / "report.json"
+        code = run_cli(["check", "--family", family, "--K", "4096",
+                        "--with-operator-probe", "--json", str(out)])
+        assert code == 0
+        probe = json.loads(out.read_text())["operator_probe"]
+        assert probe["anchor_count"] == 511
+        assert np.max(np.abs(anchors[0])) <= 4097 / 4
+        assert probe["lower_bound"] < 1e3
 
 
 class TestInterpCommand:

@@ -27,7 +27,7 @@ class TestCarleson:
         a = carleson_sum(integer_lattice(4096)).sup
         b = carleson_sum(make_family(FamilySpec("constant_shift", 0.37),
                                      4096)).sup
-        assert b == pytest.approx(a, rel=1e-12)
+        assert b == pytest.approx(a, rel=1e-12, abs=0)
 
     def test_real_terms_reduce_to_inverse_square_gaps(self):
         # hand-rolled real-axis formula against the generic path
@@ -40,7 +40,7 @@ class TestCarleson:
             d2 = (xi[j] - xi) ** 2
             d2[j] = np.inf
             best = max(best, float(np.sum(1.0 / d2)))
-        assert res.sup == pytest.approx(best, rel=1e-12)
+        assert res.sup == pytest.approx(best, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("name", ["signed", "random", "one-sided",
                                       "alternating", "complex random"])
@@ -67,7 +67,7 @@ class TestCarleson:
         d2[np.arange(rows.size), rows] = np.inf
         sums = facs[rows] * np.sum(facs[None, :] / d2, axis=1)
         res = carleson_sum(seq)
-        assert res.sup == pytest.approx(sums.max(), rel=1e-13)
+        assert res.sup == pytest.approx(sums.max(), rel=1e-13, abs=0)
         assert res.argmax_index == seq.indices[rows[np.argmax(sums)]]
 
     def test_coincident_nodes_rejected(self):

@@ -444,22 +444,40 @@ class TestBulkMemory:
 
 
 def _bulk_oracle_windows(rng):
-    """Four K = 256 windows for the bulk kernel, with the offsets of their
-    nodes at |delta| >= 1.4."""
+    """Seven K = 256 windows for the bulk kernel, with the offsets of their
+    nodes at |delta| > 0.95: none, 20 at 1.5 or 1.4 in modulus, or all of
+    them (the translate k - 1.5, which moves every far node toward one
+    side of a cell, real shifts of random sign with magnitudes drawn from
+    (0.95, 1.5], and such moduli at random angles)."""
     K = 256
     k = np.arange(-K, K + 1)
     small = rng.uniform(-0.45, 0.45, k.size)
-    wide = np.arange(20, k.size - 20, 24)  # 20 nodes; 64 are allowed
+    wide = np.arange(20, k.size - 20, 24)  # 20 nodes
     one_five = small.copy()
     one_five[wide] = np.where(np.arange(wide.size) % 2, 1.5, -1.5)
     offaxis = 0.3 * small + 0.1j * (-1.0) ** k
     offaxis_wide = offaxis.copy()
     offaxis_wide[wide] = np.where(np.arange(wide.size) % 2, 1.4j, -1.4j)
+    # drawn apart, so that the windows above stay as they are
+    draw = rng.spawn(1)[0]
+    every_complex = (draw.uniform(np.nextafter(0.95, 1.0), 1.5, k.size)
+                     * np.exp(1j * draw.uniform(0.0, 2 * np.pi, k.size)))
+    every_real = (draw.uniform(np.nextafter(0.95, 1.0), 1.5, k.size)
+                  * draw.choice([-1.0, 1.0], k.size))
     none = np.array([], dtype=np.int64)
+    every = np.arange(k.size)
     return {"real": (NodeSequence(k, k + small), none),
             "real 1.5": (NodeSequence(k, k + one_five), wide),
             "complex": (NodeSequence(k, k + offaxis), none),
-            "complex 1.4i": (NodeSequence(k, k + offaxis_wide), wide)}
+            "complex 1.4i": (NodeSequence(k, k + offaxis_wide), wide),
+            "real shift -1.5": (NodeSequence(k, k - 1.5), every),
+            "real all wide": (NodeSequence(k, k + every_real), every),
+            "complex all wide": (NodeSequence(k, k + every_complex), every)}
+
+
+def _wide_count(seq):
+    """The number of nodes more than 0.95 from their index."""
+    return np.count_nonzero(np.abs(seq.positions - seq.indices) > 0.95)
 
 
 class TestGridPath:
@@ -480,19 +498,21 @@ class TestGridPath:
             np.abs(vals))
 
     @pytest.mark.parametrize("name", ["real", "real 1.5", "complex",
-                                      "complex 1.4i"])
+                                      "complex 1.4i", "real shift -1.5",
+                                      "real all wide", "complex all wide"])
     def test_matches_fsum_of_logs(self, name, rng):
         # log|S| of the bare window against an exactly rounded sum of the
         # logs, with and without an excluded node within 24 slots; the
         # cell-edge points u -> +-1/2 put a node at 1.5 off its index in
         # slot +-5, where the mid-field series converges slowest.  The
-        # points keep 56 slots from the window edge: nearer, the far field
-        # is one-sided and its first omitted order (u^5, the same before
-        # and after the per-cell table) reaches 3e-9
+        # translate k - 1.5 moves every far node toward one side of each
+        # cell, so the far field's first omitted order, u^6, adds up there
+        # rather than cancelling.  The points keep 56 slots from the
+        # window edge
         import math
         seq, wide = _bulk_oracle_windows(rng)[name]
         core = ProductCore(seq, None)
-        assert core.fast_ok and np.count_nonzero(~core.regular) == wide.size
+        assert core.fast_ok and _wide_count(seq) == wide.size
         pos = seq.positions
         cells = (seq.indices[wide][:, None] + np.array([-5, 5])).ravel()
         x = np.concatenate([rng.uniform(-200.0, 200.0, 2000), cells,
@@ -550,7 +570,7 @@ class TestGridPath:
                 cluster = [-1.45, 1.45, 1.45, -1.45]
             else:
                 # every node off the axis; |delta| is what makes a node
-                # special, and 16 of them lie within 0.95 in real part
+                # wide, and 16 of the wide ones lie within 0.95 in real part
                 delta += 1j * rng.uniform(-0.25, 0.25, k.size)
                 angle = rng.uniform(0.0, 2.0 * np.pi, 48)
                 angle[:16] = rng.choice([-1.0, 1.0], 16) * np.pi / 2
@@ -589,31 +609,32 @@ class TestGridPath:
         assert np.array_equal(dist, ref_dist)
         assert np.array_equal(nearest, ref_nearest)
         if name in ("special", "complex-special"):
-            assert np.count_nonzero(~core.regular) == 64
+            assert _wide_count(seq) == 64
             assert np.any(nearest - np.floor(x).astype(int) - K == 3)
         if name == "ties":
             # the lower offset wins the tie
             assert np.array_equal(nearest, np.floor(x).astype(int) + K)
 
     def test_complex_delta_bounds_use_modulus(self):
-        # fast_ok and the special nodes are set by |delta|, not |Re delta|
+        # fast_ok is set by |delta|, not |Re delta|
         k = np.arange(-128, 129)
         delta = np.zeros(k.size, dtype=complex)
         delta[10] = 1.2 + 0.95j  # |delta| = 1.53 > 1.5
         assert not ProductCore(NodeSequence(k, k + delta), None).fast_ok
         delta[10] = 0.0
-        delta[20:85:4] = 1.2j  # 17 special nodes
-        core = ProductCore(NodeSequence(k, k + delta), None)
-        assert core.fast_ok and np.count_nonzero(~core.regular) == 17
-        delta[20:150:2] = 1.2j  # 65 special nodes
-        assert not ProductCore(NodeSequence(k, k + delta), None).fast_ok
+        delta[20:85:4] = 1.2j  # 17 nodes past 0.95 in modulus only
+        seq = NodeSequence(k, k + delta)
+        assert ProductCore(seq, None).fast_ok and _wide_count(seq) == 17
+        delta[20:150:2] = 1.2j  # 65 of them: wide nodes have no cap
+        assert ProductCore(NodeSequence(k, k + delta), None).fast_ok
 
     def test_exclusion_of_other_node_agrees(self, rng):
         core = _core("random", 0.4, K=1024, seed=5)
         xs = rng.uniform(-200, 200, 300)
         _, _, nearest = core.logabs_real(xs)
-        # a node of the 49-node near window other than the nearest one
-        slot = rng.integers(-24, 25, xs.size)
+        # a node within 200 slots, band, mid or far field, other than the
+        # nearest one
+        slot = rng.integers(-200, 201, xs.size)
         exclude = np.floor(xs).astype(int) + 1024 + slot
         same = exclude == nearest
         exclude[same] -= np.where(slot[same] > 0, 1, -1)
@@ -704,6 +725,19 @@ class TestRouting:
                              ("pointwise", 256, False),
                              ("pointwise", 255, False)]
         assert all(c[0] == "pointwise" for c in calls)
+
+    def test_batch_near_the_window_edge_goes_pointwise(self, calls):
+        # the bulk kernel needs 24 slots of window on both sides of every
+        # point's cell, which K = 20 has nowhere: 256 points run pointwise,
+        # as 255 do, with the same values
+        gf = build_generating_function(integer_lattice(20))
+        calls.clear()
+        x = np.linspace(-2.95, 2.95, 256)
+        values = gf.value(x), gf.weight(x)
+        assert calls == [("pointwise", 256, False), ("pointwise", 256, False)]
+        for whole, part in zip(values, (gf.value(x[:255]),
+                                        gf.weight(x[:255]))):
+            assert np.array_equal(whole[:255], part)
 
     def test_complex_window_weight_goes_bulk(self, calls):
         k = np.arange(-2048, 2049)
