@@ -19,7 +19,7 @@ Two complementary kernels approximate the symmetric infinite product
   gathered from a contiguous copy of the positions; the nearest node is
   the band's argmin, which is exact while every node lies within
   ``MAX_SHIFT`` = 1.5 of its index (complex nodes included), and the
-  band's factors, the nearest node's left out, take a single log.  Every
+  band's other 8 factors, the nearest node's left out, take one log.  Every
   other node enters through one Taylor polynomial per cell, of order 12
   in u = x - (n + 1/2), evaluated by one Horner pass: the mid nodes, 4 <
   |k - n| <= 24, are summed into it directly from their true positions
@@ -30,8 +30,9 @@ Two complementary kernels approximate the symmetric infinite product
   next_fast_len(cells + 2K), not the full linear-convolution length.  Off
   the axis the band takes complex moduli, the mid nodes complex a, and the
   far moments Re(delta^j): with m and u real, only those enter
-  log|m + u - delta|.  The bulk path gives log|S| and the sign of S on
-  real windows, so off the axis it serves ``logabs`` alone.
+  log|m + u - delta|.  The bulk path gives log|D|, D the product with
+  the nearest node left out, and the sign of D on real windows, so off
+  the axis it serves ``logabs`` alone.
 
 Both kernels add the core's far-tail series of :mod:`pwinterp._tails`
 when it has one: the closed-form sum of the logs of the factors the window
@@ -39,25 +40,25 @@ omits, continued from the window's own outer half, which the tail itself
 sets to 0 beyond its trust radius.  Values then approximate the infinite
 product rather than the bare window truncation.
 
-Callers go through two entry points: :meth:`ProductCore.value`, the complex
-value S(z), and :meth:`ProductCore.logabs`, log|S(z)| with dist(z, Lambda)
-and the nearest node.  ``value`` takes one optional excluded node per
-point, any node of the window; there both kernels return the divided
-product S(z)/(z - lambda_k), which equals S'(lambda_k) at z = lambda_k
-(the bulk kernel drops the node from the band, or subtracts its log).
-This one primitive gives the node derivatives, the weight at a node and
-the near-node terms of the reconstruction series.  One rule picks the
-kernel for each call: the bulk path runs when the core is ``fast_ok``
-(the window passes :func:`pwinterp._tails.lattice_shifts`), every point
-is real with floor(x) at least 24 slots inside [-K, K], the batch holds
-at least 256 points and, for ``value``, the window is real; everything
-else runs pointwise.  Below 256 points one pointwise evaluation is
-cheaper than a cold bulk cell table.  The rule sees only the batch it is
-given, so the divided-product batches of ``GeneratingFunction.weight``
-(exact node hits) and of ``reconstruct`` (grid points near support
-nodes) pick their own path by their own size.  Off the bulk path, dist
-and the nearest node come from :func:`nearest_nodes`, a sorted search
-whose memory is O(points).
+Every caller goes through :class:`ProductCore`, whose entry points share
+one near-node rule: each point's nearest node n (ties to the lowest
+offset) is divided out, once.  :meth:`ProductCore.divided` returns D(z) =
+S(z)/(z - lambda_n) with n, which equals S'(lambda_n) on the node;
+:meth:`ProductCore.logabs` returns log|D|, which is log F for the weight
+F = |S|/dist(z, Lambda); :meth:`ProductCore.value` returns the plain
+S(z).  The node derivatives, the weight, the reconstruction series and
+the probe circles all read D.  The bulk kernel forms D directly, since
+the band's argmin is the node it leaves out, and gets S as log|D| + log
+dist in log space with one exp, so S = 0 on a node even where |D|
+overflows.  One rule picks the kernel for each call: the bulk path runs
+when the core is ``fast_ok`` (the window passes
+:func:`pwinterp._tails.lattice_shifts`), every point is real with
+floor(x) at least 24 slots inside [-K, K], the batch holds at least 256
+points and, for ``value`` and ``divided``, the window is real;
+everything else runs pointwise.  Below 256 points one pointwise
+evaluation is cheaper than a cold bulk cell table.  Off the bulk path the
+nearest node comes from :func:`nearest_nodes`, a sorted search whose
+memory is O(points).
 """
 from __future__ import annotations
 
@@ -144,6 +145,17 @@ def nearest_nodes(pos, z):
     return dist, nearest
 
 
+def _finite_points(z):
+    """``z`` flattened, refused with a ValueError naming any NaN or inf."""
+    z = np.asarray(z).ravel()
+    bad = np.flatnonzero(~np.isfinite(z))
+    if bad.size:
+        raise ValueError(f"non-finite evaluation points: {bad.size} of "
+                         f"{z.size}, the first {z[bad[0]]} at position "
+                         f"{bad[0]}")
+    return z
+
+
 class ProductCore:
     """Shared state for evaluating one node sequence's product."""
 
@@ -182,33 +194,45 @@ class ProductCore:
                 and z.size >= _BULK_MIN_BATCH and not np.any(np.imag(z))
                 and self._in_bulk_span(z.real))
 
-    def value(self, z, exclude=None):
-        """S(z), or S(z)/(z - lambda_k) at points i with node
-        k = ``exclude[i]`` (an array offset, -1 for none).
-
-        Raises :class:`OverflowReported` when a magnitude leaves the
-        floating range.
-        """
-        z = np.asarray(z).ravel()
-        if exclude is not None:
-            exclude = np.asarray(exclude, dtype=np.int64).ravel()
+    def value(self, z):
+        """S(z).  Raises :class:`OverflowReported` when a magnitude leaves
+        the floating range."""
+        z = _finite_points(z)
         if not self._bulk(z, signed=True):
-            return self.eval_points(z, exclude)
-        L, _, _ = self.logabs_real(z.real, exclude)
+            return self.eval_points(z)
+        L, dist, n = self.logabs_real(z.real)
+        with np.errstate(divide="ignore"):
+            L += np.log(dist)  # -inf on a node, where S = 0
+        # x - lambda_n < 0 turns the sign of D back into that of S
+        flip = np.where(self.pos.real[n] >= z.real, -1.0, 1.0)
+        return self._signed_exp(z.real, n, L) * flip
+
+    def divided(self, z):
+        """D = S(z)/(z - lambda_n) and n, the nearest node's offset (ties
+        to the lowest); on a node D is S'(lambda_n).  Raises
+        :class:`OverflowReported` when a magnitude leaves the floating
+        range."""
+        z = _finite_points(z)
+        if not self._bulk(z, signed=True):
+            n = nearest_nodes(self.pos, z)[1]
+            return self.eval_points(z, n), n
+        L, _, n = self.logabs_real(z.real)
+        return self._signed_exp(z.real, n, L), n
+
+    def logabs(self, z):
+        """log|D|, which is log F on the real line; no phase, so the bulk
+        path serves complex windows too."""
+        z = _finite_points(z)
+        if self._bulk(z):
+            return self.logabs_real(z.real)[0]
+        return np.log(np.abs(self.divided(z)[0]))
+
+    def _signed_exp(self, x, n, L):
+        """sign(D) exp(L) on a real window, D divided by node n."""
         if np.any(L > 709.0):
             raise OverflowReported("product magnitude exceeds the "
                                    "floating range on this grid")
-        return (self.sign_real(z.real, exclude)
-                * np.exp(L)).astype(np.complex128)
-
-    def logabs(self, z):
-        """log|S(z)|, dist(z, Lambda) and the nearest node offset."""
-        z = np.asarray(z).ravel()
-        if self._bulk(z):
-            return self.logabs_real(z.real)
-        with np.errstate(divide="ignore"):
-            L = np.log(np.abs(self.eval_points(z)))
-        return (L, *nearest_nodes(self.pos, z))
+        return (self.sign_real(x, n) * np.exp(L)).astype(np.complex128)
 
     # -- point-wise path -------------------------------------------------
 
@@ -403,22 +427,19 @@ class ProductCore:
         for s in range(_S_ORD + 1):
             rows[s] = irfft(acc[s], L)[lo:lo + rows.shape[1]]
 
-    def logabs_real(self, x, exclude=None):
-        """log|product|, dist(x, Lambda) and nearest offset on real points.
+    def logabs_real(self, x):
+        """log|D| = log|S(x)/(x - lambda_n)|, dist(x, Lambda) and the
+        nearest offset n on real points.
 
         ``x`` may come in any order.  A point in cell n = floor(x) takes
         the nodes of its 9-slot band, |k - n| <= ``_BAND``, directly:
         since |delta| <= 1.5, any other node lies strictly farther than
         node n, so the nearest node is the band's ``argmin`` (ties to the
-        lower offset, as in a full scan).  The band's factors, the nearest
-        node's or the excluded node's left out, take one log.  Every other
-        node enters through the cell's Taylor polynomial in u = x - (n +
-        1/2) of order ``_T_ORD`` (see ``_cell_table``), one Horner pass.
-
-        ``exclude`` (one offset per point, -1 for none) gives log|S(x)/(x
-        - lambda_k)| for that node k instead, at any slot: dropped from the
-        band when it lies there, its log subtracted otherwise.  Points run
-        in blocks of ``_BLOCK``, so every pass over them stays in cache.
+        lower offset, as in a full scan).  The band's other 8 factors take
+        one log.  Every other node enters through the cell's Taylor
+        polynomial in u = x - (n + 1/2) of order ``_T_ORD`` (see
+        ``_cell_table``), one Horner pass.  Points run in blocks of
+        ``_BLOCK``, so every pass over them stays in cache.
         """
         x = np.asarray(x, dtype=np.float64)
         if not self._in_bulk_span(x):
@@ -428,15 +449,12 @@ class ProductCore:
             )
         n_base = math.floor(x.min())
         table = self._cell_table(n_base, math.floor(x.max()))
-        if exclude is not None:
-            exclude = np.asarray(exclude, dtype=np.int64)
         L_out = np.empty(x.size)
         dist = np.empty(x.size)
         nearest = np.empty(x.size, dtype=np.int64)
         for c0 in range(0, x.size, _BLOCK):
             b = slice(c0, c0 + _BLOCK)
-            L = self._block_logs(x[b], None if exclude is None else exclude[b],
-                                 table, n_base, dist[b], nearest[b])
+            L = self._block_logs(x[b], table, n_base, dist[b], nearest[b])
             L -= self.total_lognorm
             if self.tail is not None:
                 L += self.tail.log_tail(x[b])
@@ -448,7 +466,7 @@ class ProductCore:
         return bool(x.min() >= _W_NEAR - self.K
                     and x.max() < self.K + 1 - _W_NEAR)
 
-    def _block_logs(self, x, exclude, table, n_base, dist, nearest):
+    def _block_logs(self, x, table, n_base, dist, nearest):
         """One block of ``logabs_real`` before the normalization and the
         tail; fills ``dist`` and ``nearest``."""
         fn = np.floor(x)
@@ -469,24 +487,8 @@ class ProductCore:
             imin[closer] = j
             np.minimum(dist, d[j], out=dist)
         nearest[:] = at + (imin - _BAND)
-        with np.errstate(divide="ignore"):
-            # a point exactly on a node yields -inf: the true log zero
-            add = np.log(dist)
-        drop = imin
-        if exclude is not None:
-            hit = exclude >= 0
-            slot = exclude - at
-            in_band = hit & (np.abs(slot) <= _BAND)
-            drop = np.where(in_band, slot + _BAND, imin)
-            add[in_band] = 0.0
-            rest = np.flatnonzero(hit & ~in_band)
-            add[rest] -= np.log(np.abs(x[rest]
-                                       - self._kernel_pos[exclude[rest]]))
-        d[drop, np.arange(x.size)] = 1.0
-        L = np.prod(d, axis=0)
-        with np.errstate(divide="ignore"):
-            np.log(L, out=L)
-        L += add
+        d[imin, np.arange(x.size)] = 1.0  # the nearest node, divided out
+        L = np.log(np.prod(d, axis=0))
         cell = at - (n_base + self.K)
         acc = table[_T_ORD].take(cell)
         for s in range(_T_ORD - 1, -1, -1):
@@ -495,22 +497,19 @@ class ProductCore:
         L += acc
         return L
 
-    def sign_real(self, x, exclude=None):
-        """Sign of the (real) product at real points off the zero set; at a
-        point with node ``exclude[i]`` (an offset, -1 for none) the sign of
-        the divided product S(x)/(x - lambda_k).
+    def sign_real(self, x, nearest):
+        """Sign of D = S(x)/(x - lambda_n) at real points, with n =
+        ``nearest`` (offsets) on a real window.
 
         Each nonzero node's factor (lambda - x)/lambda is negative when
         exactly one of lambda < x, lambda < 0 holds; the zero node's factor
-        x is counted negative for x <= 0.  Dividing by x - lambda_k flips
-        the sign when lambda_k >= x (at x = lambda_k this gives the sign of
-        S'(lambda_k)).
+        x is counted negative for x <= 0.  Dividing by x - lambda_n flips
+        the sign when lambda_n >= x (at x = lambda_n this gives the sign of
+        S'(lambda_n)).
         """
         x = np.asarray(x, dtype=np.float64)
         negative = (np.searchsorted(self._nonzero_sorted, x, side="left")
                     + self._n_neg_inv
                     + (np.any(self.zero_mask) & (x <= 0)))
-        if exclude is not None:
-            exc = np.asarray(exclude, dtype=np.int64)
-            negative += (exc >= 0) & (self.pos.real[exc] >= x)
+        negative += self.pos.real[nearest] >= x
         return np.where(negative % 2 == 0, 1.0, -1.0)

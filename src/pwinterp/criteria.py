@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nodes as _nodes
-from .genfn import GeneratingFunction, as_exponents, _linear_fit
+from .genfn import (GeneratingFunction, TrustRadiusError, as_exponents,
+                    _linear_fit)
 
 __all__ = [
     "WeightSequence",
@@ -43,10 +44,6 @@ class SelectionError(ValueError):
 
 class BracketingError(RuntimeError):
     """Circle bisection could not bracket the target modulus."""
-
-
-class TrustRadiusError(ValueError):
-    """The interval sweep reaches past the far-tail series' trust radius."""
 
 
 @dataclass(frozen=True)
@@ -487,9 +484,11 @@ def select_probe_points(gf: GeneratingFunction, sel: AnchorSelection,
 
         |S(z) / (z - anchor)| = |S'(anchor)|.
 
-    The circle modulus of S(z)/(z - anchor) brackets |S'| between its min
-    and max, so a root in arc angle exists; it is located by scanning and
-    bisection.  Failure to bracket reports the circle's min and max.
+    With eps at most a tenth of the separation the anchor is the nearest
+    node of every circle point, so the circle modulus is that of the
+    divided product D.  It brackets |S'| between its min and max, so a
+    root in arc angle exists; it is located by scanning and bisection.
+    Failure to bracket reports the circle's min and max.
     """
     cap = gf.separation / 10.0
     eps_eff = cap if eps is None else min(float(eps), cap)
@@ -499,9 +498,7 @@ def select_probe_points(gf: GeneratingFunction, sel: AnchorSelection,
     theta = np.linspace(0.0, 2.0 * np.pi, n_scan, endpoint=False)
 
     def circle_mod(th):
-        z = anchors + eps_eff * np.exp(1j * th)
-        vals = gf.value(z)
-        return np.abs(vals) / eps_eff
+        return np.abs(gf.divided(anchors + eps_eff * np.exp(1j * th))[0])
 
     mods = circle_mod(theta[:, None])   # the whole scan, (n_scan, m)
     diffs = mods - target[None, :]

@@ -29,6 +29,7 @@ __all__ = [
     "GrowthDiagnostics",
     "growth_diagnostics",
     "OverflowReported",
+    "TrustRadiusError",
 ]
 
 # Generic abscissas, safely away from every perturbed-lattice node, where
@@ -57,16 +58,19 @@ class Exponents:
         return max(self.p, self.q)
 
 
+class TrustRadiusError(ValueError):
+    """A request reaches past the far-tail series' trust radius."""
+
+
 def as_exponents(p) -> Exponents:
     return p if isinstance(p, Exponents) else Exponents(float(p))
 
 
 class GeneratingFunction:
-    """Evaluator for the product, its node derivatives and the weight F.
-
-    Instances are immutable apart from an internal derivative cache and are
-    safe to call concurrently.  Build through
-    :func:`build_generating_function`.
+    """Evaluator for the product S, the divided product D(z) = S(z)/(z -
+    lambda_n) by the nearest node n, the node derivatives S' (D on the
+    nodes) and the weight F = |D|.  Instances keep no cache and are safe to
+    call concurrently.  Build through :func:`build_generating_function`.
     """
 
     def __init__(self, seq, core: ProductCore,
@@ -79,38 +83,46 @@ class GeneratingFunction:
         # where the far-tail series holds; uncompensated windows set no bound
         self.trust_radius = (core.tail.radius if core.tail is not None
                              else np.inf)
-        self._sprime_cache: dict[int, complex] = {}
 
-    # -- S ----------------------------------------------------------------
+    # -- S and D ------------------------------------------------------------
 
-    def value(self, z, exclude=None):
-        """Product value S(z); accepts scalars or arrays.
-
-        ``exclude`` (optional, shaped like ``z``) names per point the array
-        offset of one node k, or -1 for none; there the value is the divided
-        product S(z)/(z - lambda_k), which equals S'(lambda_k) at the node.
-        """
+    def value(self, z):
+        """Product value S(z); accepts scalars or arrays."""
         scalar = np.isscalar(z) or np.asarray(z).ndim == 0
-        vals = self._core.value(z, exclude)
+        vals = self._core.value(z)
         return complex(vals[0]) if scalar else vals.reshape(np.shape(z))
+
+    def divided(self, z):
+        """D = S(z)/(z - lambda_n) and n, the array offset of the node
+        nearest z (ties to the lowest), shaped like ``z``; on a node D is
+        S'(lambda_n)."""
+        D, n = self._core.divided(z)
+        if np.isscalar(z) or np.asarray(z).ndim == 0:
+            return complex(D[0]), int(n[0])
+        return D.reshape(np.shape(z)), n.reshape(np.shape(z))
 
     # -- S' at nodes --------------------------------------------------------
 
     def node_derivative(self, k: int) -> complex:
-        """Derivative of the product at node k (cached)."""
+        """Derivative of the product at node k."""
         return self.node_derivatives([k])[0]
 
     def node_derivatives(self, ks) -> np.ndarray:
-        ks = [int(k) for k in ks]
-        missing = [k for k in ks if k not in self._sprime_cache]
-        if missing:
-            sel = self.seq.array_offset(np.asarray(missing))
-            vals = self._core.value(self.seq.positions[sel], exclude=sel)
-            if np.any(vals == 0):
-                raise ValueError("vanishing node derivative: multiple zero")
-            for k, v in zip(missing, vals):
-                self._sprime_cache[k] = complex(v)
-        return np.array([self._sprime_cache[k] for k in ks])
+        """S'(lambda_k) for node indices ``ks``: the divided product at the
+        nodes themselves.  Refuses nodes past the trust radius, where the
+        truncated product is not the limit's."""
+        ks = np.asarray(ks).ravel()
+        lam = self.seq.positions[self.seq.array_offset(ks)]
+        far = np.flatnonzero(np.abs(lam) > self.trust_radius)
+        if far.size:
+            raise TrustRadiusError(
+                f"node {ks[far[0]]} at |lambda| = {abs(lam[far[0]]):g} lies "
+                f"past the trust radius (K+1)/4 = {self.trust_radius:g} of "
+                "the far-tail series; enlarge the window")
+        vals = self._core.divided(lam)[0]
+        if np.any(vals == 0):
+            raise ValueError("vanishing node derivative: multiple zero")
+        return vals
 
     def node_derivative_logabs(self, ks) -> np.ndarray:
         """log|derivative| for index arrays."""
@@ -119,25 +131,11 @@ class GeneratingFunction:
     # -- F ------------------------------------------------------------------
 
     def weight(self, x):
-        """F(x) = |S(x)|/dist(x, Lambda), finite and positive at real nodes.
-
-        One ``logabs`` pass gives F = exp(log|S| - log dist) at every point;
-        the near factor of the nearest node cancels in that difference.
-        That pass runs on the bulk kernel for batches of at least 256
-        points whenever every node lies within 1.5 of its index, complex
-        windows included, since it needs no phase.  Only at an exact node
-        hit (dist == 0) is the value taken from the divided product
-        |S(x)/(x - lambda)|, which there equals |S'(lambda)|.
-        """
+        """F(x) = |S(x)|/dist(x, Lambda) = |D(x)|, from one ``logabs``
+        pass; finite and positive at real nodes, where it is |S'|."""
         scalar = np.isscalar(x) or np.asarray(x).ndim == 0
         xx = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-        L, dist, near = self._core.logabs(xx)
-        on_node = dist == 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            F = np.exp(L - np.log(dist))
-        if np.any(on_node):
-            F[on_node] = np.abs(self._core.value(xx[on_node],
-                                                 exclude=near[on_node]))
+        F = np.exp(self._core.logabs(xx))
         return float(F[0]) if scalar else F.reshape(np.shape(x))
 
 

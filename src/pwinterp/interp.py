@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._engine import nearest_nodes
 from .genfn import GeneratingFunction, as_exponents
 
 __all__ = [
@@ -73,8 +72,10 @@ class GridSpec:
     step: float
 
     def __post_init__(self):
-        if self.step <= 0 or self.x_max <= self.x_min:
-            raise ValueError("need x_min < x_max and a positive step")
+        if not (np.isfinite([self.x_min, self.x_max, self.step]).all()
+                and self.step > 0 and self.x_max > self.x_min):
+            raise ValueError("need finite x_min < x_max and a finite "
+                             "positive step")
 
     def count(self) -> float:
         """Number of grid points, as a float, so that a grid too large to
@@ -148,36 +149,29 @@ def reconstruct(gf: GeneratingFunction, s: SampleSet,
                 grid: GridSpec) -> GridFunction:
     """Evaluate the interpolation series on a grid.
 
-    Within ``tau_switch`` of a support node the corresponding term
-    S(x)/(x - lambda_k) is evaluated as one divided product, so grid points
-    at or near support nodes reproduce the data exactly.  A grid point on a
-    non-support real node contributes S = 0 there and needs no special
-    case.
+    With c_k = a_k/S'(lambda_k) and n the node nearest x, the series is
+
+        f(x) = D(x) (c_n + (x - lambda_n) sum_{k != n} c_k/(x - lambda_k)),
+
+    D(x) = S(x)/(x - lambda_n) the divided product and c_n = 0 off the
+    support.  The nearest node's term never divides by x - lambda_n, so a
+    grid point on a support node reproduces its sample, and one on any
+    other node gives 0.  Raises :class:`pwinterp.genfn.TrustRadiusError`
+    for a support node past the trust radius.
     """
     x = grid.points()
-    seq = gf.seq
-    sprime = gf.node_derivatives(s.indices)
-    S = gf.value(x)
-    off = seq.array_offset(s.indices)
-    # a support node's factor is cancelled within tau_switch of it: a
-    # quarter of the separation puts each grid point in at most one support
-    # node's switch zone, that of its nearest support node, so one
-    # exclusion per point covers every term
-    tau_switch = gf.separation / 4.0
-    dist, nearest = nearest_nodes(seq.positions[off], x)
-    exclude = np.where(dist < tau_switch, off[nearest], -1)
-    near = exclude >= 0
-    divided = np.zeros(x.size, dtype=np.complex128)
-    divided[near] = gf.value(x[near], exclude=exclude[near])
-    out = np.zeros(x.size, dtype=np.complex128)
-    # in node k's switch zone the divided product replaces S/(x - lambda_k),
-    # which is 0/0 on the node itself
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for a_k, k_off, sp in zip(s.values, off, sprime):
-            term = np.where(exclude == k_off, divided,
-                            S / (x - seq.positions[k_off]))
-            out += (a_k / sp) * term
-    return GridFunction(grid=x, values=out, step=grid.step)
+    lam = gf.seq.positions
+    off = gf.seq.array_offset(s.indices)
+    coef = np.zeros(lam.size, dtype=np.complex128)
+    coef[off] = s.values / gf.node_derivatives(s.indices)
+    D, n = gf.divided(x)
+    series = np.zeros(x.size, dtype=np.complex128)
+    for k in off:
+        gap = x - lam[k]
+        gap[n == k] = np.inf  # node n's own term is coef[n]
+        series += coef[k] / gap
+    return GridFunction(grid=x, values=D * (coef[n] + (x - lam[n]) * series),
+                        step=grid.step)
 
 
 def grid_lp_norm(g: GridFunction, p) -> float:

@@ -127,6 +127,17 @@ class TestGenfnCommand:
                                    atol=1e-12)
         np.testing.assert_allclose(fine[:, 3], coarse[:, 3], rtol=1e-12)
 
+    @pytest.mark.parametrize("grid", ["1:0:0.1", "nan:1:0.1", "0:1:inf"])
+    def test_reversed_or_non_finite_grid_is_data_error(self, grid, tmp_path,
+                                                      capsys):
+        out = tmp_path / "g.csv"
+        code = run_cli(["genfn", "--family", "integer", "--K", "512",
+                        "--grid", grid, "-o", str(out)])
+        assert code == 65
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "finite x_min < x_max" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["genfn", "interp"])
     def test_grid_beyond_memory_is_usage_error(self, command, tmp_path,
                                                capsys, monkeypatch):
@@ -312,6 +323,19 @@ class TestInterpCommand:
         x = np.array([r[0] for r in rows])
         f = np.array([r[1] for r in rows])
         assert np.max(np.abs(f - np.sinc(x - 3))) <= 1e-3
+
+    def test_sample_past_trust_radius_is_usage_error(self, tmp_path, capsys):
+        # S'(40) of the K = 128 lattice lies past (K+1)/4 = 32.25
+        samples = tmp_path / "s.csv"
+        samples.write_text("k,re_a,im_a\n3,1.0,0.0\n40,1.0,0.0\n")
+        out = tmp_path / "rec.csv"
+        code = run_cli(["interp", "--family", "integer", "--K", "128",
+                        "--samples", str(samples), "--grid", "-30:30:0.5",
+                        "-o", str(out)])
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "node 40 at |lambda| = 40" in err
+        assert not out.exists()
 
 
 class TestSweepCommands:

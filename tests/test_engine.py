@@ -32,10 +32,12 @@ def all_pairs_nearest(pos, z):
 
 def _bulk_sprime(core, sel):
     """S' and log|S'| at node offsets ``sel`` from the bulk kernel: the
-    divided product S(x)/(x - lambda_k) at x = lambda_k."""
+    divided product S(x)/(x - lambda_n) at x = lambda_n, each node its own
+    nearest."""
     lam = core.pos.real[sel]
-    L, _, _ = core.logabs_real(lam, exclude=sel)
-    return core.sign_real(lam, exclude=sel) * np.exp(L), L
+    L, _, nearest = core.logabs_real(lam)
+    assert np.array_equal(nearest, sel)
+    return core.sign_real(lam, nearest) * np.exp(L), L
 
 
 def _pointwise_sprime(core, sel):
@@ -307,8 +309,9 @@ class TestProductOracle:
         core = ProductCore(seq, None)
         assert core.fast_ok
         x = rng.uniform(-100.0, 100.0, 12)
-        L, _, _ = core.logabs_real(x)
-        expect = np.log(np.abs([_mp_divided(seq.positions, p) for p in x]))
+        L, _, nearest = core.logabs_real(x)
+        expect = np.log(np.abs([_mp_divided(seq.positions, p, n)
+                                for p, n in zip(x, nearest)]))
         assert np.max(np.abs(L - expect)) < 1e-8
 
 
@@ -490,19 +493,24 @@ class TestGridPath:
         core = _core(kind, d, K=2048, seed=9)
         xs = rng.uniform(-400, 400, 1200)  # any order
         L, dist, nearest = core.logabs_real(xs)
-        vals = core.eval_points(xs.astype(complex))
-        assert np.max(np.abs(L - np.log(np.abs(vals)))) < 1e-7
-        # sign reconstruction matches the signed product
-        sg = core.sign_real(xs)
-        assert np.max(np.abs(sg * np.exp(L) - vals.real)) < 1e-6 * np.max(
-            np.abs(vals))
+        # the divided product D, and S = D (x - lambda_n) through value
+        for got, vals in ((L, core.eval_points(xs.astype(complex), nearest)),
+                          (L + np.log(dist),
+                           core.eval_points(xs.astype(complex)))):
+            assert np.max(np.abs(got - np.log(np.abs(vals)))) < 1e-7
+        # sign reconstruction matches the signed products
+        D = core.sign_real(xs, nearest) * np.exp(L)
+        for got, vals in ((D, core.eval_points(xs.astype(complex), nearest)),
+                          (core.value(xs), core.eval_points(xs))):
+            assert np.max(np.abs(got - vals.real)) < 1e-6 * np.max(
+                np.abs(vals))
 
     @pytest.mark.parametrize("name", ["real", "real 1.5", "complex",
                                       "complex 1.4i", "real shift -1.5",
                                       "real all wide", "complex all wide"])
     def test_matches_fsum_of_logs(self, name, rng):
-        # log|S| of the bare window against an exactly rounded sum of the
-        # logs, with and without an excluded node within 24 slots; the
+        # log|D| of the bare window, the nearest node left out, and log|S|
+        # = log|D| + log dist against exactly rounded sums of the logs; the
         # cell-edge points u -> +-1/2 put a node at 1.5 off its index in
         # slot +-5, where the mid-field series converges slowest.  The
         # translate k - 1.5 moves every far node toward one side of each
@@ -518,19 +526,16 @@ class TestGridPath:
         x = np.concatenate([rng.uniform(-200.0, 200.0, 2000), cells,
                             np.nextafter(cells + 1.0, cells)])
         x = x[np.abs(x) < 200.0]
-        at = np.floor(x).astype(np.int64) + seq.half_width
-        exclude = np.where(rng.random(x.size) < 0.5,
-                           at + rng.integers(-24, 25, x.size), -1)
         norm = np.log(np.abs(pos[pos != 0])).tolist()
-        for exc in (None, exclude):
-            L, _, _ = core.logabs_real(x, exc)
+        L, dist, nearest = core.logabs_real(x)
+        for got, divided in ((L, True), (L + np.log(dist), False)):
             expect = []
             for i, xx in enumerate(x):
                 logs = np.log(np.abs(xx - pos))
-                if exc is not None and exc[i] >= 0:
-                    logs = np.delete(logs, exc[i])
+                if divided:
+                    logs = np.delete(logs, nearest[i])
                 expect.append(math.fsum(logs.tolist() + [-v for v in norm]))
-            assert np.max(np.abs(L - expect)) < 2e-9
+            assert np.max(np.abs(got - expect)) < 2e-9
 
     def test_nearest_and_dist(self, rng):
         core = _core("random", 0.4, K=256, seed=4)
@@ -543,8 +548,7 @@ class TestGridPath:
     def test_exclusion_agrees(self, rng):
         core = _core("signed", 0.25, K=1024)
         xs = np.sort(rng.uniform(-50, 50, 64))
-        _, _, nearest = core.logabs_real(xs)
-        L, _, _ = core.logabs_real(xs, exclude=nearest)
+        L, _, nearest = core.logabs_real(xs)
         vals = core.eval_points(xs.astype(complex), exclude=nearest)
         assert np.max(np.abs(L - np.log(np.abs(vals)))) < 1e-8
 
@@ -628,22 +632,6 @@ class TestGridPath:
         delta[20:150:2] = 1.2j  # 65 of them: wide nodes have no cap
         assert ProductCore(NodeSequence(k, k + delta), None).fast_ok
 
-    def test_exclusion_of_other_node_agrees(self, rng):
-        core = _core("random", 0.4, K=1024, seed=5)
-        xs = rng.uniform(-200, 200, 300)
-        _, _, nearest = core.logabs_real(xs)
-        # a node within 200 slots, band, mid or far field, other than the
-        # nearest one
-        slot = rng.integers(-200, 201, xs.size)
-        exclude = np.floor(xs).astype(int) + 1024 + slot
-        same = exclude == nearest
-        exclude[same] -= np.where(slot[same] > 0, 1, -1)
-        assert not np.any(exclude == nearest)
-        exclude[::5] = -1
-        L, _, _ = core.logabs_real(xs, exclude=exclude)
-        vals = core.eval_points(xs.astype(complex), exclude=exclude)
-        assert np.max(np.abs(L - np.log(np.abs(vals)))) < 1e-8
-
     def test_sprime_paths_agree(self):
         core = _core("constant_shift", 0.2, K=2048)
         # node indexes within the tail-series radius K/4
@@ -686,9 +674,10 @@ class TestRouting:
                            ("eval_points", "pointwise")):
             orig = getattr(ProductCore, name)
 
-            def counted(core, z, exclude=None, _orig=orig, _path=path):
-                log.append((_path, np.size(z), exclude is not None))
-                return _orig(core, z, exclude=exclude)
+            # the third entry: a pointwise call divides out given nodes
+            def counted(core, z, *nodes, _orig=orig, _path=path):
+                log.append((_path, np.size(z), bool(nodes)))
+                return _orig(core, z, *nodes)
             monkeypatch.setattr(ProductCore, name, counted)
         return log
 
@@ -708,12 +697,15 @@ class TestRouting:
         x[::8] = np.round(x[::8])
         F = gf.weight(x)
         hits = np.flatnonzero(x == np.round(x))
-        # only the exact hits are evaluated again, as S'(lambda_k)
-        assert calls == [("bulk", 256, False),
-                         ("pointwise", hits.size, True)]
+        # the exact hits take no second batch: F is |D|, which is |S'|
+        # on a node
+        assert calls == [("bulk", 256, False)]
+        D, nearest = gf.divided(x)
+        np.testing.assert_allclose(F, np.abs(D), rtol=1e-12)
         offsets = gf.seq.array_offset(x[hits].astype(int))
-        sprime = gf.value(x[hits], exclude=offsets)
-        np.testing.assert_allclose(F[hits], np.abs(sprime), rtol=1e-12)
+        assert np.array_equal(nearest[hits], offsets)
+        sprime = gf.node_derivatives(x[hits].astype(int))
+        np.testing.assert_allclose(F[hits], np.abs(sprime), rtol=1e-8)
         assert np.all(np.isfinite(F)) and np.all(F > 0)
 
     def test_small_and_complex_batches_go_pointwise(self, gf, calls):
@@ -723,7 +715,7 @@ class TestRouting:
         gf.weight(x[:255])
         assert calls[:3] == [("pointwise", 255, False),
                              ("pointwise", 256, False),
-                             ("pointwise", 255, False)]
+                             ("pointwise", 255, True)]
         assert all(c[0] == "pointwise" for c in calls)
 
     def test_batch_near_the_window_edge_goes_pointwise(self, calls):
@@ -734,7 +726,7 @@ class TestRouting:
         calls.clear()
         x = np.linspace(-2.95, 2.95, 256)
         values = gf.value(x), gf.weight(x)
-        assert calls == [("pointwise", 256, False), ("pointwise", 256, False)]
+        assert calls == [("pointwise", 256, False), ("pointwise", 256, True)]
         for whole, part in zip(values, (gf.value(x[:255]),
                                         gf.weight(x[:255]))):
             assert np.array_equal(whole[:255], part)
@@ -751,14 +743,33 @@ class TestRouting:
 
     def test_reconstruct_near_node_batch_goes_bulk(self, gf, calls):
         ks = np.arange(-150, 150, 1.5).astype(int)[:200]
-        rec = reconstruct(gf, SampleSet(ks, np.ones(ks.size)),
-                          GridSpec(-160.0, 160.0, 0.01))
-        excluded = [c for c in calls if c[2]]
-        # S' at the 200 support nodes, then one cancelled-factor batch
-        assert excluded[0] == ("pointwise", 200, True)
-        assert len(excluded) == 2 and excluded[1][0] == "bulk"
-        assert excluded[1][1] > 200 * 40
+        grid = GridSpec(-160.0, 160.0, 0.01)
+        rec = reconstruct(gf, SampleSet(ks, np.ones(ks.size)), grid)
+        # S' at the 200 support nodes, then the divided product over the
+        # whole grid, near-node points included, in one bulk batch
+        assert calls == [("pointwise", 200, True),
+                         ("bulk", grid.points().size, False)]
         assert np.max(np.abs(rec.values[np.isin(rec.grid, ks)] - 1.0)) < 1e-9
+
+
+class TestNonFinitePoints:
+    """NaN and inf are refused, by name, at every entry point before any
+    routing: 300 real points would run on the bulk kernel, 10 pointwise."""
+
+    @pytest.fixture(scope="class")
+    def core(self):
+        return _core("integer", K=1024)
+
+    @pytest.mark.parametrize("size", [300, 10])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", ["value", "divided", "logabs"])
+    def test_refused_by_name(self, core, entry, bad, size):
+        x = np.linspace(-5.0, 5.0, size)
+        x[size // 2] = bad
+        with pytest.raises(ValueError, match="non-finite evaluation points"
+                           ) as exc:
+            getattr(core, entry)(x)
+        assert f"the first {bad} at position {size // 2}" in str(exc.value)
 
 
 class TestWindowConvergence:

@@ -224,6 +224,23 @@ class TestGrowthDiagnostics:
         assert not diag.raw_growing
 
 
+class TestNodeDerivativeTrustRadius:
+    """The K = 128 lattice's tail holds for |x| <= (K+1)/4 = 32.25."""
+
+    def test_past_radius_refused(self):
+        from pwinterp.genfn import TrustRadiusError
+        gf = build_generating_function(integer_lattice(128))
+        with pytest.raises(TrustRadiusError, match="node 40 at"):
+            gf.node_derivatives([0, 40])
+        # S = sin(pi z)/pi, so S'(32) = cos(32 pi) = 1
+        assert gf.node_derivative(32) == pytest.approx(1.0, abs=1e-3)
+
+    def test_importable_from_criteria_and_cli(self):
+        from pwinterp import cli, criteria, genfn
+        assert (criteria.TrustRadiusError is cli.TrustRadiusError
+                is genfn.TrustRadiusError)
+
+
 class TestOffAxisSequences:
     """Loaded sequences may carry complex nodes.  Values with their phase
     always run pointwise; log|S| and the weight run on the bulk kernel for

@@ -112,6 +112,15 @@ class TestReconstruct:
         assert np.max(np.abs(rec.values - direct)) < 1e-9
 
 
+class TestGridSpec:
+    @pytest.mark.parametrize("x_min,x_max,step", [
+        (1.0, 0.0, 0.1), (np.nan, 1.0, 0.1), (0.0, np.inf, 0.1),
+        (-np.inf, 0.0, 0.1), (0.0, 1.0, np.inf), (0.0, 1.0, np.nan)])
+    def test_reversed_or_non_finite_rejected(self, x_min, x_max, step):
+        with pytest.raises(ValueError, match="finite x_min < x_max"):
+            GridSpec(x_min, x_max, step)
+
+
 class TestGridNorm:
     def test_constant_function(self):
         g = GridFunction(grid=np.arange(0, 1, 0.01),

@@ -1,7 +1,8 @@
 """Property tests (hypothesis) for invariants that hold on every input:
 Carleson sums under translation and against all pairs, agreement of the
-two product kernels on the weight, conjugate symmetry and exact zeros of
-the product, the separation scan and the nearest-node search against all
+two product kernels on the weight, the divided product against S' and the
+weight on both kernels, conjugate symmetry and exact zeros of the
+product, the separation scan and the nearest-node search against all
 pairs, and the node CSV round trip."""
 import os
 import tempfile
@@ -127,6 +128,36 @@ def test_bulk_and_pointwise_weight_agree(seq, seed, n_pts, hits, eta):
                                 for part in np.array_split(x, 3)])
     assert np.all(np.isfinite(bulk)) and np.all(bulk > 0)
     np.testing.assert_allclose(bulk, pointwise, rtol=1e-8, atol=0.0)
+
+
+@_SETTINGS
+@given(seq=real_families(1024, 2048, 0.45), seed=st.integers(0, 1 << 32))
+def test_divided_is_sprime_and_weight_on_both_kernels(seq, seed):
+    # one batch of 256 real points runs the bulk kernel, four batches of
+    # 64 the pointwise product: on nodes within the trust radius the
+    # divided product is S', and on real points its modulus is the weight
+    gf = build_generating_function(seq)
+    rng = np.random.default_rng(seed)
+    inner = np.flatnonzero(np.abs(seq.positions) <= gf.trust_radius)
+    pick = rng.choice(inner, 256, replace=False)
+    x = rng.uniform(-gf.trust_radius, gf.trust_radius, 256)
+    x[:8] = seq.positions.real[pick[:8]]  # exact node hits
+
+    def both(f, a):
+        return f(a), np.concatenate([f(part) for part in np.split(a, 4)])
+
+    def divided(z):
+        return gf.divided(z)[0]
+
+    sprime = both(gf.node_derivatives, seq.indices[pick])
+    D = both(divided, seq.positions[pick])
+    for i, j in ((0, 0), (1, 1), (0, 1), (1, 0)):
+        np.testing.assert_allclose(D[i], sprime[j],
+                                   rtol=1e-12 if i == j else 1e-8)
+    F = both(gf.weight, x)
+    absD = both(lambda z: np.abs(divided(z)), x)
+    for i in (0, 1):
+        np.testing.assert_allclose(absD[i], F[i], rtol=1e-12)
 
 
 @st.composite
