@@ -26,11 +26,12 @@ Two complementary kernels approximate the symmetric infinite product
   (|a| >= 3 for a = n + 1/2 - lambda, so each node's remainder is below
   1e-11), and the far field, every node with |k - n| > 24, through orders
   0 to 5 from FFT convolutions of short delta moments with the kernels
-  log|m| and m^-P.  Those transforms have the alias-free length
-  next_fast_len(cells + 2K), not the full linear-convolution length.  Off
-  the axis the band takes complex moduli, the mid nodes complex a, and the
-  far moments Re(delta^j): with m and u real, only those enter
-  log|m + u - delta|.  The bulk path gives log|D|, D the product with
+  log|m| and m^-P.  Those transforms (numpy.fft) have the alias-free
+  length, the least 5-smooth integer >= cells + 2K, not the full
+  linear-convolution length, and a kernel that no nonzero moment pairs
+  with is not transformed.  Off the axis the band takes complex moduli,
+  the mid nodes complex a, and the far moments Re(delta^j): with m and u
+  real, only those enter log|m + u - delta|.  The bulk path gives log|D|, D the product with
   the nearest node left out, and the sign of D on real windows, so off
   the axis it serves ``logabs`` alone.
 
@@ -65,7 +66,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.fft import next_fast_len, rfft, irfft
 
 from ._tails import TailCompensation, lattice_shifts
 
@@ -104,6 +104,19 @@ _PASS_FACTORS = 1 << 18  # complex factors per pointwise pass: 4 MiB
 _BULK_MIN_BATCH = 256
 
 _LN2 = math.log(2.0)
+
+
+def _fast_len(n: int) -> int:
+    """The least 5-smooth integer >= n, a fast real FFT length."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # p35 times the least power of 2 reaching n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 class OverflowReported(OverflowError):
@@ -379,11 +392,12 @@ class ProductCore:
         nodes, so the cyclic convolution of length L >= No differs from the
         linear one at output i by y[i - L] and y[i + L], both outside the
         linear support for the outputs read back.  Each kernel's transform
-        is formed once, used for every term it feeds and dropped.
+        is formed once, used for every term it feeds and dropped; a kernel
+        that feeds no term, as m^-6.. on the lattice, is not transformed.
         """
         K = self.K
         o_min, o_max = n_min - K, n_max + K
-        L = next_fast_len(o_max - o_min + 1, real=True)
+        L = _fast_len(o_max - o_min + 1)
         # the gate's delta, recomputed rather than kept on the core to bound
         # its memory; m and u are real, so only Re(delta^j) enters
         # log|m + u - delta|
@@ -395,7 +409,8 @@ class ProductCore:
         for j in range(_J_DELTA + 1):
             if j:
                 data = data * delta
-            dhat.append(rfft(data.real, L) if np.any(data.real) else None)
+            dhat.append(np.fft.rfft(data.real, L) if np.any(data.real)
+                        else None)
         del data, delta
         o = np.arange(o_min, o_max + 1, dtype=np.float64)
         far = np.abs(o) > _W_NEAR
@@ -411,13 +426,14 @@ class ProductCore:
                 kern = inv.copy()
             elif P > 1:
                 kern *= inv
-            khat = rfft(kern, L)
             # log|m - delta + u| = log|m| - sum_j Re(delta^j) m^-j / j
             #   - sum_s (-u)^s/s sum_j C(s+j-1, j) Re(delta^j) m^-(s+j)
-            for s in range(min(P, _S_ORD) + 1):
-                j = P - s
-                if j > _J_DELTA or dhat[j] is None:
-                    continue
+            terms = [(s, P - s) for s in range(min(P, _S_ORD) + 1)
+                     if P - s <= _J_DELTA and dhat[P - s] is not None]
+            if not terms:  # no nonzero moment pairs with this kernel
+                continue
+            khat = np.fft.rfft(kern, L)
+            for s, j in terms:
                 coef = (1.0 if P == 0 else -1.0 / j if s == 0
                         else _SERIES_COEF[s] * math.comb(s + j - 1, j))
                 np.multiply(dhat[j], khat, out=scratch)
@@ -425,7 +441,7 @@ class ProductCore:
                 acc[s] += scratch
         lo = 2 * K
         for s in range(_S_ORD + 1):
-            rows[s] = irfft(acc[s], L)[lo:lo + rows.shape[1]]
+            rows[s] = np.fft.irfft(acc[s], L)[lo:lo + rows.shape[1]]
 
     def logabs_real(self, x):
         """log|D| = log|S(x)/(x - lambda_n)|, dist(x, Lambda) and the

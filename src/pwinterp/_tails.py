@@ -21,14 +21,17 @@ with the Hurwitz zeta function, and for P = 1 the +- pair converges to
 
     C_1 += -(1/2) [psi((j-b)/2) - psi((j+a)/2)]
 
-with the digamma function.  Its two values lie near log(K/2) and almost
-cancel, so the difference is summed directly: both arguments are first
-shifted past 16 by psi(x) = psi(x + 1) - 1/x (DLMF 5.5.2), the shift sum
-written as sum_i (y - x)/((x + i)(y + i)), and then the asymptotic series
-(DLMF 5.11.2) gives psi(y) - psi(x) as log1p((y - x)/x) plus Bernoulli
-terms.  The series converges rapidly for |z| well inside the window;
-terms up to z^16 keep the truncation error negligible for |z| <= (K+1)/4,
-the trust radius beyond which T is taken as 0.
+with the digamma function.  Both are computed here by one rule: shift the
+argument past 16, by zeta(s, q) = zeta(s, q + 1) + q^(-s) (DLMF 25.11.3)
+or psi(x) = psi(x + 1) - 1/x (DLMF 5.5.2), then sum the asymptotic
+Bernoulli series (DLMF 25.11.43, 5.11.2), whose terms are the same
+B_2k/(2k)! (s)_(2k-1) a^-(2k+s-1), with s = 1 for -psi.  The two digamma
+values lie near log(K/2) and almost cancel, so their difference is summed
+directly: the shift sum is written as sum_i (y - x)/((x + i)(y + i)), and
+the asymptotic part as log1p((y - x)/x) plus Bernoulli terms.  The series
+converges rapidly for |z| well inside the window; terms up to z^16 keep
+the truncation error negligible for |z| <= (K+1)/4, the trust radius
+beyond which T is taken as 0.
 """
 from __future__ import annotations
 
@@ -36,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta
 
 __all__ = ["MAX_SHIFT", "TailCompensation", "build_tail", "lattice_shifts",
            "tail_from_shifts"]
@@ -45,11 +47,14 @@ __all__ = ["MAX_SHIFT", "TailCompensation", "build_tail", "lattice_shifts",
 # nearest-node band rests on the same bound.
 MAX_SHIFT = 1.5
 N_TERMS = 16
-# B_2k/(2k), k = 1..6: the digamma series psi(x) ~ log x - 1/(2x)
-# - sum_k B_2k/(2k x^2k), accurate to rounding for x >= _PSI_MIN
-_PSI_BERNOULLI = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132,
-                  -691 / 32760)
-_PSI_MIN = 16.0
+# B_2k/(2k)!, k = 1..13 (DLMF 24.2.2): the asymptotic series below then
+# omits less than 2e-16 of zeta(s, a) for a >= _ASYMPTOTIC_MIN and
+# s <= N_TERMS, and far less of psi
+_BERNOULLI = tuple(b / math.factorial(2 * k) for k, b in enumerate(
+    (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+     -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138,
+     -236364091 / 2730, 8553103 / 6), 1))
+_ASYMPTOTIC_MIN = 16.0
 
 
 @dataclass(frozen=True)
@@ -69,17 +74,41 @@ class TailCompensation:
         return np.where(np.abs(z) <= self.radius, acc, 0.0)
 
 
+def _bernoulli_terms(s, a):
+    """sum_k B_2k/(2k)! (s)_(2k-1) a^-(2k+s-1): the Bernoulli terms of
+    zeta(s, a) (DLMF 25.11.43) and, for s = 1, of -psi(a) (DLMF 5.11.2)."""
+    out = np.zeros_like(a)
+    poch, power, inv2 = s, a ** (-1 - s), a ** -2.0
+    for k, c in enumerate(_BERNOULLI, 1):
+        out += c * poch * power
+        poch = poch * (s + 2 * k - 1) * (s + 2 * k)
+        power = power * inv2
+    return out
+
+
+def _shift_then_asymptotic(x, low, term, asymptotic):
+    """sum_{i < m} term(x + i) + asymptotic(x + m), m the least shift that
+    takes every ``low`` past ``_ASYMPTOTIC_MIN``."""
+    m = max(0, math.ceil(_ASYMPTOTIC_MIN - np.min(low)))
+    i = np.arange(m).reshape((m,) + (1,) * np.ndim(x))
+    return np.sum(term(x + i), axis=0) + asymptotic(x + m)
+
+
+def _hurwitz_zeta(s, q):
+    """zeta(s, q) = sum_{i >= 0} (q + i)^-s for whole numbers 2 <= s <=
+    N_TERMS and q > 0, q already of the result's shape."""
+    return _shift_then_asymptotic(
+        q, q, lambda t: t ** -s,
+        lambda a: a ** (1 - s) / (s - 1) + 0.5 * a ** -s
+        + _bernoulli_terms(s, a))
+
+
 def _digamma_step(x, h):
     """psi(x + h) - psi(x) for x, x + h > 0, without cancellation."""
-    y = x + h
-    shift = max(0, math.ceil(_PSI_MIN - min(np.min(x), np.min(y))))
-    i = np.arange(shift)[:, None]
-    out = np.sum(h / ((x + i) * (y + i)), axis=0)
-    x, y = x + shift, y + shift
-    out += np.log1p(h / x) + h / (2.0 * x * y)
-    for k, c in enumerate(_PSI_BERNOULLI, 1):
-        out -= c * (y ** (-2 * k) - x ** (-2 * k))
-    return out
+    return _shift_then_asymptotic(
+        x, np.minimum(x, x + h), lambda t: h / (t * (t + h)),
+        lambda a: (np.log1p(h / a) + h / (2.0 * a * (a + h))
+                   + _bernoulli_terms(1, a) - _bernoulli_terms(1, a + h)))
 
 
 def lattice_shifts(seq) -> np.ndarray | None:
@@ -115,8 +144,10 @@ def tail_from_shifts(a, b, K: int) -> TailCompensation:
     # psi(down) - psi(up), with down - up = -(a + b)/2 read off the
     # shifts rather than off the two rounded arguments
     coeffs[1] = -0.5 * np.sum(_digamma_step(up, -(a + b) / 2.0))
-    for P in range(2, N_TERMS + 1):
-        coeffs[P] = -np.sum(zeta(P, up) + (-1) ** P * zeta(P, down)) / (
-            P * 2.0 ** P)
+    P = np.arange(2.0, N_TERMS + 1)
+    zeta = _hurwitz_zeta(P[:, None, None], np.broadcast_to(
+        np.stack([up, down]), (P.size, 2, 2)))  # [P, up/down, parity]
+    coeffs[2:] = -np.sum(zeta[:, 0] + (-1) ** P[:, None] * zeta[:, 1],
+                         axis=1) / (P * 2.0 ** P)
     coeffs.setflags(write=False)
     return TailCompensation(coeffs=coeffs, radius=(K + 1) / 4.0)

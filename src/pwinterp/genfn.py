@@ -9,6 +9,7 @@ by the criteria battery.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,13 +182,19 @@ class WeightExponentFit:
 
 
 def _linear_fit(t, y):
+    """Least-squares slope, intercept and r2 of y against t.  The fit runs
+    on y times an exact power of two that brings max|y| into [1/2, 1), so
+    the squares of quotients near 1e216 stay finite; the coefficients are
+    scaled back exactly, and r2 does not depend on the scale."""
+    _, e = math.frexp(float(np.max(np.abs(y))))
+    y = np.ldexp(y, -e)
     A = np.vstack([t, np.ones_like(t)]).T
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     pred = A @ coef
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     ss_res = float(np.sum((y - pred) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(coef[0]), float(coef[1]), r2
+    return math.ldexp(float(coef[0]), e), math.ldexp(float(coef[1]), e), r2
 
 
 def fit_weight_exponent(gf: GeneratingFunction, x_min: float, x_max: float,

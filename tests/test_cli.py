@@ -404,6 +404,20 @@ class TestDeterminism:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_library_runs_on_numpy_alone(self):
+        # a fresh interpreter: importing pwinterp and running a verdict
+        # loads no scipy module
+        code = ("import sys, pwinterp, pwinterp.cli\n"
+                "code = pwinterp.cli.main(['check', '--family', 'integer',"
+                " '--K', '256'])\n"
+                "print(sorted(m for m in sys.modules"
+                " if m.split('.')[0] == 'scipy'))\n"
+                "sys.exit(code)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
     def test_console_entry_point(self, tmp_path):
         # the installed script form must agree with in-process runs
         out = tmp_path / "nodes.csv"

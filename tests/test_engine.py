@@ -7,8 +7,8 @@ import pytest
 from pwinterp import (FamilySpec, GridSpec, NodeSequence, SampleSet,
                       build_generating_function, integer_lattice, make_family,
                       reconstruct)
-from pwinterp._engine import ProductCore
-from pwinterp._tails import build_tail, tail_from_shifts
+from pwinterp._engine import ProductCore, _fast_len
+from pwinterp._tails import _hurwitz_zeta, build_tail, tail_from_shifts
 
 
 def _core(kind, d=0.0, K=2048, seed=0, tail=True):
@@ -220,6 +220,36 @@ class TestTailSeries:
                 - x ** 4 / 2 * polygamma(3, n + 1) / 6)
         np.testing.assert_allclose(tail.log_tail(x), direct + rest,
                                    rtol=0.0, atol=1e-6)
+
+
+class TestClosedFormNumerics:
+    # q = 0.75 is the smallest Hurwitz argument of a K = 2 window,
+    # (K + 1 - MAX_SHIFT)/2; 15.9 and 16 sit either side of the shift bound
+    @pytest.mark.parametrize("q", [0.75, 15.9, 16.0, 1000.5, 2.0 ** 20])
+    def test_hurwitz_zeta_matches_mpmath(self, q):
+        got = [float(_hurwitz_zeta(P, np.array([q]))[0])
+               for P in range(2, 17)]
+        with mpmath.workdps(50):
+            qq = mpmath.mpf(q)
+            # the direct sum, each term scaled by q^P so that nsum's
+            # tolerance is relative to the sum
+            expect = [float(mpmath.nsum(lambda i: (1 + i / qq) ** -P,
+                                        [0, mpmath.inf], method="e")
+                            * qq ** -P)
+                      for P in range(2, 17)]
+        np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0.0)
+
+    def test_fast_len_is_scipys_real_fft_length(self):
+        from scipy.fft import next_fast_len
+        # every n below 2^12, then every 5-smooth length up to 2^20 and
+        # its neighbours, where the answer changes
+        smooth = sorted(2 ** i * 3 ** j * 5 ** k for i in range(21)
+                        for j in range(13) for k in range(9)
+                        if 2 ** i * 3 ** j * 5 ** k <= 1 << 20)
+        ns = sorted(set(range(1, 1 << 12)).union(
+            *({h - 1, h, h + 1} for h in smooth if h > 1)) - {(1 << 20) + 1})
+        assert [_fast_len(n) for n in ns] == [
+            next_fast_len(n, real=True) for n in ns]
 
 
 def _oracle_windows():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from pwinterp import (Exponents, FamilySpec, build_generating_function,
                       comparability_stats, fit_weight_exponent,
                       growth_diagnostics, integer_lattice, make_family,
                       modulus_margin, select_subsequence)
+from pwinterp.genfn import _linear_fit
 
 SINC_D = np.pi  # |S| for the lattice is |sin(pi x)| / pi
 
@@ -141,6 +144,40 @@ class TestWeightExponent:
     def test_range_guard(self, gf_lattice_8k):
         with pytest.raises(ValueError):
             fit_weight_exponent(gf_lattice_8k, 16, 2000)
+
+
+class TestLinearFit:
+    @staticmethod
+    def _unscaled(t, y):
+        A = np.vstack([t, np.ones_like(t)]).T
+        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+        ss_tot = float(np.sum((y - y.mean()) ** 2))
+        ss_res = float(np.sum((y - A @ coef) ** 2))
+        return float(coef[0]), float(coef[1]), 1.0 - ss_res / ss_tot
+
+    def test_ordinary_fit_is_unchanged(self, rng):
+        # scaling by a power of two is exact, so ordinary fits keep
+        # every bit of the plain formula
+        t = np.log1p(np.geomspace(32, 1024, 6))
+        for y in (1.0 + 0.3 * t + rng.normal(0, 0.1, t.size),
+                  np.exp(3 * t) * rng.uniform(1, 2, t.size)):
+            assert _linear_fit(t, y) == self._unscaled(t, y)
+
+    def test_huge_quotients_do_not_overflow(self):
+        # the A_p levels of signed:0.2 at K = 4096 with node 7 deleted:
+        # their squares overflow, which unscaled gives two warnings and
+        # r2 = nan
+        t = np.log1p(2.0 ** np.arange(5, 11))
+        y = np.array([7.986867230678125e10, 6.018993064227415e23,
+                      5.709124369356158e48, 6.917375649112388e93,
+                      1.0175017025575708e163, 2.0896772615245416e216])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slope, icpt, r2 = _linear_fit(t, y)
+        scale = 2.0 ** 700
+        expect = self._unscaled(t, y / scale)
+        assert (slope, icpt) == (expect[0] * scale, expect[1] * scale)
+        assert r2 == expect[2] and 0.0 < r2 < 1.0
 
 
 class TestComparability:
