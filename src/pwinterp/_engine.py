@@ -1,6 +1,6 @@
 """Vectorized evaluation of windowed node products.
 
-Two complementary kernels approximate the symmetric infinite product
+Three kernels on two paths approximate the symmetric infinite product
 
     S(z) = prod_k (1 - z/lambda_k)        (factor z for a node at 0):
 
@@ -13,7 +13,7 @@ Two complementary kernels approximate the symmetric infinite product
   factors of its points in one array, multiplies each chunk's 64 in place
   by halving, scales the chunk products to [1, 2) with their exponents
   summed apart, and multiplies them pairwise, rescaling at every level; a
-  node at 0 contributes the factor z, and
+  node at 0 contributes the factor z;
 * ``logabs_real``, the bulk path: real points only.  A point in cell
   n = floor(x) multiplies the nodes of its 9-slot band, |k - n| <= 4,
   gathered from a contiguous copy of the positions; the nearest node is
@@ -31,15 +31,28 @@ Two complementary kernels approximate the symmetric infinite product
   linear-convolution length, and a kernel that no nonzero moment pairs
   with is not transformed.  Off the axis the band takes complex moduli,
   the mid nodes complex a, and the far moments Re(delta^j): with m and u
-  real, only those enter log|m + u - delta|.  The bulk path gives log|D|, D the product with
-  the nearest node left out, and the sign of D on real windows, so off
-  the axis it serves ``logabs`` alone.
+  real, only those enter log|m + u - delta|.  The bulk path gives log|D|,
+  D the product with the nearest node left out, and the sign of D on real
+  windows, so off the axis it serves ``logabs`` alone; and
+* ``_grid_logabs``, the bulk path's grid kernel: log|D| alone, on the
+  dyadic midpoint grid x = n + (j + 1/2)/M, M = 2^s, over whole cells,
+  which ``continuous_ap`` samples the weight on.  Every cell there holds
+  the same offsets u, so a tile of cells by offsets takes its cell
+  polynomials as one matrix product, the table's columns times the powers
+  of u, and its band as the nine values lambda_(n+j) - (n + 1/2)
+  broadcast against u, the product of the nine distances divided by the
+  least: no gathers, no argmin, and no per-point nearest node.
 
-Both kernels add the core's far-tail series of :mod:`pwinterp._tails`
-when it has one: the closed-form sum of the logs of the factors the window
+Both paths add the core's far-tail series of :mod:`pwinterp._tails` when
+it has one: the closed-form sum of the logs of the factors the window
 omits, continued from the window's own outer half, which the tail itself
 sets to 0 beyond its trust radius.  Values then approximate the infinite
-product rather than the bare window truncation.
+product rather than the bare window truncation.  The pointwise path adds
+it point by point.  The bulk cell table carries it as Taylor coefficients
+at the centre of each cell that lies wholly inside the trust radius, with
+the normalization sum log|lambda_k| folded in too, so there the table is
+the one polynomial for every node outside the band, in the window or
+beyond it; the points of other cells take the tail point by point.
 
 Every caller goes through :class:`ProductCore`, whose entry points share
 one near-node rule: each point's nearest node n (ties to the lowest
@@ -57,9 +70,12 @@ when the core is ``fast_ok`` (the window passes
 floor(x) at least 24 slots inside [-K, K], the batch holds at least 256
 points and, for ``value`` and ``divided``, the window is real;
 everything else runs pointwise.  Below 256 points one pointwise
-evaluation is cheaper than a cold bulk cell table.  Off the bulk path the
-nearest node comes from :func:`nearest_nodes`, a sorted search whose
-memory is O(points).
+evaluation is cheaper than a cold bulk cell table.  Within the bulk path,
+``logabs`` sends a batch that is exactly the dyadic midpoint grid (checked
+block by block, see :func:`_midpoint_grid`) to the grid kernel, and every
+other batch, like every ``value`` and ``divided``, to ``logabs_real``.
+Off the bulk path the nearest node comes from :func:`nearest_nodes`, a
+sorted search whose memory is O(points).
 """
 from __future__ import annotations
 
@@ -98,7 +114,8 @@ _BAND_SLOTS = np.arange(-_BAND, _BAND + 1)[:, None]
 # (-1)^(s+1)/s: log(1 + t) = sum_s _SERIES_COEF[s] t^s
 _SERIES_COEF = np.array([0.0] + [(-1.0) ** (s + 1) / s
                                  for s in range(1, _T_ORD + 1)])
-_BLOCK = 1 << 14  # points per pass of the bulk kernel
+_BLOCK = 1 << 14  # points per pass, or per grid tile, of the bulk path
+
 _CHUNK = 64  # nodes per chunk of the pointwise product
 _PASS_FACTORS = 1 << 18  # complex factors per pointwise pass: 4 MiB
 _BULK_MIN_BATCH = 256
@@ -161,12 +178,38 @@ def nearest_nodes(pos, z):
 def _finite_points(z):
     """``z`` flattened, refused with a ValueError naming any NaN or inf."""
     z = np.asarray(z).ravel()
-    bad = np.flatnonzero(~np.isfinite(z))
-    if bad.size:
+    if not np.all(np.isfinite(z)):
+        bad = np.flatnonzero(~np.isfinite(z))
         raise ValueError(f"non-finite evaluation points: {bad.size} of "
                          f"{z.size}, the first {z[bad[0]]} at position "
                          f"{bad[0]}")
     return z
+
+
+def _midpoint_grid(x):
+    """(n0, M, cells) when ``x`` is exactly the dyadic midpoint grid
+    n + (j + 1/2)/M, M = 2^s, j = 0..M-1 within each cell n = n0, n0 + 1,
+    ..., n0 + cells - 1, in that order; None otherwise.  The points are
+    compared in blocks of ``_BLOCK``, so the check allocates no array the
+    size of ``x``."""
+    if x.size < 2:
+        return None
+    step = float(x[1] - x[0])
+    if not 0.0 < step <= 1.0 or math.frexp(step)[0] != 0.5:
+        return None
+    M = round(1.0 / step)
+    first = float(x[0]) * M - 0.5  # i0, the first point's index
+    if x.size % M or first % M:
+        return None
+    i0 = int(first)
+    # (j + 1/2)/M plus the block's (i0 + c0)/M: sums of dyadic numbers,
+    # exact while the grid's indices stay below 2^52
+    mid = (np.arange(min(_BLOCK, x.size)) + 0.5) / M
+    for c0 in range(0, x.size, _BLOCK):
+        block = x[c0:c0 + _BLOCK]
+        if not np.array_equal(block, mid[:block.size] + (i0 + c0) / M):
+            return None
+    return i0 // M, M, x.size // M
 
 
 class ProductCore:
@@ -204,7 +247,8 @@ class ProductCore:
         the product's phase too, which the bulk kernel gives on real
         windows only."""
         return (self.fast_ok and (self.real or not signed)
-                and z.size >= _BULK_MIN_BATCH and not np.any(np.imag(z))
+                and z.size >= _BULK_MIN_BATCH
+                and not (np.iscomplexobj(z) and np.any(z.imag))
                 and self._in_bulk_span(z.real))
 
     def value(self, z):
@@ -236,9 +280,12 @@ class ProductCore:
         """log|D|, which is log F on the real line; no phase, so the bulk
         path serves complex windows too."""
         z = _finite_points(z)
-        if self._bulk(z):
+        if not self._bulk(z):
+            return np.log(np.abs(self.divided(z)[0]))
+        grid = _midpoint_grid(z.real)
+        if grid is None:
             return self.logabs_real(z.real)[0]
-        return np.log(np.abs(self.divided(z)[0]))
+        return self._grid_logabs(*grid)
 
     def _signed_exp(self, x, n, L):
         """sign(D) exp(L) on a real window, D divided by node n."""
@@ -352,12 +399,21 @@ class ProductCore:
         if self.real:  # for sign_real, whose bulk path needs a real window
             self._nonzero_sorted = np.sort(self.pos.real[~self.zero_mask])
             self._n_neg_inv = int(np.count_nonzero(self.pos.real < 0))
+        # the cells n whose every point, n <= x < n + 1, lies within the
+        # tail's trust radius (none without a tail): the cell table
+        # carries the tail there
+        R = self.tail.radius if self.tail is not None else 0.0
+        self._tail_cells = (math.ceil(-R), math.floor(R) - 1)
         self._table_cache = None
 
     def _cell_table(self, n_min, n_max):
         """C[s, n - n_min] for cells n_min..n_max: the coefficient of u^s,
-        u = x - (n + 1/2), in the sum of log|x - lambda_k| over the nodes
-        more than ``_BAND`` slots from n.  One entry is cached, by range."""
+        u = x - (n + 1/2), in log|D(x)| less the band's logs.  That is the
+        one polynomial for every node outside the band, in the window or
+        beyond it: the sum of log|1 - x/lambda_k| (log|x| for a node at 0)
+        over the window's nodes more than ``_BAND`` slots from n, plus, on
+        the cells of ``_tail_cells``, the far tail T(x) (see
+        ``_tail_taylor``).  One entry is cached, by range."""
         cached = self._table_cache
         if cached is not None and cached[0] == (n_min, n_max):
             return cached[1]
@@ -379,8 +435,39 @@ class ProductCore:
                     p *= inv
         mid[1:] *= _SERIES_COEF[1:, None]
         table += mid
+        table[0] -= self.total_lognorm
+        table += self._tail_taylor(n_min, n_max)
         self._table_cache = ((n_min, n_max), table)
         return table
+
+    def _tail_taylor(self, n_min, n_max):
+        """The far tail's Taylor coefficients, rows u^0..u^_T_ORD of
+        T(c + u) at the cell centres c = n + 1/2, n = n_min..n_max; nonzero
+        only on the cells of ``_tail_cells``, which lie wholly inside the
+        trust radius.  With T(z) = sum_P C_P z^P, row s is sum_P C_P
+        binom(P, s) c^(P-s): one matrix product of those weights with the
+        powers of c.  The orders past u^_T_ORD are left out: there |u| <=
+        1/2 and C_P falls like K^(1-P)/P^2, so together they stay below
+        2e-23 at K = 32, the least window with a bulk cell, and below
+        1e-40 at K = 1024."""
+        out = np.zeros((_T_ORD + 1, n_max - n_min + 1))
+        lo = max(n_min, self._tail_cells[0])
+        hi = min(n_max, self._tail_cells[1])
+        if self.tail is None or lo > hi:
+            return out
+        C = self.tail.coeffs
+        # weights[s, q] = C_(s+q) binom(s+q, s), for the power c^q
+        weights = np.zeros((_T_ORD + 1, C.size))
+        for s in range(_T_ORD + 1):
+            for q in range(C.size - s):
+                weights[s, q] = C[s + q] * math.comb(s + q, s)
+        c = np.arange(lo, hi + 1) + 0.5
+        powers = np.empty((C.size, c.size))
+        powers[0] = 1.0
+        for q in range(1, C.size):
+            np.multiply(powers[q - 1], c, out=powers[q])
+        out[:, lo - n_min:hi - n_min + 1] = weights @ powers
+        return out
 
     def _far_moments(self, n_min, n_max, rows):
         """Rows 0.._S_ORD of the cell table: the far field (every node more
@@ -454,8 +541,10 @@ class ProductCore:
         lower offset, as in a full scan).  The band's other 8 factors take
         one log.  Every other node enters through the cell's Taylor
         polynomial in u = x - (n + 1/2) of order ``_T_ORD`` (see
-        ``_cell_table``), one Horner pass.  Points run in blocks of
-        ``_BLOCK``, so every pass over them stays in cache.
+        ``_cell_table``), one Horner pass; that polynomial carries the far
+        tail on the cells of ``_tail_cells``, and points of other cells
+        add it point by point.  Points run in blocks of ``_BLOCK``, so
+        every pass over them stays in cache.
         """
         x = np.asarray(x, dtype=np.float64)
         if not self._in_bulk_span(x):
@@ -463,19 +552,99 @@ class ProductCore:
                 "evaluation points too close to the window edge; "
                 "enlarge the node window"
             )
-        n_base = math.floor(x.min())
-        table = self._cell_table(n_base, math.floor(x.max()))
-        L_out = np.empty(x.size)
+        n_base, n_top = math.floor(x.min()), math.floor(x.max())
+        table = self._cell_table(n_base, n_top)
+        tail_apart = self._tail_apart(n_base, n_top)
+        L = np.empty(x.size)
         dist = np.empty(x.size)
         nearest = np.empty(x.size, dtype=np.int64)
         for c0 in range(0, x.size, _BLOCK):
             b = slice(c0, c0 + _BLOCK)
-            L = self._block_logs(x[b], table, n_base, dist[b], nearest[b])
-            L -= self.total_lognorm
-            if self.tail is not None:
-                L += self.tail.log_tail(x[b])
-            L_out[b] = L
-        return L_out, dist, nearest
+            L[b] = self._block_logs(x[b], table, n_base, dist[b], nearest[b])
+            if tail_apart:
+                self._add_tail_apart(x[b], L[b])
+        return L, dist, nearest
+
+    def _tail_apart(self, n_min, n_max) -> bool:
+        """Whether some cell of n_min..n_max lies outside ``_tail_cells``
+        on a core with a tail: its points take the tail point by point."""
+        lo, hi = self._tail_cells
+        return self.tail is not None and not lo <= n_min <= n_max <= hi
+
+    def _add_tail_apart(self, x, L):
+        """L += T(x), in place, at the points whose cell the table's tail
+        leaves out; T itself is 0 past the trust radius."""
+        lo, hi = self._tail_cells
+        apart = (x < lo) | (x >= hi + 1)
+        if np.any(apart):
+            L[apart] += self.tail.log_tail(x[apart])
+
+    def _grid_logabs(self, n0, M, cells):
+        """log|D| on the dyadic midpoint grid x = n + (j + 1/2)/M, j =
+        0..M-1 in each cell n = n0..n0 + cells - 1, as ``_midpoint_grid``
+        reads it: ``logabs_real``'s values, with the offsets u_j = (j +
+        1/2)/M - 1/2 that every cell shares.
+
+        The grid runs in tiles of whole cells by a run of offsets, at most
+        ``_BLOCK`` points each (one cell by ``_BLOCK`` offsets when M
+        exceeds it), so memory stays O(``_BLOCK``); a tile's arrays run
+        along its longer side.  In a tile the cell polynomial is one
+        matrix product, the tile's table columns times the powers
+        u^0..u^_T_ORD of its offsets.  The band is the nine values b =
+        lambda_(n+j) - (n + 1/2), |j| <= ``_BAND``, whose distances |b - u|
+        (complex moduli off the axis) are multiplied and divided by their
+        minimum, the nearest node's.  At an exact hit that minimum is 0 and
+        the point takes the product of the other eight.
+        """
+        table = self._cell_table(n0, n0 + cells - 1)
+        tail_apart = self._tail_apart(n0, n0 + cells - 1)
+        out = np.empty((cells, M))
+        span = min(M, _BLOCK)  # offsets per tile
+        rows = _BLOCK // span  # cells per tile
+        # a tile's arrays are (offsets, cells) when it has more cells
+        cells_inner = rows > span
+        d_all = np.empty((2 * _BAND + 1,) + ((span, rows) if cells_inner
+                                             else (rows, span)))
+        for j0 in range(0, M, span):
+            frac = (np.arange(j0, j0 + span) + 0.5) / M  # x - n
+            u = frac - 0.5
+            powers = np.vander(u, _T_ORD + 1, increasing=True).T
+            for c0 in range(0, cells, rows):
+                c1 = min(c0 + rows, cells)
+                n = np.arange(n0 + c0, n0 + c1)
+                at = n0 + c0 + self.K  # array offset of node n0 + c0
+                band = np.lib.stride_tricks.sliding_window_view(
+                    self._kernel_pos[at - _BAND:at + c1 - c0 + _BAND],
+                    c1 - c0) - (n + 0.5)
+                tile = out[c0:c1, j0:j0 + span]  # (cells, offsets)
+                poly = table[:, c0:c1].T @ powers
+                b, v = band[:, :, None], u
+                if cells_inner:
+                    tile, poly = tile.T, poly.T
+                    b, v = band[:, None, :], u[:, None]
+                d = d_all[:, :tile.shape[0], :tile.shape[1]]
+                np.copyto(d, b.real)
+                d -= v
+                if self.real:
+                    np.abs(d, out=d)
+                else:
+                    np.hypot(d, b.imag, out=d)
+                near = d.min(axis=0)
+                prod = np.multiply.reduce(d, axis=0)
+                if not near.all():  # exact hits: the other eight
+                    hit = near == 0.0
+                    other = d[:, hit]
+                    other[other == 0.0] = 1.0
+                    prod[hit] = np.multiply.reduce(other, axis=0)
+                    near[hit] = 1.0
+                np.divide(prod, near, out=prod)
+                np.log(prod, out=prod)
+                prod += poly
+                if tail_apart:
+                    x = n[:, None] + frac
+                    self._add_tail_apart(x.T if cells_inner else x, prod)
+                tile[...] = prod
+        return out.reshape(-1)
 
     def _in_bulk_span(self, x) -> bool:
         """floor(x) -+ ``_W_NEAR`` in [-K, K] at every point, NaN failing."""
@@ -483,8 +652,8 @@ class ProductCore:
                     and x.max() < self.K + 1 - _W_NEAR)
 
     def _block_logs(self, x, table, n_base, dist, nearest):
-        """One block of ``logabs_real`` before the normalization and the
-        tail; fills ``dist`` and ``nearest``."""
+        """One block of ``logabs_real``, without the point-by-point tail of
+        cells outside ``_tail_cells``; fills ``dist`` and ``nearest``."""
         fn = np.floor(x)
         u = x - (fn + 0.5)
         at = fn.astype(np.int64) + self.K  # array offset of node floor(x)

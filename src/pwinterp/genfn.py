@@ -185,7 +185,9 @@ def _linear_fit(t, y):
     """Least-squares slope, intercept and r2 of y against t.  The fit runs
     on y times an exact power of two that brings max|y| into [1/2, 1), so
     the squares of quotients near 1e216 stay finite; the coefficients are
-    scaled back exactly, and r2 does not depend on the scale."""
+    scaled back exactly, and r2 does not depend on the scale.  r2 is
+    clamped to [0, 1]: on levels flat to rounding, ss_res and ss_tot are
+    both rounding noise and their ratio can fall anywhere."""
     _, e = math.frexp(float(np.max(np.abs(y))))
     y = np.ldexp(y, -e)
     A = np.vstack([t, np.ones_like(t)]).T
@@ -193,7 +195,7 @@ def _linear_fit(t, y):
     pred = A @ coef
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     ss_res = float(np.sum((y - pred) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    r2 = min(max(1.0 - ss_res / ss_tot, 0.0), 1.0) if ss_tot > 0 else 1.0
     return math.ldexp(float(coef[0]), e), math.ldexp(float(coef[1]), e), r2
 
 

@@ -7,7 +7,8 @@ import pytest
 from pwinterp import (FamilySpec, GridSpec, NodeSequence, SampleSet,
                       build_generating_function, integer_lattice, make_family,
                       reconstruct)
-from pwinterp._engine import ProductCore, _fast_len
+from pwinterp._engine import (ProductCore, _fast_len, _midpoint_grid,
+                              nearest_nodes)
 from pwinterp._tails import _hurwitz_zeta, build_tail, tail_from_shifts
 
 
@@ -694,8 +695,108 @@ class TestGridPath:
         assert np.all(np.abs(bulk[at_zero] - 1.0) < 1e-7)
 
 
+def _dyadic_grid(n0, cells, M):
+    """The midpoint grid n + (j + 1/2)/M over cells n0..n0 + cells - 1, as
+    ``continuous_ap`` builds it."""
+    return (np.arange(n0 * M, (n0 + cells) * M) + 0.5) * (1.0 / M)
+
+
+def _grid_windows():
+    """Five K = 2048 windows for the midpoint-grid kernel."""
+    K = 2048
+    k = np.arange(-K, K + 1)
+    return {"lattice": integer_lattice(K),
+            "signed:0.2": make_family(FamilySpec("signed", 0.2), K),
+            "k - 1.5": NodeSequence(k, k - 1.5),
+            "random:0.35": make_family(FamilySpec("random", 0.35, seed=1), K),
+            "k + 0.1i(-1)^k": NodeSequence(k, k + 0.1j * (-1.0) ** k)}
+
+
+class TestMidpointGridKernel:
+    """``logabs`` on the dyadic midpoint grid of ``continuous_ap``: the grid
+    kernel against ``logabs_real``, exact node hits, memory, and the far
+    tail carried by the cell table."""
+
+    @pytest.fixture(scope="class")
+    def cores(self):
+        return {name: ProductCore(seq, build_tail(seq))
+                for name, seq in _grid_windows().items()}
+
+    @pytest.mark.parametrize("M", [1, 2, 128])
+    @pytest.mark.parametrize("name", list(_grid_windows()))
+    def test_agrees_with_logabs_real(self, cores, name, M):
+        # 600 cells inside the trust radius 512.25; on the complex window
+        # both kernels take complex moduli
+        core = cores[name]
+        x = _dyadic_grid(-300, 600, M)
+        assert _midpoint_grid(x) == (-300, M, 600) and core._bulk(x)
+        rel = np.expm1(core.logabs(x) - core.logabs_real(x)[0])
+        assert np.max(np.abs(rel)) <= 1e-9
+
+    def test_exact_hits_take_the_other_eight(self):
+        # h = 1/16 puts the first point of every cell, n + 1/32, on a node
+        gf = build_generating_function(
+            make_family(FamilySpec("constant_shift", 1 / 32), 2048))
+        x = _dyadic_grid(-300, 600, 16)
+        assert _midpoint_grid(x) is not None
+        F = gf.weight(x)
+        assert np.all(np.isfinite(F)) and np.all(F > 0)
+        assert np.array_equal(x[::16], gf.seq.positions.real[
+            gf.seq.array_offset(np.arange(-300, 300))])
+        sprime = gf.node_derivatives(np.arange(-300, 300))
+        np.testing.assert_allclose(F[::16], np.abs(sprime), rtol=1e-8)
+
+    def test_memory_stays_within_tiles(self, cores):
+        # M = 2^20 over two cells: 2M points, whose 16 MiB output is the
+        # one array the size of the batch
+        import tracemalloc
+        core = cores["signed:0.2"]
+        x = _dyadic_grid(3, 2, 1 << 20)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            L = core.logabs(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= L.nbytes + (8 << 20)
+        assert np.all(np.isfinite(L))
+
+    def test_table_tail_matches_log_tail_to_the_radius(self):
+        # K = 2^15: the radius (K+1)/4 = 8192.25 takes cells -8192..8191
+        seq = make_family(FamilySpec("signed", 0.2), 1 << 15)
+        core = ProductCore(seq, build_tail(seq))
+        lo, hi = core._tail_cells
+        assert (lo, hi) == (-8192, 8191)
+        table = core._tail_taylor(lo - 3, hi + 3)
+        assert not np.any(table[:, :3]) and not np.any(table[:, -3:])
+        centre = np.arange(lo, hi + 1) + 0.5
+        for u in np.linspace(-0.5, 0.5, 9):
+            T = core.tail.log_tail(centre + u)
+            got = np.polynomial.polynomial.polyval(u, table[:, 3:-3])
+            assert np.all(np.abs(got - T) <= 1e-12 * np.maximum(1.0,
+                                                                np.abs(T)))
+
+    def test_weight_across_the_trust_radius(self):
+        # K = 1024: the radius 256.25 falls inside cell 256, so cells
+        # 250..255 carry the tail in their table and cells 256..261 take it
+        # point by point, none past the radius; there |T| is about 64
+        gf = build_generating_function(
+            make_family(FamilySpec("signed", 0.2), 1024))
+        core = gf._core
+        assert core._tail_cells[1] == 255
+        assert abs(core.tail.log_tail(np.array(256.0))) > 10.0
+        x = _dyadic_grid(250, 12, 32)
+        assert _midpoint_grid(x) is not None
+        nearest = nearest_nodes(core.pos, x)[1]
+        point = np.abs(core.eval_points(x.astype(complex), nearest))
+        np.testing.assert_allclose(gf.weight(x), point, rtol=1e-7)
+        np.testing.assert_allclose(np.exp(core.logabs_real(x[::-1])[0]),
+                                   point[::-1], rtol=1e-7)
+
+
 class TestRouting:
-    """Which kernel each entry point runs, counted by wrapping both."""
+    """Which kernel each entry point runs, counted by wrapping all three."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -709,7 +810,36 @@ class TestRouting:
                 log.append((_path, np.size(z), bool(nodes)))
                 return _orig(core, z, *nodes)
             monkeypatch.setattr(ProductCore, name, counted)
+        grid = ProductCore._grid_logabs
+
+        def grid_counted(core, n0, M, cells):
+            log.append(("grid", M * cells, False))
+            return grid(core, n0, M, cells)
+        monkeypatch.setattr(ProductCore, "_grid_logabs", grid_counted)
         return log
+
+    def test_dyadic_midpoint_grid_goes_to_the_grid_kernel(self, gf, calls):
+        for M in (1, 2, 128):
+            x = _dyadic_grid(-160, 320, M)
+            assert _midpoint_grid(x) == (-160, M, 320)
+            F = gf.weight(x)
+            assert calls[-1] == ("grid", x.size, False)
+            np.testing.assert_allclose(F, np.exp(gf._core.logabs_real(x)[0]),
+                                       rtol=1e-12)
+        assert [c[0] for c in calls] == ["grid", "bulk"] * 3
+
+    def test_other_grids_go_to_logabs_real(self, gf, calls, rng):
+        h = 1.0 / 64
+        mid = _dyadic_grid(-40, 80, 64)
+        others = {"i h": np.arange(-40 * 64, 40 * 64) * h,
+                  "step 0.01": GridSpec(-40.0, 40.0, 0.01).points(),
+                  "short of its last point": mid[:-1],
+                  "permuted": rng.permutation(mid)}
+        for name, x in others.items():
+            assert _midpoint_grid(x) is None, name
+            calls.clear()
+            gf.weight(x)
+            assert calls == [("bulk", x.size, False)], name
 
     @pytest.fixture(scope="class")
     def gf(self):

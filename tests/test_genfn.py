@@ -163,6 +163,18 @@ class TestLinearFit:
                   np.exp(3 * t) * rng.uniform(1, 2, t.size)):
             assert _linear_fit(t, y) == self._unscaled(t, y)
 
+    def test_flat_levels_keep_r2_in_unit_interval(self, rng):
+        # levels equal to rounding, as a weight with no growth gives them:
+        # the residuals and the spread are both noise, and their ratio
+        # would put r2 anywhere
+        t = np.log1p(2.0 ** np.arange(5, 14))
+        for _ in range(2000):
+            y = 1.0 + rng.integers(-2, 3, t.size) * 2.0 ** -52
+            if np.ptp(y) == 0.0:
+                continue
+            r2 = _linear_fit(t, y)[2]
+            assert 0.0 <= r2 <= 1.0
+
     def test_huge_quotients_do_not_overflow(self):
         # the A_p levels of signed:0.2 at K = 4096 with node 7 deleted:
         # their squares overflow, which unscaled gives two warnings and
