@@ -34,14 +34,19 @@ Three kernels on two paths approximate the symmetric infinite product
   real, only those enter log|m + u - delta|.  The bulk path gives log|D|,
   D the product with the nearest node left out, and the sign of D on real
   windows, so off the axis it serves ``logabs`` alone; and
-* ``_grid_logabs``, the bulk path's grid kernel: log|D| alone, on the
+* ``grid_tiles``, the bulk path's grid kernel: log|D| alone, on the
   dyadic midpoint grid x = n + (j + 1/2)/M, M = 2^s, over whole cells,
-  which ``continuous_ap`` samples the weight on.  Every cell there holds
+  which ``continuous_ap`` sweeps the weight on.  Every cell there holds
   the same offsets u, so a tile of cells by offsets takes its cell
   polynomials as one matrix product, the table's columns times the powers
   of u, and its band as the nine values lambda_(n+j) - (n + 1/2)
   broadcast against u, the product of the nine distances divided by the
-  least: no gathers, no argmin, and no per-point nearest node.
+  least: no gathers, no argmin, and no per-point nearest node.  It is the
+  one producer of grid tiles, at most ``_BLOCK`` points each, and has two
+  consumers: ``_grid_logabs`` writes them into the array that ``logabs``
+  returns, and :meth:`pwinterp.genfn.GeneratingFunction.power_sums` sums
+  F^p and its dual per cell as each tile comes, so the ``A_p`` sweep
+  holds no array the size of its grid.
 
 Both paths add the core's far-tail series of :mod:`pwinterp._tails` when
 it has one: the closed-form sum of the logs of the factors the window
@@ -579,15 +584,34 @@ class ProductCore:
         if np.any(apart):
             L[apart] += self.tail.log_tail(x[apart])
 
-    def _grid_logabs(self, n0, M, cells):
-        """log|D| on the dyadic midpoint grid x = n + (j + 1/2)/M, j =
-        0..M-1 in each cell n = n0..n0 + cells - 1, as ``_midpoint_grid``
-        reads it: ``logabs_real``'s values, with the offsets u_j = (j +
-        1/2)/M - 1/2 that every cell shares.
+    def takes_grid(self, n0, M, cells) -> bool:
+        """Whether ``logabs`` sends the dyadic midpoint grid x = n + (j +
+        1/2)/M over cells n0..n0 + cells - 1 to the grid kernel: the
+        routing rule of the module docstring, read from the grid's size
+        and ends without building it."""
+        ends = np.array([n0 + 0.5 / M, n0 + cells - 0.5 / M])
+        return (self.fast_ok and M * cells >= _BULK_MIN_BATCH
+                and self._in_bulk_span(ends))
 
-        The grid runs in tiles of whole cells by a run of offsets, at most
-        ``_BLOCK`` points each (one cell by ``_BLOCK`` offsets when M
-        exceeds it), so memory stays O(``_BLOCK``); a tile's arrays run
+    def _grid_logabs(self, n0, M, cells):
+        """log|D| on the dyadic midpoint grid, as ``_midpoint_grid`` reads
+        it: the tiles of ``grid_tiles`` written into one array."""
+        out = np.empty((cells, M))
+        for c0, j0, tile in self.grid_tiles(n0, M, cells):
+            out[c0:c0 + tile.shape[0], j0:j0 + tile.shape[1]] = tile
+        return out.reshape(-1)
+
+    def grid_tiles(self, n0, M, cells):
+        """log|D| on the dyadic midpoint grid x = n + (j + 1/2)/M, j =
+        0..M-1 in each cell n = n0..n0 + cells - 1, one tile at a time:
+        ``logabs_real``'s values, with the offsets u_j = (j + 1/2)/M - 1/2
+        that every cell shares.
+
+        Yields (c0, j0, tile), where tile[i, j] is the value at cell n0 +
+        c0 + i, offset j0 + j.  A tile is whole cells by a run of offsets,
+        at most ``_BLOCK`` points (one cell by ``_BLOCK`` offsets when M
+        exceeds it), so memory stays O(``_BLOCK``); each tile is a fresh
+        array, the caller's to keep or overwrite, and its memory runs
         along its longer side.  In a tile the cell polynomial is one
         matrix product, the tile's table columns times the powers
         u^0..u^_T_ORD of its offsets.  The band is the nine values b =
@@ -598,7 +622,6 @@ class ProductCore:
         """
         table = self._cell_table(n0, n0 + cells - 1)
         tail_apart = self._tail_apart(n0, n0 + cells - 1)
-        out = np.empty((cells, M))
         span = min(M, _BLOCK)  # offsets per tile
         rows = _BLOCK // span  # cells per tile
         # a tile's arrays are (offsets, cells) when it has more cells
@@ -616,13 +639,12 @@ class ProductCore:
                 band = np.lib.stride_tricks.sliding_window_view(
                     self._kernel_pos[at - _BAND:at + c1 - c0 + _BAND],
                     c1 - c0) - (n + 0.5)
-                tile = out[c0:c1, j0:j0 + span]  # (cells, offsets)
-                poly = table[:, c0:c1].T @ powers
+                poly = table[:, c0:c1].T @ powers  # (cells, offsets)
                 b, v = band[:, :, None], u
                 if cells_inner:
-                    tile, poly = tile.T, poly.T
+                    poly = poly.T
                     b, v = band[:, None, :], u[:, None]
-                d = d_all[:, :tile.shape[0], :tile.shape[1]]
+                d = d_all[:, :poly.shape[0], :poly.shape[1]]
                 np.copyto(d, b.real)
                 d -= v
                 if self.real:
@@ -643,8 +665,7 @@ class ProductCore:
                 if tail_apart:
                     x = n[:, None] + frac
                     self._add_tail_apart(x.T if cells_inner else x, prod)
-                tile[...] = prod
-        return out.reshape(-1)
+                yield c0, j0, prod.T if cells_inner else prod
 
     def _in_bulk_span(self, x) -> bool:
         """floor(x) -+ ``_W_NEAR`` in [-K, K] at every point, NaN failing."""

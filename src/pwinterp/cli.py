@@ -24,8 +24,9 @@ import numpy as np
 from . import nodes as _nodes
 from .genfn import (Exponents, OverflowReported, _linear_fit,
                     build_generating_function, fit_weight_exponent)
-from .criteria import (IntervalFamily, Thresholds, TrustRadiusError,
-                       continuous_ap, full_verdict, select_subsequence)
+from .criteria import (IntervalFamily, QuadratureStepError, Thresholds,
+                       TrustRadiusError, continuous_ap, full_verdict,
+                       select_subsequence)
 from .hilbert import DiscreteHilbertOperator, probe_norm
 from .interp import GridSpec, load_samples, reconstruct
 
@@ -309,8 +310,14 @@ def _cmd_kadets(args) -> int:
 def _cmd_counterexample(args) -> int:
     p = _check_p(args.p)
     d_crit = 1.0 / (2.0 * p.p_prime)
+    # by default 2^5 up to full_verdict's x_max, 2^13 or the trust radius
+    top = min(13, int(np.floor(np.log2(max(args.K, 1) / 4))))
     X_values = ([float(t) for t in args.x_values.split(",")]
-                if args.x_values else [float(2 ** m) for m in range(5, 14)])
+                if args.x_values
+                else [float(2 ** m) for m in range(5, top + 1)])
+    if not X_values:
+        raise UsageError(f"--K {args.K} is too small for the default lengths "
+                         "2^5..2^13: give --x-values or enlarge the window")
     X_values = sorted(X_values)
     x_max = X_values[-1]
     results = {}
@@ -318,12 +325,17 @@ def _cmd_counterexample(args) -> int:
         spec = _nodes.FamilySpec("signed", sign * d_crit)
         seq = _make_family(spec, args.K)
         gf = build_generating_function(seq)
+        if x_max > gf.trust_radius:
+            raise TrustRadiusError(
+                f"--x-values reach {x_max:g}, past the trust radius "
+                f"(K+1)/4 = {gf.trust_radius:g} of the far-tail series; "
+                "lower them or enlarge the window")
         fit = fit_weight_exponent(gf, 32.0, min(4096.0, x_max, args.K / 10))
         quad = gf.separation / 8.0
         m_min = int(np.round(np.log2(X_values[0])))
         fam = IntervalFamily(x_max=x_max, m_min=m_min,
                              m_max=int(np.round(np.log2(x_max))))
-        ap = continuous_ap(lambda x: gf.weight(x) ** p.p, p, fam, quad)
+        ap = continuous_ap(gf, p, fam, quad)
         # origin-anchored quotients at the requested lengths
         idx = [int(np.round(np.log2(X))) - m_min for X in X_values]
         t = np.log1p(np.asarray(X_values)) ** (p.p - 1.0)
@@ -445,7 +457,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--K", type=int, default=1 << 15)
     sp.add_argument("--x-values", default=None,
-                    help="comma list; default 2^5..2^13")
+                    help="comma list; default 2^5..2^13, or up to K/4")
     sp.add_argument("--json", default=None)
     sp.set_defaults(func=_cmd_counterexample)
 
@@ -486,7 +498,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_grid_flags(argv))
     try:
         return args.func(args)
-    except (UsageError, TrustRadiusError) as exc:
+    except (UsageError, TrustRadiusError, QuadratureStepError) as exc:
         sys.stderr.write(f"pwinterp: error: {exc}\n")
         return EXIT_USAGE
     except (ValueError, KeyError, OSError, OverflowReported) as exc:

@@ -9,13 +9,14 @@ evidence, PASS only when every quotient stabilizes under window doubling.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import nodes as _nodes
 from .genfn import (GeneratingFunction, TrustRadiusError, as_exponents,
-                    _linear_fit)
+                    _linear_fit, sampled_power_sums)
 
 __all__ = [
     "WeightSequence",
@@ -29,6 +30,7 @@ __all__ = [
     "continuous_ap",
     "SelectionError",
     "BracketingError",
+    "QuadratureStepError",
     "TrustRadiusError",
     "select_subsequence",
     "select_probe_points",
@@ -44,6 +46,10 @@ class SelectionError(ValueError):
 
 class BracketingError(RuntimeError):
     """Circle bisection could not bracket the target modulus."""
+
+
+class QuadratureStepError(ValueError):
+    """An interval of the sweep is shorter than the quadrature step."""
 
 
 @dataclass(frozen=True)
@@ -143,7 +149,8 @@ _CAR_PAIRS = 1 << 18
 _CAR_NEAR = 1 << 16
 
 
-def carleson_sum(seq, max_probes: int = 512) -> CarlesonResult:
+def carleson_sum(seq, max_probes: int = 512,
+                 separation: float | None = None) -> CarlesonResult:
     """sup_j of sum_k (1+|eta_j|)(1+|eta_k|)/|lambda_j-lambda_k|^2.
 
     Rows j are probed over the inner half of the window (subsampled past
@@ -162,10 +169,17 @@ def carleson_sum(seq, max_probes: int = 512) -> CarlesonResult:
     directly with the row's node left out, so gappy or loaded windows stay
     exact: a wide block is simply near.  Complex windows sum every pair
     directly.
+
+    ``separation``, when given, stands in for the window's separation in
+    the check for coincident nodes; any lower bound of it that is still
+    positive will do, such as the separation of a window that contains
+    this one.
     """
     if len(seq) < 2:
         raise ValueError("need at least two nodes")
-    if _nodes.separation(seq) <= 0:
+    if separation is None:
+        separation = _nodes.separation(seq)
+    if separation <= 0:
         raise ValueError("coincident nodes")
     pos = seq.positions
     n = pos.size
@@ -343,50 +357,75 @@ def continuous_ap(v_sampler, p, fam: IntervalFamily,
                   quad_step: float) -> ContinuousApResult:
     """Interval quotients of a weight v by composite-midpoint quadrature.
 
-    ``v_sampler`` is a vectorized map x -> v(x) > 0 (for the weight battery
-    this is F^p).  Every reported quotient is a lower bound for the true
+    ``v_sampler`` is a vectorized map x -> v(x) > 0, or a
+    :class:`GeneratingFunction`, whose weight F^p is then v (the weight
+    battery's case).  Every reported quotient is a lower bound for the true
     supremum; the growth statistics over dyadic lengths are the divergence
     detectors.
+
+    The quadrature grid is the midpoint grid of step h = 2^-s <=
+    ``quad_step`` on [-x_max, x_max].  Each level's intervals start on
+    multiples of its block, the gcd of its length and stride in points,
+    and every level's block and every dyadic ring edge is a multiple of
+    one finest block.  The grid is therefore read once, into fresh sums
+    of v and of its dual over the finest blocks (no differences of one
+    global prefix sum, which weights of huge dynamic range would cancel):
+    a level's blocks, and the rings, are sums of those.  A generating
+    function gives its sums from :meth:`GeneratingFunction.power_sums`,
+    which on the grid kernel forms no array the size of the grid; a plain
+    sampler sees the whole grid in one call.  A level whose intervals are
+    shorter than h holds no sample and is refused with a
+    :class:`QuadratureStepError`.
     """
     p = as_exponents(p)
     s = int(np.ceil(np.log2(1.0 / quad_step)))
     h = 2.0 ** (-s)
     n_half = int(round(fam.x_max / h))
-    x = (np.arange(-n_half, n_half) + 0.5) * h
-    v = np.asarray(v_sampler(x), dtype=float)
-    if v.shape != x.shape or not np.all(np.isfinite(v)) or np.any(v <= 0):
-        raise ValueError("weight sampler must return finite positive values")
-    dual = v ** (-1.0 / (p.p - 1.0))
+    x0 = (0.5 - n_half) * h  # the first grid point
     origin = n_half  # sample index of x = 0
 
     levels = np.arange(fam.m_min, fam.m_max + 1)
     lengths = 2.0 ** levels
+    plan = []  # points per interval, stride and block of each level
+    for m in levels:
+        nL = int(round(2.0 ** m / h))
+        if nL == 0:
+            raise QuadratureStepError(
+                f"level m = {m}: intervals of length 2^{m} are shorter than "
+                f"the quadrature step h = 2^{-s} and hold no sample")
+        step = max(1, int(round(fam.stride * nL)))
+        plan.append((nL, step, math.gcd(step, nL)))
+    top = int(np.floor(np.log2(fam.x_max)))
+    ring_edges = [origin + sign * int(round(2.0 ** e / h))
+                  for e in range(top - 3, top + 1) for sign in (1, -1)]
+    block = math.gcd(*(g for _, _, g in plan), *ring_edges)
+    if isinstance(v_sampler, GeneratingFunction):
+        sums = v_sampler.power_sums(p.p, h, n_half, block)
+    else:
+        sums = sampled_power_sums(v_sampler, p.p, h, n_half, block)
+    bv, bd = sums * h
+
     level_max = np.empty(levels.size)
     level_argmax = np.empty(levels.size)
     sup = -np.inf
-    for i, m in enumerate(levels):
+    for i, (m, (nL, step, g)) in enumerate(zip(levels, plan)):
         L = 2.0 ** m
-        nL = int(round(L / h))
-        step = max(1, int(round(fam.stride * nL)))
-        g = int(np.gcd(step, nL))
         starts = np.arange(0, 2 * n_half - nL + 1, step)
         starts = np.unique(np.concatenate(
             [starts, [origin, origin - nL, 2 * n_half - nL]]
         ))
         starts = np.unique(starts // g * g)
-        # interval masses from fresh sums of aligned blocks: weights with
-        # huge dynamic range would cancel catastrophically in differences
-        # of one global prefix sum
-        bounds = np.arange(0, 2 * n_half, g)
-        bv = np.add.reduceat(v, bounds) * h
-        bd = np.add.reduceat(dual, bounds) * h
+        # the level's blocks, each a run of finest blocks
+        runs = np.arange(0, bv.size, g // block)
+        lv = np.add.reduceat(bv, runs)
+        ld = np.add.reduceat(bd, runs)
         k = nL // g
         rows = starts // g
         aw = np.zeros(starts.size)
         ad = np.zeros(starts.size)
         for off in range(k):
-            aw += bv[rows + off]
-            ad += bd[rows + off]
+            aw += lv[rows + off]
+            ad += ld[rows + off]
         aw /= L
         ad /= L
         q = aw * ad ** (p.p - 1.0)
@@ -394,7 +433,7 @@ def continuous_ap(v_sampler, p, fam: IntervalFamily,
             raise AssertionError("interval quotient below 1: quadrature bug")
         j = int(np.argmax(q))
         level_max[i] = float(q[j])
-        level_argmax[i] = float(x[0] - h / 2 + starts[j] * h + L / 2)
+        level_argmax[i] = float(x0 - h / 2 + starts[j] * h + L / 2)
         sup = max(sup, level_max[i])
 
     if levels.size >= 2:
@@ -414,15 +453,15 @@ def continuous_ap(v_sampler, p, fam: IntervalFamily,
     # ratio pinned at 1 puts v or its dual at the non-integrable boundary
     # power of the Muckenhoupt cone.
     ring_ratios = []
-    top = int(np.floor(np.log2(fam.x_max)))
     for m in range(top - 3, top - 1):
-        for arr in (v, dual):
+        for arr in (bv, bd):
             def ring(mm):
                 i0 = origin + int(round(2.0 ** mm / h))
                 i1 = origin + int(round(2.0 ** (mm + 1) / h))
                 j0 = origin - int(round(2.0 ** (mm + 1) / h))
                 j1 = origin - int(round(2.0 ** mm / h))
-                return float(np.sum(arr[i0:i1]) + np.sum(arr[j0:j1]))
+                return float(np.sum(arr[i0 // block:i1 // block])
+                             + np.sum(arr[j0 // block:j1 // block]))
             ring_ratios.append(ring(m + 1) / ring(m))
     ratio = float(np.min(np.asarray(ring_ratios).reshape(-1, 2).mean(axis=0)))
 
@@ -591,7 +630,8 @@ def full_verdict(seq, p, gf: GeneratingFunction | None = None,
     th = thresholds
     failed = []
 
-    sep = _nodes.separation(seq)
+    sep = (gf.separation if gf is not None and gf.seq is seq
+           else _nodes.separation(seq))
     if sep <= 0:
         return CriteriaReport(
             separation=sep, carleson_sup=np.inf, density_r0=None,
@@ -601,7 +641,7 @@ def full_verdict(seq, p, gf: GeneratingFunction | None = None,
         )
 
     if gf is None:
-        gf = build_generating_function(seq)
+        gf = build_generating_function(seq, separation=sep)
     K = seq.half_width
     if x_max is None:
         if K < 64:
@@ -613,8 +653,10 @@ def full_verdict(seq, p, gf: GeneratingFunction | None = None,
             f"(K+1)/4 = {gf.trust_radius:g} of the far-tail series; "
             "lower x_max or enlarge the window")
 
-    car = carleson_sum(seq)
-    car_half = carleson_sum(seq.restrict(max(seq.half_width // 2, 1)))
+    # the half window's separation is at least the full window's
+    car = carleson_sum(seq, separation=sep)
+    car_half = carleson_sum(seq.restrict(max(seq.half_width // 2, 1)),
+                            separation=sep)
     carleson_stable = (
         abs(car.sup - car_half.sup) <= th.stabilize_rel * abs(car.sup)
     )
@@ -627,7 +669,7 @@ def full_verdict(seq, p, gf: GeneratingFunction | None = None,
         quad_step = sep / 8.0
     m_max = int(np.floor(np.log2(x_max)))
     fam = IntervalFamily(x_max=x_max, m_min=min(m_min, m_max), m_max=m_max)
-    ap = continuous_ap(lambda x: gf.weight(x) ** p.p, p, fam, quad_step)
+    ap = continuous_ap(gf, p, fam, quad_step)
 
     growth_fires = (
         ap.growth_slope > th.slope_factor * float(np.mean(ap.level_max))

@@ -39,6 +39,10 @@ _PROBE_POINTS = np.array(
     [0.437, 1.618, 2.718, 3.303, 4.669, 5.567, 6.854, 8.243]
 )
 
+# points per chunk of a pointwise window's sampled weight, rounded up to
+# whole runs
+_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True)
 class Exponents:
@@ -70,15 +74,17 @@ def as_exponents(p) -> Exponents:
 class GeneratingFunction:
     """Evaluator for the product S, the divided product D(z) = S(z)/(z -
     lambda_n) by the nearest node n, the node derivatives S' (D on the
-    nodes) and the weight F = |D|.  Instances keep no cache and are safe to
-    call concurrently.  Build through :func:`build_generating_function`.
+    nodes) and the weight F = |D|.  The one cache is the core's bulk cell
+    table, kept for the last cell range and replaced whole, so instances
+    are safe to call concurrently.  Build through
+    :func:`build_generating_function`.
     """
 
     def __init__(self, seq, core: ProductCore,
-                 convergence_probe: float | None):
+                 convergence_probe: float | None, separation: float):
         self.seq = seq
         self._core = core
-        self.separation = _nodes.separation(seq) if len(seq) > 1 else np.inf
+        self.separation = separation
         self.convergence_probe = convergence_probe
         self.tail_compensated = core.tail is not None
         # where the far-tail series holds; uncompensated windows set no bound
@@ -139,8 +145,79 @@ class GeneratingFunction:
         F = np.exp(self._core.logabs(xx))
         return float(F[0]) if scalar else F.reshape(np.shape(x))
 
+    def power_sums(self, p: float, h: float, n_half: int, block: int):
+        """Sums of v = F^p and of its dual v^(-1/(p-1)) over each run of
+        ``block`` points of the midpoint grid x_i = (i + 1/2) h, i =
+        -n_half..n_half - 1, as :func:`sampled_power_sums` gives them for
+        ``weight(x) ** p``: the same value at every point, summed in
+        another order.
 
-def build_generating_function(seq, compensate: bool = True
+        When the runs are whole cells of a grid the grid kernel takes, the
+        kernel's tiles of log F are consumed as they come: F = exp, then
+        F^p and the dual, summed per cell and then per run of cells, so no
+        array the size of the grid is formed.  Otherwise a pointwise window
+        samples the weight in chunks of whole runs, since each of its
+        points is evaluated on its own, and a bulk window samples its
+        whole grid at once, since the bulk cell table follows the cell
+        range of its batch.
+        """
+        M = round(1.0 / h)  # 0 for h >= 2, which no cell holds
+        if M and n_half % M == 0 and block % M == 0:
+            grid = (-n_half // M, M, 2 * n_half // M)
+            if self._core.takes_grid(*grid):
+                return self._tile_power_sums(p, *grid, block // M)
+        return sampled_power_sums(lambda x: self.weight(x) ** p, p, h,
+                                  n_half, block,
+                                  None if self._core.fast_ok else _CHUNK)
+
+    def _tile_power_sums(self, p, n0, M, cells, per):
+        """``power_sums`` from the grid kernel's tiles, in runs of ``per``
+        cells."""
+        sums = np.zeros((2, cells))
+        for c0, _, tile in self._core.grid_tiles(n0, M, cells):
+            v = np.exp(tile, out=tile)
+            v **= p
+            dual = _dual(v, p)
+            at = slice(c0, c0 + v.shape[0])
+            sums[0, at] += v.sum(axis=1)
+            sums[1, at] += dual.sum(axis=1)
+        return np.add.reduceat(sums, np.arange(0, cells, per), axis=1)
+
+
+def _dual(v, p):
+    """The dual weight v^(-1/(p-1)) of weight values ``v``, refused unless
+    every one is finite and positive."""
+    if not np.all(np.isfinite(v)) or np.any(v <= 0):
+        raise ValueError("weight sampler must return finite positive values")
+    return v ** (-1.0 / (p - 1.0))
+
+
+def sampled_power_sums(v_sampler, p: float, h: float, n_half: int,
+                       block: int, chunk: int | None = None):
+    """Sums of v = v_sampler(x) and of its dual v^(-1/(p-1)) over each run
+    of ``block`` points of the midpoint grid x_i = (i + 1/2) h, i =
+    -n_half..n_half - 1; the last run may be shorter.  Returns the two
+    arrays of run sums.  The sampler, a vectorized map to finite positive
+    values, sees the whole grid in one call, or with ``chunk`` set,
+    chunks of whole runs of at least that many points.
+    """
+    n = 2 * n_half
+    per = n if chunk is None else -(-chunk // block) * block
+    sums = []
+    for i0 in range(0, n, per):
+        x = (np.arange(i0, min(i0 + per, n)) - n_half + 0.5) * h
+        v = np.asarray(v_sampler(x), dtype=float)
+        if v.shape != x.shape:
+            raise ValueError("weight sampler must return finite positive "
+                             "values")
+        runs = np.arange(0, x.size, block)
+        sums.append((np.add.reduceat(v, runs),
+                     np.add.reduceat(_dual(v, p), runs)))
+    return np.concatenate(sums, axis=1)
+
+
+def build_generating_function(seq, compensate: bool = True,
+                              separation: float | None = None
                               ) -> GeneratingFunction:
     """Build the product evaluator for a node sequence.
 
@@ -155,8 +232,12 @@ def build_generating_function(seq, compensate: bool = True
         Add the far-tail series of the window's own continuation (see
         :mod:`pwinterp._tails`); windows without one get the bare product
         either way.  Off, S is the bare window product.
+    separation : float, optional
+        The window's separation, when the caller has computed it already.
     """
-    if len(seq) > 1 and _nodes.separation(seq) <= 0.0:
+    if separation is None:
+        separation = _nodes.separation(seq) if len(seq) > 1 else np.inf
+    if separation <= 0.0:
         raise ValueError("zero separation: duplicate node positions")
 
     def core_for(window):
@@ -172,7 +253,7 @@ def build_generating_function(seq, compensate: bool = True
         half_v = core_h.value(pts)
         scale = np.maximum(np.abs(full_v), 1e-300)
         conv = float(np.max(np.abs(full_v - half_v) / scale))
-    return GeneratingFunction(seq, core, conv)
+    return GeneratingFunction(seq, core, conv, separation)
 
 
 @dataclass(frozen=True)

@@ -366,6 +366,31 @@ class TestSweepCommands:
         assert e_out == pytest.approx(-0.5, abs=0.05)
         assert e_in == pytest.approx(0.5, abs=0.05)
 
+    def test_counterexample_default_lengths_follow_the_window(self,
+                                                              tmp_path):
+        # K = 4096: the trust radius 1024.25 ends the default 2^5..2^13
+        # at 2^10, where 2^13 would run the sweep past the window
+        out = tmp_path / "ce.json"
+        code = run_cli(["counterexample", "--p", "2", "--K", "4096",
+                        "--json", str(out)])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["config"]["X_values"] == [2.0 ** m
+                                                 for m in range(5, 11)]
+
+    @pytest.mark.parametrize("x_values,words", [
+        ("0.01,64,128,256", "level m = -7"),
+        ("64,2048", "past the trust radius"),
+    ])
+    def test_counterexample_lengths_out_of_range_are_usage_errors(
+            self, x_values, words, capsys):
+        code = run_cli(["counterexample", "--K", "4096",
+                        "--x-values", x_values])
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.startswith("pwinterp: error: ") and words in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_alpha_scaling_table(self, tmp_path):
         out = tmp_path / "alpha.json"
         code = run_cli(["alpha-scaling", "--family", "signed:0.2",

@@ -9,7 +9,9 @@ from pwinterp import (FamilySpec, IntervalFamily, NodeSequence, Thresholds,
                       carleson_sum, continuous_ap, discrete_ap,
                       full_verdict, integer_lattice, load_nodes, make_family,
                       save_nodes, select_probe_points, select_subsequence)
-from pwinterp.criteria import BracketingError, SelectionError
+from pwinterp import criteria, nodes
+from pwinterp.criteria import (BracketingError, QuadratureStepError,
+                               SelectionError)
 
 
 class TestCarleson:
@@ -175,6 +177,31 @@ class TestContinuousAp:
         with pytest.raises(ValueError):
             continuous_ap(lambda x: x, 2.0, fam, 1 / 32)
 
+    def test_interval_shorter_than_the_step_is_refused(self):
+        # round(2^-7 / 2^-4) = 0: level -7's intervals hold no sample
+        fam = IntervalFamily(x_max=256.0, m_min=-7, m_max=8)
+        with pytest.raises(QuadratureStepError,
+                           match=r"level m = -7: .* h = 2\^-4 "):
+            continuous_ap(lambda x: np.ones_like(x), 2.0, fam, 1 / 16)
+
+    def test_weight_sweep_forms_no_grid_sized_array(self):
+        # signed:0.1 at K = 2^15: a 2,097,152-point grid, h = 2^-7, whose
+        # x, F^p and dual arrays would take 48 MiB; numpy reports its
+        # buffers to tracemalloc
+        import tracemalloc
+        gf = build_generating_function(
+            make_family(FamilySpec("signed", 0.1), 1 << 15))
+        fam = IntervalFamily(x_max=8192.0, m_min=5, m_max=13)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            res = continuous_ap(gf, 2.0, fam, gf.separation / 8.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 << 20
+        assert 1.0 <= res.sup < 3.0
+
 
 class TestSelection:
     def test_lattice_r1_picks_multiples_of_four(self):
@@ -223,7 +250,50 @@ class TestProbePoints:
         assert np.max(resid) < 1e-6
 
 
+def _sweep_families():
+    return [FamilySpec("signed", 0.1), FamilySpec("signed", -0.1),
+            FamilySpec("signed", 0.25), FamilySpec("signed", -0.25),
+            FamilySpec("integer"), FamilySpec("constant_shift", 0.2),
+            FamilySpec("alternating", 0.2), FamilySpec("random", 0.35, seed=7)]
+
+
 class TestFullVerdict:
+    # K = 128 sweeps x_max = 32 with 4-cell blocks, K = 4096 x_max = 1024
+    # with 16-cell blocks
+    @pytest.mark.parametrize("K", [128, 4096])
+    @pytest.mark.parametrize("spec", _sweep_families(), ids=FamilySpec.tag)
+    def test_block_sums_match_the_materialized_grid(self, spec, K,
+                                                    monkeypatch):
+        seq = make_family(spec, K)
+        rep = full_verdict(seq, 2.0)
+        sweep = criteria.continuous_ap
+
+        def materialized(gf, p, fam, quad_step):
+            return sweep(lambda x: gf.weight(x) ** p.p, p, fam, quad_step)
+        monkeypatch.setattr(criteria, "continuous_ap", materialized)
+        ref = full_verdict(seq, 2.0)
+        assert (rep.verdict, rep.failed_checks) == (ref.verdict,
+                                                    ref.failed_checks)
+        got, want = np.array(rep.ap_quotients), np.array(ref.ap_quotients)
+        # the centre column is the argmax, a tie on periodic weights that
+        # rounding breaks either way
+        assert np.array_equal(got[:, 0], want[:, 0])
+        np.testing.assert_allclose(got[:, 1], want[:, 1], rtol=1e-13, atol=0)
+        for field in ("ap_sup", "ring_ratio"):
+            assert getattr(rep, field) == pytest.approx(
+                getattr(ref, field), rel=1e-13, abs=0)
+
+    def test_separation_once_per_verdict(self, monkeypatch):
+        calls = []
+        separation = nodes.separation
+
+        def counted(seq):
+            calls.append(len(seq))
+            return separation(seq)
+        monkeypatch.setattr(nodes, "separation", counted)
+        full_verdict(make_family(FamilySpec("signed", 0.1), 4096), 2.0)
+        assert calls == [8193]
+
     def test_lattice_passes(self):
         rep = full_verdict(integer_lattice(2048), 2.0)
         assert rep.verdict == "PASS"

@@ -795,6 +795,79 @@ class TestMidpointGridKernel:
                                    point[::-1], rtol=1e-7)
 
 
+def _materialized_sums(gf, p, h, n_half, block):
+    """``power_sums`` the direct way: F^p and its dual over the whole grid,
+    summed per run by ``reduceat``."""
+    v = gf.weight((np.arange(-n_half, n_half) + 0.5) * h) ** p
+    runs = np.arange(0, v.size, block)
+    return np.array([np.add.reduceat(v, runs),
+                     np.add.reduceat(v ** (-1.0 / (p - 1.0)), runs)])
+
+
+class TestPowerSums:
+    """``GeneratingFunction.power_sums``, the ``A_p`` sweep's block sums of
+    F^p and its dual, against the materialized grid."""
+
+    @pytest.fixture(scope="class")
+    def gfs(self):
+        return {name: build_generating_function(seq)
+                for name, seq in _grid_windows().items()}
+
+    @pytest.mark.parametrize("M", [1, 2, 128])
+    @pytest.mark.parametrize("name", list(_grid_windows()))
+    def test_tiles_match_the_materialized_grid(self, gfs, name, M):
+        # cells -300..299 in runs of 16, the last run 8 cells
+        gf = gfs[name]
+        assert gf._core.takes_grid(-300, M, 600)
+        got = gf.power_sums(2.0, 1.0 / M, 300 * M, 16 * M)
+        want = _materialized_sums(gf, 2.0, 1.0 / M, 300 * M, 16 * M)
+        assert got.shape == want.shape == (2, 38)
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_cells_wider_than_a_tile(self, gfs, p):
+        # M = 2^15 over cells -2..1: each cell is two tiles of 2^14 offsets
+        gf = gfs["signed:0.2"]
+        M = 1 << 15
+        got = gf.power_sums(p, 1.0 / M, 2 * M, 2 * M)
+        want = _materialized_sums(gf, p, 1.0 / M, 2 * M, 2 * M)
+        assert got.shape == (2, 2)
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+
+    def test_pointwise_window_samples_in_chunks(self, monkeypatch):
+        # one node deleted: no lattice gate, so the pointwise path, whose
+        # weight is sampled in chunks of whole runs, never the whole grid
+        k = np.delete(np.arange(-128, 129), 130)
+        gf = build_generating_function(NodeSequence(k, k.astype(float)))
+        assert not gf._core.fast_ok
+        want = _materialized_sums(gf, 2.0, 1.0 / 512, 32 * 512, 4 * 512)
+        sizes = []
+        weight = type(gf).weight
+
+        def counted(self, x):
+            sizes.append(np.size(x))
+            return weight(self, x)
+        monkeypatch.setattr(type(gf), "weight", counted)
+        got = gf.power_sums(2.0, 1.0 / 512, 32 * 512, 4 * 512)
+        assert sizes == [16384, 16384]
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+
+    def test_weight_out_of_range_is_refused(self, gfs):
+        # F falls to about 300^-0.4 = 0.10 on signed:0.2, where F^400
+        # underflows to 0, and rises to about 9.8 on signed:-0.2, where it
+        # overflows with numpy's warning
+        gf = gfs["signed:0.2"]
+        assert gf._core.takes_grid(-300, 8, 600)
+        with pytest.raises(ValueError, match="finite positive"):
+            gf.power_sums(400.0, 1.0 / 8, 300 * 8, 16 * 8)
+        gf = build_generating_function(
+            make_family(FamilySpec("signed", -0.2), 2048))
+        assert gf._core.takes_grid(-300, 8, 600)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match="finite positive"):
+                gf.power_sums(400.0, 1.0 / 8, 300 * 8, 16 * 8)
+
+
 class TestRouting:
     """Which kernel each entry point runs, counted by wrapping all three."""
 
