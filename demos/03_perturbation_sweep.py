@@ -13,7 +13,7 @@ K = 1 << 14
 
 for p in (2.0, 1.5):
     e = Exponents(p)
-    boundary = 1.0 / (2.0 * e.p_prime)
+    boundary = 1.0 / (2.0 * e.p_max)
     print(f"== p = {p} (q = {e.q:.3g}): boundary 1/(2 max(p,q)) = "
           f"{boundary:.4g} ==")
     for orientation, sign in (("outward", +1.0), ("inward", -1.0)):

@@ -14,7 +14,7 @@ Three kernels on two paths approximate the symmetric infinite product
   by halving, scales the chunk products to [1, 2) with their exponents
   summed apart, and multiplies them pairwise, rescaling at every level; a
   node at 0 contributes the factor z;
-* ``logabs_real``, the bulk path: real points only.  A point in cell
+* ``real_blocks``, the bulk path: real points only.  A point in cell
   n = floor(x) multiplies the nodes of its 9-slot band, |k - n| <= 4,
   gathered from a contiguous copy of the positions; the nearest node is
   the band's argmin, which is exact while every node lies within
@@ -33,7 +33,14 @@ Three kernels on two paths approximate the symmetric infinite product
   the mid nodes complex a, and the far moments Re(delta^j): with m and u
   real, only those enter log|m + u - delta|.  The bulk path gives log|D|,
   D the product with the nearest node left out, and the sign of D on real
-  windows, so off the axis it serves ``logabs`` alone; and
+  windows, so off the axis it serves ``logabs`` alone.  It is the one
+  producer of real-point blocks, log|D|, dist and nearest node for
+  ``_BLOCK`` points at a time from one cell table for the whole batch's
+  cell range, and has two consumers: ``logabs_real`` writes the blocks
+  into the arrays that ``value``, ``divided`` and ``logabs`` read, and
+  ``value_logabs_blocks`` turns each into S and log|D| as it comes, so
+  ``pwinterp genfn`` writes its grid dump from one pass and holds no
+  array the size of its grid; and
 * ``grid_tiles``, the bulk path's grid kernel: log|D| alone, on the
   dyadic midpoint grid x = n + (j + 1/2)/M, M = 2^s, over whole cells,
   which ``continuous_ap`` sweeps the weight on.  Every cell there holds
@@ -78,7 +85,8 @@ everything else runs pointwise.  Below 256 points one pointwise
 evaluation is cheaper than a cold bulk cell table.  Within the bulk path,
 ``logabs`` sends a batch that is exactly the dyadic midpoint grid (checked
 block by block, see :func:`_midpoint_grid`) to the grid kernel, and every
-other batch, like every ``value`` and ``divided``, to ``logabs_real``.
+other batch, like every ``value`` and ``divided``, to ``real_blocks``.
+``value_logabs_blocks`` routes its whole batch by the same rule, once.
 Off the bulk path the nearest node comes from :func:`nearest_nodes`, a
 sorted search whose memory is O(points).
 """
@@ -262,12 +270,7 @@ class ProductCore:
         z = _finite_points(z)
         if not self._bulk(z, signed=True):
             return self.eval_points(z)
-        L, dist, n = self.logabs_real(z.real)
-        with np.errstate(divide="ignore"):
-            L += np.log(dist)  # -inf on a node, where S = 0
-        # x - lambda_n < 0 turns the sign of D back into that of S
-        flip = np.where(self.pos.real[n] >= z.real, -1.0, 1.0)
-        return self._signed_exp(z.real, n, L) * flip
+        return self._bulk_value(z.real, *self.logabs_real(z.real))
 
     def divided(self, z):
         """D = S(z)/(z - lambda_n) and n, the nearest node's offset (ties
@@ -291,6 +294,50 @@ class ProductCore:
         if grid is None:
             return self.logabs_real(z.real)[0]
         return self._grid_logabs(*grid)
+
+    def value_logabs_blocks(self, z):
+        """``value(z)`` and ``logabs(z)`` together, one block of rows at a
+        time: yields (S, L) for z[c0:c0 + ``_BLOCK``], c0 = 0, ``_BLOCK``,
+        ..., each value bit-identical to the whole batch's.
+
+        The routing is read from the whole batch, as ``value`` and
+        ``logabs`` read it, and every bulk block takes the cell table of
+        the whole batch's cell range.  A real window on the bulk path takes
+        S and L from one ``real_blocks`` pass; a dyadic midpoint grid takes
+        L from ``grid_tiles`` instead, whose tiles are these same blocks.
+        Pointwise evaluation is point by point, so its blocks are the
+        batch's.  No float array the size of the batch is formed.
+        """
+        z = _finite_points(z)
+        signed = self._bulk(z, signed=True)
+        bulk = signed or self._bulk(z)
+        grid = _midpoint_grid(z.real) if bulk else None
+        tiles = self.grid_tiles(*grid) if grid is not None else None
+        real = (self.real_blocks(z.real) if signed or (bulk and grid is None)
+                else None)
+        for c0 in range(0, z.size, _BLOCK):
+            zb = z[c0:c0 + _BLOCK]
+            if real is not None:
+                L, dist, n = next(real)
+            if tiles is not None:
+                logabs = next(tiles)[2].reshape(-1)
+            elif bulk:
+                logabs = L.copy()
+            else:
+                n_near = nearest_nodes(self.pos, zb)[1]
+                logabs = np.log(np.abs(self.eval_points(zb, n_near)))
+            S = (self._bulk_value(zb.real, L, dist, n) if signed
+                 else self.eval_points(zb))
+            yield S, logabs
+
+    def _bulk_value(self, x, L, dist, n):
+        """S at real points from ``logabs_real``'s log|D|, dist and nearest
+        offset n; L is overwritten."""
+        with np.errstate(divide="ignore"):
+            L += np.log(dist)  # -inf on a node, where S = 0
+        # x - lambda_n < 0 turns the sign of D back into that of S
+        flip = np.where(self.pos.real[n] >= x, -1.0, 1.0)
+        return self._signed_exp(x, n, L) * flip
 
     def _signed_exp(self, x, n, L):
         """sign(D) exp(L) on a real window, D divided by node n."""
@@ -537,7 +584,23 @@ class ProductCore:
 
     def logabs_real(self, x):
         """log|D| = log|S(x)/(x - lambda_n)|, dist(x, Lambda) and the
-        nearest offset n on real points.
+        nearest offset n on real points: ``real_blocks`` writing its
+        blocks into three arrays."""
+        x = np.asarray(x, dtype=np.float64)
+        out = (np.empty(x.size), np.empty(x.size),
+               np.empty(x.size, dtype=np.int64))
+        for _ in self.real_blocks(x, out):
+            pass
+        return out
+
+    def real_blocks(self, x, out=None):
+        """log|D|, dist(x, Lambda) and the nearest offset n on real points,
+        one block of ``_BLOCK`` consecutive points at a time: yields (L,
+        dist, n) for x[c0:c0 + ``_BLOCK``], c0 = 0, ``_BLOCK``, ...: fresh
+        arrays, or with ``out``, three arrays the size of ``x``, views of
+        those, written in place.  The one cell table covers the whole
+        batch's cell range, so a point's values do not depend on how the
+        batch is cut.
 
         ``x`` may come in any order.  A point in cell n = floor(x) takes
         the nodes of its 9-slot band, |k - n| <= ``_BAND``, directly:
@@ -548,8 +611,8 @@ class ProductCore:
         polynomial in u = x - (n + 1/2) of order ``_T_ORD`` (see
         ``_cell_table``), one Horner pass; that polynomial carries the far
         tail on the cells of ``_tail_cells``, and points of other cells
-        add it point by point.  Points run in blocks of ``_BLOCK``, so
-        every pass over them stays in cache.
+        add it point by point.  A block stays in cache through every pass
+        over it.
         """
         x = np.asarray(x, dtype=np.float64)
         if not self._in_bulk_span(x):
@@ -560,15 +623,15 @@ class ProductCore:
         n_base, n_top = math.floor(x.min()), math.floor(x.max())
         table = self._cell_table(n_base, n_top)
         tail_apart = self._tail_apart(n_base, n_top)
-        L = np.empty(x.size)
-        dist = np.empty(x.size)
-        nearest = np.empty(x.size, dtype=np.int64)
         for c0 in range(0, x.size, _BLOCK):
-            b = slice(c0, c0 + _BLOCK)
-            L[b] = self._block_logs(x[b], table, n_base, dist[b], nearest[b])
+            xb = x[c0:c0 + _BLOCK]
+            block = ((np.empty(xb.size), np.empty(xb.size),
+                      np.empty(xb.size, dtype=np.int64)) if out is None
+                     else tuple(a[c0:c0 + _BLOCK] for a in out))
+            self._block_logs(xb, table, n_base, *block)
             if tail_apart:
-                self._add_tail_apart(x[b], L[b])
-        return L, dist, nearest
+                self._add_tail_apart(xb, block[0])
+            yield block
 
     def _tail_apart(self, n_min, n_max) -> bool:
         """Whether some cell of n_min..n_max lies outside ``_tail_cells``
@@ -609,10 +672,12 @@ class ProductCore:
 
         Yields (c0, j0, tile), where tile[i, j] is the value at cell n0 +
         c0 + i, offset j0 + j.  A tile is whole cells by a run of offsets,
-        at most ``_BLOCK`` points (one cell by ``_BLOCK`` offsets when M
-        exceeds it), so memory stays O(``_BLOCK``); each tile is a fresh
-        array, the caller's to keep or overwrite, and its memory runs
-        along its longer side.  In a tile the cell polynomial is one
+        ``_BLOCK`` points (one cell by ``_BLOCK`` offsets when M exceeds
+        it; the last tile may be shorter), so memory stays O(``_BLOCK``).
+        Tiles come in the grid's order, each the next ``_BLOCK`` points:
+        the blocks that ``real_blocks`` cuts from the same grid.  Each tile
+        is a fresh array, the caller's to keep or overwrite, and its memory
+        runs along its longer side.  In a tile the cell polynomial is one
         matrix product, the tile's table columns times the powers
         u^0..u^_T_ORD of its offsets.  The band is the nine values b =
         lambda_(n+j) - (n + 1/2), |j| <= ``_BAND``, whose distances |b - u|
@@ -628,17 +693,20 @@ class ProductCore:
         cells_inner = rows > span
         d_all = np.empty((2 * _BAND + 1,) + ((span, rows) if cells_inner
                                              else (rows, span)))
-        for j0 in range(0, M, span):
-            frac = (np.arange(j0, j0 + span) + 0.5) / M  # x - n
-            u = frac - 0.5
-            powers = np.vander(u, _T_ORD + 1, increasing=True).T
-            for c0 in range(0, cells, rows):
-                c1 = min(c0 + rows, cells)
-                n = np.arange(n0 + c0, n0 + c1)
-                at = n0 + c0 + self.K  # array offset of node n0 + c0
-                band = np.lib.stride_tricks.sliding_window_view(
-                    self._kernel_pos[at - _BAND:at + c1 - c0 + _BAND],
-                    c1 - c0) - (n + 0.5)
+        j_last = None
+        for c0 in range(0, cells, rows):
+            c1 = min(c0 + rows, cells)
+            n = np.arange(n0 + c0, n0 + c1)
+            at = n0 + c0 + self.K  # array offset of node n0 + c0
+            band = np.lib.stride_tricks.sliding_window_view(
+                self._kernel_pos[at - _BAND:at + c1 - c0 + _BAND],
+                c1 - c0) - (n + 0.5)
+            for j0 in range(0, M, span):
+                if j0 != j_last:  # once, unless a cell spans several tiles
+                    frac = (np.arange(j0, j0 + span) + 0.5) / M  # x - n
+                    u = frac - 0.5
+                    powers = np.vander(u, _T_ORD + 1, increasing=True).T
+                    j_last = j0
                 poly = table[:, c0:c1].T @ powers  # (cells, offsets)
                 b, v = band[:, :, None], u
                 if cells_inner:
@@ -672,9 +740,10 @@ class ProductCore:
         return bool(x.min() >= _W_NEAR - self.K
                     and x.max() < self.K + 1 - _W_NEAR)
 
-    def _block_logs(self, x, table, n_base, dist, nearest):
-        """One block of ``logabs_real``, without the point-by-point tail of
-        cells outside ``_tail_cells``; fills ``dist`` and ``nearest``."""
+    def _block_logs(self, x, table, n_base, L, dist, nearest):
+        """One block of ``real_blocks``, without the point-by-point tail of
+        cells outside ``_tail_cells``; fills ``L``, ``dist`` and
+        ``nearest``."""
         fn = np.floor(x)
         u = x - (fn + 0.5)
         at = fn.astype(np.int64) + self.K  # array offset of node floor(x)
@@ -694,14 +763,13 @@ class ProductCore:
             np.minimum(dist, d[j], out=dist)
         nearest[:] = at + (imin - _BAND)
         d[imin, np.arange(x.size)] = 1.0  # the nearest node, divided out
-        L = np.log(np.prod(d, axis=0))
+        np.log(np.prod(d, axis=0), out=L)
         cell = at - (n_base + self.K)
         acc = table[_T_ORD].take(cell)
         for s in range(_T_ORD - 1, -1, -1):
             acc *= u
             acc += table[s].take(cell)
         L += acc
-        return L
 
     def sign_real(self, x, nearest):
         """Sign of D = S(x)/(x - lambda_n) at real points, with n =

@@ -14,10 +14,14 @@ seeds; reports embed the full configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
+import shutil
+import stat
 import sys
+import tempfile
 
 import numpy as np
 
@@ -86,7 +90,7 @@ def _grid_in_trust_radius(x: np.ndarray, gf) -> None:
     Called after the evaluation and before any output is written, so that
     a product too large to represent stays a data error.
     """
-    reach = float(np.max(np.abs(x)))
+    reach = max(-float(x.min()), float(x.max()))
     if reach > gf.trust_radius:
         raise TrustRadiusError(
             f"--grid reaches |x| = {reach:g}, past the trust radius "
@@ -164,23 +168,84 @@ _CSV_BLOCK = 1 << 11  # rows per block: about 0.6 MiB of text and lists
 
 
 def _write_csv(path: str | None, header, cols) -> None:
-    """Write float columns as CSV rows: the shortest round-trip ``repr`` of
-    each value, comma-separated, CRLF line ends (``csv.writer``'s bytes).
+    """Write whole float columns as CSV: :func:`_stream_csv` with the
+    columns as its one block."""
+    _stream_csv(path, header, [cols])
 
-    Rows go out in blocks of ``_CSV_BLOCK``, each formatted by one
-    ``str.format`` map, so the text held at once does not grow with the
-    number of rows.
+
+def _stream_csv(path: str | None, header, blocks) -> None:
+    """Write CSV rows to ``path``, or to standard output when it is empty:
+    the shortest round-trip ``repr`` of each value, comma-separated, CRLF
+    line ends (``csv.writer``'s bytes).
+
+    ``blocks`` yields blocks of rows, each a list of float columns, and is
+    consumed as the rows are written, so a caller can evaluate its rows
+    block by block.  Within a block the rows go out in runs of
+    ``_CSV_BLOCK``, each formatted by one ``str.format`` map, so the text
+    held at once does not grow with the number of rows.
+
+    The output is atomic.  The rows are staged in a new file beside a
+    regular (or new) ``path`` and moved onto it by ``os.replace``; any
+    other target, standard output included, gets a copy of an anonymous
+    temporary file.  Either happens only once ``blocks`` is exhausted, so
+    a run that raises, in ``blocks`` too, or is interrupted writes nothing
+    and leaves no file or truncated CSV.
     """
-    row = ",".join(["{!r}"] * len(cols)) + "\r\n"
-    fh = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
+    row = ",".join(["{!r}"] * len(header)) + "\r\n"
+    fh, staged = _staging_file(path)
     try:
-        fh.write(",".join(header) + "\r\n")
-        for c0 in range(0, len(cols[0]), _CSV_BLOCK):
-            block = [c[c0:c0 + _CSV_BLOCK].tolist() for c in cols]
-            fh.write("".join(map(row.format, *block)))
-    finally:
-        if path:
-            fh.close()
+        with fh:
+            fh.write(",".join(header) + "\r\n")
+            for cols in blocks:
+                for c0 in range(0, len(cols[0]), _CSV_BLOCK):
+                    run = [c[c0:c0 + _CSV_BLOCK].tolist() for c in cols]
+                    fh.write("".join(map(row.format, *run)))
+            if staged is None:
+                fh.seek(0)
+                if not path:
+                    shutil.copyfileobj(fh, sys.stdout)
+                else:
+                    with open(path, "w", newline="",
+                              encoding="utf-8") as out:
+                        shutil.copyfileobj(fh, out)
+        if staged is not None:
+            os.chmod(staged, _new_file_mode(path))
+            os.replace(staged, path)
+    except BaseException:
+        if staged is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(staged)
+        raise
+
+
+def _staging_file(path: str | None):
+    """(file, name): a new file beside ``path`` when ``path`` is a
+    regular file or does not exist and its directory takes one, else an
+    anonymous temporary file (name None).  That one is copied to ``path``
+    at the end, so opening ``path`` fails as late, and with the same
+    error, as an unstaged write would."""
+    if path and (not os.path.lexists(path) or (
+            os.path.isfile(path) and not os.path.islink(path))):
+        base = os.path.basename(path)
+        try:
+            fd, name = tempfile.mkstemp(
+                prefix=f".{base}.", suffix=".part",
+                dir=os.path.dirname(path) or ".")
+        except OSError:
+            pass
+        else:
+            return open(fd, "w", newline="", encoding="utf-8"), name
+    return tempfile.TemporaryFile("w+", newline="", encoding="utf-8"), None
+
+
+def _new_file_mode(path: str) -> int:
+    """The permission bits that ``open(path, "w")`` leaves: the existing
+    file's, or for a new file 0o666 less the umask."""
+    if os.path.exists(path):
+        return stat.S_IMODE(os.stat(path).st_mode)
+    umask = os.umask(0o022)
+    os.umask(umask)
+    return 0o666 & ~umask
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +264,15 @@ def _cmd_genfn(args) -> int:
     seq = _load_sequence(args)
     gf = build_generating_function(seq)
     x = grid.points()
-    S = gf.value(x)
-    F = gf.weight(x)
-    _grid_in_trust_radius(x, gf)
-    _write_csv(args.output, ["x", "re_S", "im_S", "F"],
-               [x, S.real, S.imag, F])
+
+    def rows():
+        c0 = 0
+        for S, F in gf.value_weight_blocks(x):
+            yield [x[c0:c0 + S.size], S.real, S.imag, F]
+            c0 += S.size
+        _grid_in_trust_radius(x, gf)
+
+    _stream_csv(args.output, ["x", "re_S", "im_S", "F"], rows())
     return EXIT_PASS
 
 
@@ -268,7 +337,7 @@ def _cmd_interp(args) -> int:
 
 def _cmd_kadets(args) -> int:
     p = _check_p(args.p)
-    boundary = 1.0 / (2.0 * p.p_prime)
+    boundary = 1.0 / (2.0 * p.p_max)
     d_values = sorted(float(t) for t in args.d_values.split(","))
     orientations = args.orientations.split(",")
     rows = []
@@ -307,18 +376,23 @@ def _cmd_kadets(args) -> int:
     return EXIT_PASS
 
 
+# where counterexample's weight-exponent fit starts; it ends at K/10
+_FIT_FROM = 32.0
+
+
 def _cmd_counterexample(args) -> int:
     p = _check_p(args.p)
-    d_crit = 1.0 / (2.0 * p.p_prime)
+    d_crit = 1.0 / (2.0 * p.p_max)
+    if args.K / 10 <= _FIT_FROM:
+        raise UsageError(
+            f"--K {args.K} is too small: the weight-exponent fit runs from "
+            f"x = {_FIT_FROM:g} to K/10, so the window needs --K "
+            f"{int(10 * _FIT_FROM) + 1} or more")
     # by default 2^5 up to full_verdict's x_max, 2^13 or the trust radius
-    top = min(13, int(np.floor(np.log2(max(args.K, 1) / 4))))
-    X_values = ([float(t) for t in args.x_values.split(",")]
-                if args.x_values
-                else [float(2 ** m) for m in range(5, top + 1)])
-    if not X_values:
-        raise UsageError(f"--K {args.K} is too small for the default lengths "
-                         "2^5..2^13: give --x-values or enlarge the window")
-    X_values = sorted(X_values)
+    top = min(13, int(np.floor(np.log2(args.K / 4))))
+    X_values = sorted([float(t) for t in args.x_values.split(",")]
+                      if args.x_values
+                      else [float(2 ** m) for m in range(5, top + 1)])
     x_max = X_values[-1]
     results = {}
     for orient, sign in (("outward", 1.0), ("inward", -1.0)):
@@ -330,7 +404,8 @@ def _cmd_counterexample(args) -> int:
                 f"--x-values reach {x_max:g}, past the trust radius "
                 f"(K+1)/4 = {gf.trust_radius:g} of the far-tail series; "
                 "lower them or enlarge the window")
-        fit = fit_weight_exponent(gf, 32.0, min(4096.0, x_max, args.K / 10))
+        fit = fit_weight_exponent(gf, _FIT_FROM,
+                                  min(4096.0, x_max, args.K / 10))
         quad = gf.separation / 8.0
         m_min = int(np.round(np.log2(X_values[0])))
         fam = IntervalFamily(x_max=x_max, m_min=m_min,

@@ -59,7 +59,7 @@ class Exponents:
         return self.p / (self.p - 1.0)
 
     @property
-    def p_prime(self) -> float:
+    def p_max(self) -> float:
         return max(self.p, self.q)
 
 
@@ -144,6 +144,19 @@ class GeneratingFunction:
         xx = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
         F = np.exp(self._core.logabs(xx))
         return float(F[0]) if scalar else F.reshape(np.shape(x))
+
+    def value_weight_blocks(self, x):
+        """S(x) and F(x) at real points, one block of rows at a time:
+        yields (S, F) for consecutive blocks of ``x`` (flattened), each
+        bit-identical to ``value(x)`` and ``weight(x)`` on the whole
+        batch.  The core routes the batch once, as those two would, and
+        takes both from one pass (see
+        :meth:`pwinterp._engine.ProductCore.value_logabs_blocks`), so
+        memory stays O(block) on every path.
+        """
+        xx = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+        for S, L in self._core.value_logabs_blocks(xx):
+            yield S, np.exp(L)
 
     def power_sums(self, p: float, h: float, n_half: int, block: int):
         """Sums of v = F^p and of its dual v^(-1/(p-1)) over each run of

@@ -158,6 +158,163 @@ class TestGenfnCommand:
         assert err.count("\n") == 1 and "--grid 0:1e15:1e-6" in err
 
 
+def _write_nodes(path, k, pos):
+    from pwinterp import NodeSequence, save_nodes
+    save_nodes(NodeSequence(k, pos), str(path))
+    return ["--nodes", str(path)]
+
+
+def _window_args(tmp_path, name):
+    """CLI arguments for the windows of the routing cases."""
+    if name == "complex":  # the K = 128 window k + 0.1i(-1)^k
+        k = np.arange(-128, 129)
+        return _write_nodes(tmp_path / "c.csv", k, k + 0.1j * (-1.0) ** k)
+    if name == "loaded":  # the K = 256 lattice with a node at 1/2
+        k = np.arange(-256, 257).astype(complex)
+        return _write_nodes(tmp_path / "l.csv", np.arange(-256, 258),
+                            np.insert(k, 257, 0.5))
+    family, K = name.split("/")
+    return ["--family", family, "--K", K]
+
+
+# (window, grid) for every way ``value`` and ``weight`` route the grid
+_GENFN_ROUTES = {
+    # a real bulk window: 60001 rows, three blocks and a partial one
+    "bulk": ("signed:0.2/4096", "-300:300:0.01"),
+    # S = +-0.0 on every integer
+    "exact hits": ("integer/4096", "-1000:1000:0.0625"),
+    # no cell 24 slots inside the window: pointwise
+    "near the window edge": ("integer/20", "-3:3:0.01"),
+    # S pointwise, F on the bulk kernel
+    "complex window": ("complex", "-30:30:0.1"),
+    # not a perturbed lattice: pointwise
+    "loaded window": ("loaded", "-50:50:0.005"),
+    "fewer than 256 points": ("signed:0.2/4096", "0:2.5:0.01"),
+    # F from the grid kernel, S from the point kernel
+    "dyadic midpoint grid": ("signed:0.2/4096", "-199.5:199.5:1"),
+    "dyadic grid of 51200 rows": ("signed:0.2/4096",
+                                  "-99.998046875:99.998046875:0.00390625"),
+}
+
+
+class TestGenfnStreaming:
+    """``genfn`` writes its rows block by block; the bytes are those of
+    ``_write_csv`` on ``value`` and ``weight`` of the whole grid, and a run
+    that fails writes nothing."""
+
+    @staticmethod
+    def _reference(tmp_path, args, grid):
+        from pwinterp import (GridSpec, build_generating_function,
+                              load_nodes, make_family)
+        if args[0] == "--nodes":
+            seq = load_nodes(args[1])
+        else:
+            seq = make_family(cli._parse_family(args[1]), int(args[3]))
+        gf = build_generating_function(seq)
+        x = GridSpec.parse(grid).points()
+        S = gf.value(x)
+        path = tmp_path / "reference.csv"
+        cli._write_csv(str(path), ["x", "re_S", "im_S", "F"],
+                       [x, S.real, S.imag, gf.weight(x)])
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("route", list(_GENFN_ROUTES))
+    def test_bytes_match_whole_grid_csv(self, route, tmp_path, capsys):
+        window, grid = _GENFN_ROUTES[route]
+        args = _window_args(tmp_path, window)
+        want = self._reference(tmp_path, args, grid)
+        out = tmp_path / "g.csv"
+        assert run_cli(["genfn", *args, "--grid", grid, "-o", str(out)]) == 0
+        assert out.read_bytes() == want
+        capsys.readouterr()
+        assert run_cli(["genfn", *args, "--grid", grid]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == want
+
+    @pytest.mark.parametrize("case", ["overflow", "non-finite grid",
+                                      "trust radius"])
+    def test_failed_run_writes_nothing(self, case, tmp_path, capsys):
+        if case == "overflow":
+            k = np.arange(-64, 65)
+            args = [*_write_nodes(tmp_path / "n.csv", k, k + 0j),
+                    "--grid", "10000:10001:0.5"]
+        else:
+            grid = "nan:1:0.1" if case == "non-finite grid" else "-50:50:0.5"
+            args = ["--family", "integer", "--K", "128", "--grid", grid]
+        before = set(tmp_path.iterdir())
+        code = run_cli(["genfn", *args, "-o", str(tmp_path / "g.csv")])
+        assert code == (64 if case == "trust radius" else 65)
+        assert set(tmp_path.iterdir()) == before
+        capsys.readouterr()
+        assert run_cli(["genfn", *args]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+
+    def test_failed_run_keeps_an_existing_file(self, tmp_path):
+        out = tmp_path / "g.csv"
+        out.write_text("old\n")
+        out.chmod(0o640)
+        code = run_cli(["genfn", "--family", "integer", "--K", "128",
+                        "--grid", "-50:50:0.5", "-o", str(out)])
+        assert code == 64 and out.read_text() == "old\n"
+        assert run_cli(["genfn", "--family", "integer", "--K", "128",
+                        "--grid", "-5:5:0.5", "-o", str(out)]) == 0
+        assert out.read_text().startswith("x,re_S,im_S,F")
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv"]
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        plain = tmp_path / "plain"
+        open(plain, "w").close()
+        out = tmp_path / "g.csv"
+        cli._write_csv(str(out), ["x"], [np.arange(3.0)])
+        assert out.stat().st_mode == plain.stat().st_mode
+
+    def test_interrupted_rows_leave_no_file(self, tmp_path):
+        def rows():
+            yield [np.arange(3.0)]
+            raise KeyboardInterrupt
+        with pytest.raises(KeyboardInterrupt):
+            cli._stream_csv(str(tmp_path / "g.csv"), ["x"], rows())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_device_target_is_written_through(self):
+        import os
+        import stat
+        cli._write_csv(os.devnull, ["x"], [np.arange(3.0)])
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_unwritable_target_fails_as_it_opens(self, tmp_path, capsys):
+        # the message names the target, and evaluation errors come first
+        out = tmp_path / "absent" / "g.csv"
+        for grid, code in (("-5:5:0.5", 65), ("-50:50:0.5", 64)):
+            assert run_cli(["genfn", "--family", "integer", "--K", "128",
+                            "--grid", grid, "-o", str(out)]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == ("pwinterp: data error: [Errno 2] No such file or "
+                          f"directory: '{out}'")
+        assert "trust radius" in err[1]
+
+    def test_dump_peak_memory(self, tmp_path):
+        # the genfn-dump grid, 800k rows at K = 2^15: no array the size of
+        # the grid but x itself (6.1 MiB); the far moments' transforms set
+        # the peak.  Evaluating S and F whole reached 54.7 MiB.
+        import tracemalloc
+        out = str(tmp_path / "g.csv")
+        assert run_cli(["genfn", "--family", "signed:0.2", "--K", "128",
+                        "--grid", "-4:4:0.01", "-o", out]) == 0
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            code = run_cli(["genfn", "--family", "signed:0.2",
+                            "--K", "32768", "--grid", "-4000:4000:0.01",
+                            "-o", out])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 28 << 20
+
+
 @pytest.mark.parametrize("command", ["genfn", "interp"])
 class TestGridTrustRadius:
     """The K = 128 lattice's tail holds for |x| <= (K+1)/4 = 32.25; past
@@ -390,6 +547,29 @@ class TestSweepCommands:
         err = capsys.readouterr().err
         assert err.startswith("pwinterp: error: ") and words in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("K", ["256", "320"])
+    def test_counterexample_window_too_small_for_the_fit(self, K, capsys,
+                                                         monkeypatch):
+        # the weight-exponent fit runs from x = 32 to K/10
+        import pwinterp.nodes
+
+        def no_window(*args, **kwargs):
+            raise AssertionError("refusal must come before any window")
+        monkeypatch.setattr(pwinterp.nodes, "make_family", no_window)
+        code = run_cli(["counterexample", "--p", "2", "--K", K])
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.startswith(f"pwinterp: error: --K {K} is too small")
+        assert "--K 321 or more" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_counterexample_smallest_window_runs(self, tmp_path):
+        out = tmp_path / "ce.json"
+        assert run_cli(["counterexample", "--p", "2", "--K", "321",
+                        "--json", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["config"]["X_values"] == [32.0, 64.0]
 
     def test_alpha_scaling_table(self, tmp_path):
         out = tmp_path / "alpha.json"

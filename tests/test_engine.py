@@ -7,8 +7,8 @@ import pytest
 from pwinterp import (FamilySpec, GridSpec, NodeSequence, SampleSet,
                       build_generating_function, integer_lattice, make_family,
                       reconstruct)
-from pwinterp._engine import (ProductCore, _fast_len, _midpoint_grid,
-                              nearest_nodes)
+from pwinterp._engine import (_BLOCK, ProductCore, _fast_len,
+                              _midpoint_grid, nearest_nodes)
 from pwinterp._tails import _hurwitz_zeta, build_tail, tail_from_shifts
 
 
@@ -793,6 +793,52 @@ class TestMidpointGridKernel:
         np.testing.assert_allclose(gf.weight(x), point, rtol=1e-7)
         np.testing.assert_allclose(np.exp(core.logabs_real(x[::-1])[0]),
                                    point[::-1], rtol=1e-7)
+
+
+def _same_bits(a, b):
+    """Equal shape, dtype and bytes: -0.0 differs from 0.0, NaN from
+    nothing but itself."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a.view(np.uint8), b.view(np.uint8)))
+
+
+class TestRealBlocks:
+    """The real-point producer, ``real_blocks``, and the grid tiles in the
+    order its blocks cut the grid."""
+
+    @pytest.fixture(scope="class")
+    def cores(self):
+        return {name: ProductCore(seq, build_tail(seq))
+                for name, seq in _grid_windows().items()}
+
+    @pytest.mark.parametrize("name", ["signed:0.2", "k + 0.1i(-1)^k"])
+    def test_blocks_concatenate_to_logabs_real(self, cores, name, rng):
+        # 2.5 blocks in random order across the bulk span, past the trust
+        # radius 512.25 too, where points take the tail point by point
+        core = cores[name]
+        x = rng.uniform(-2000.0, 2000.0, 5 * _BLOCK // 2)
+        blocks = list(core.real_blocks(x))
+        assert [b[0].size for b in blocks] == [_BLOCK, _BLOCK, _BLOCK // 2]
+        whole = core.logabs_real(x)
+        for part, full in zip(zip(*blocks), whole):
+            assert _same_bits(np.concatenate(part), full)
+        # a point's values do not depend on how the batch is cut: the
+        # same points in another order land in other blocks
+        order = rng.permutation(x.size)
+        for moved, full in zip(core.logabs_real(x[order]), whole):
+            assert _same_bits(moved, full[order])
+
+    @pytest.mark.parametrize("M,cells", [(8, 4000), (128, 300),
+                                         (1 << 15, 3)])
+    def test_grid_tiles_come_in_row_order(self, cores, M, cells):
+        core = cores["signed:0.2"]
+        n0 = -cells // 2
+        tiles = list(core.grid_tiles(n0, M, cells))
+        starts = [c0 * M + j0 for c0, j0, _ in tiles]
+        assert starts == list(range(0, M * cells, _BLOCK))
+        flat = np.concatenate([tile.reshape(-1) for _, _, tile in tiles])
+        assert _same_bits(flat, core._grid_logabs(n0, M, cells))
 
 
 def _materialized_sums(gf, p, h, n_half, block):

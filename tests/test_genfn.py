@@ -3,10 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
-from pwinterp import (Exponents, FamilySpec, build_generating_function,
-                      comparability_stats, fit_weight_exponent,
-                      growth_diagnostics, integer_lattice, make_family,
-                      modulus_margin, select_subsequence)
+from pwinterp import (Exponents, FamilySpec, NodeSequence,
+                      build_generating_function, comparability_stats,
+                      fit_weight_exponent, growth_diagnostics,
+                      integer_lattice, make_family, modulus_margin,
+                      select_subsequence)
+from pwinterp._engine import _BLOCK
 from pwinterp.genfn import _linear_fit
 
 SINC_D = np.pi  # |S| for the lattice is |sin(pi x)| / pi
@@ -21,8 +23,8 @@ class TestExponents:
         for p in (1.2, 1.5, 2.0, 3.0, 7.5):
             e = Exponents(p)
             assert 1 / e.p + 1 / e.q == pytest.approx(1.0, abs=1e-15)
-            assert e.p_prime == max(e.p, e.q)
-            assert e.p_prime >= 2.0
+            assert e.p_max == max(e.p, e.q)
+            assert e.p_max >= 2.0
 
     @pytest.mark.parametrize("p", [1.0, 0.5, np.inf])
     def test_rejects_out_of_range(self, p):
@@ -126,6 +128,90 @@ class TestWeight:
         for t, expect in zip(xs, vec):
             assert gf_lattice_8k.weight(t) == pytest.approx(expect,
                                                             rel=1e-12)
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a.view(np.uint8), b.view(np.uint8)))
+
+
+def _midpoints(n0, cells, M):
+    return (np.arange(n0 * M, (n0 + cells) * M) + 0.5) * (1.0 / M)
+
+
+def _routing_cases():
+    """(window, points) for every way ``value`` and ``weight`` route a
+    batch; the bulk ones span several blocks, the last one partial."""
+    k = np.arange(-512, 513)
+    complex_window = NodeSequence(k, k + 0.1j * (-1.0) ** k)
+    # the K = 256 lattice loaded with a node at 1/2: not a perturbed lattice
+    lat = np.arange(-256, 257)
+    loaded = NodeSequence(np.arange(-256, 258),
+                          np.insert(lat.astype(complex), 257, 0.5))
+    signed = make_family(FamilySpec("signed", 0.2), 2048)
+    return {
+        "bulk": (signed, np.linspace(-500.0, 500.0, 100_001)),
+        "exact hits": (integer_lattice(2048),
+                       np.arange(-1000.0, 1000.0, 1.0 / 16)),
+        "near the window edge": (integer_lattice(20),
+                                 np.linspace(-2.95, 2.95, 601)),
+        "complex window": (complex_window, np.linspace(-100, 100, 20_001)),
+        "loaded window": (loaded, np.linspace(-50.0, 50.0, 20_001)),
+        "fewer than 256 points": (signed, np.linspace(0.0, 2.5, 251)),
+        "dyadic midpoint grid": (signed, _midpoints(-100, 200, 128)),
+        "dyadic grid, complex window": (complex_window,
+                                        _midpoints(-100, 200, 128)),
+    }
+
+
+class TestValueWeightBlocks:
+    """``value_weight_blocks`` against ``value`` and ``weight`` on the
+    whole batch, bit for bit, on every route."""
+
+    @pytest.mark.parametrize("case", list(_routing_cases()))
+    def test_blocks_match_whole_batch(self, case):
+        seq, x = _routing_cases()[case]
+        gf = build_generating_function(seq)
+        blocks = list(gf.value_weight_blocks(x))
+        sizes = [S.size for S, _ in blocks]
+        assert sizes == [min(_BLOCK, x.size - c0)
+                         for c0 in range(0, x.size, _BLOCK)]
+        fresh = build_generating_function(seq)
+        assert _same_bits(np.concatenate([S for S, _ in blocks]),
+                          fresh.value(x))
+        assert _same_bits(np.concatenate([F for _, F in blocks]),
+                          fresh.weight(x))
+
+    def test_exact_hits_give_signed_zeros(self):
+        seq, x = _routing_cases()["exact hits"]
+        gf = build_generating_function(seq)
+        S = np.concatenate([S for S, _ in gf.value_weight_blocks(x)])
+        zeros = S.real == 0.0
+        assert np.array_equal(zeros, x == np.round(x))
+        assert np.any(np.signbit(S.real[zeros]))
+        assert not np.all(np.signbit(S.real[zeros]))
+
+    def test_dyadic_grid_keeps_the_grid_kernels_weight(self):
+        # the grid kernel's F differs from the point kernel's by rounding
+        seq = make_family(FamilySpec("signed", 0.2), 4096)
+        x = np.arange(-199.5, 200.0)
+        gf = build_generating_function(seq)
+        F = np.concatenate([F for _, F in gf.value_weight_blocks(x)])
+        assert _same_bits(F, gf.weight(x))
+        assert not np.array_equal(F, np.exp(gf._core.logabs_real(x)[0]))
+
+    def test_values_do_not_depend_on_earlier_calls(self):
+        # a cell table cached for a sub-range is not reused for the batch
+        seq, x = _routing_cases()["bulk"]
+        ref = list(build_generating_function(seq).value_weight_blocks(x))
+        gf = build_generating_function(seq)
+        part = x[1000:3000]
+        gf.weight(part)
+        for (S, F), (S0, F0) in zip(gf.value_weight_blocks(x), ref):
+            assert _same_bits(S, S0) and _same_bits(F, F0)
+        assert _same_bits(gf.weight(part),
+                          build_generating_function(seq).weight(part))
 
 
 class TestWeightExponent:
