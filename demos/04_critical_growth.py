@@ -19,8 +19,7 @@ for sign, label in ((+1.0, "outward"), (-1.0, "inward")):
     gf = build_generating_function(seq)
     fit = fit_weight_exponent(gf, 32, 2048)
     fam = IntervalFamily(x_max=8192.0, m_min=5, m_max=13)
-    ap = continuous_ap(lambda x: gf.weight(x) ** p, p, fam,
-                       gf.separation / 8)
+    ap = continuous_ap(gf, p, fam, gf.separation / 8)
     print(f"== {label} (d = {sign * d:+.2f}) ==")
     print(f"  weight exponent fit: {fit.slope:+.4f}")
     print("  anchored quotient ladder:")

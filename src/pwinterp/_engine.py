@@ -48,12 +48,12 @@ Three kernels on two paths approximate the symmetric infinite product
   polynomials as one matrix product, the table's columns times the powers
   of u, and its band as the nine values lambda_(n+j) - (n + 1/2)
   broadcast against u, the product of the nine distances divided by the
-  least: no gathers, no argmin, and no per-point nearest node.  It is the
-  one producer of grid tiles, at most ``_BLOCK`` points each, and has two
-  consumers: ``_grid_logabs`` writes them into the array that ``logabs``
-  returns, and :meth:`pwinterp.genfn.GeneratingFunction.power_sums` sums
-  F^p and its dual per cell as each tile comes, so the ``A_p`` sweep
-  holds no array the size of its grid.
+  least: no gathers, no argmin, and no per-point nearest node.  Its
+  tiles, at most ``_BLOCK`` points each, have one consumer, and that is
+  its one entrance: :meth:`pwinterp.genfn.GeneratingFunction.power_sums`,
+  which hands it the grid's description, never an array, and sums F^p
+  and its dual over runs of any length as each tile comes, so the
+  ``A_p`` sweep holds no array the size of its grid.
 
 Both paths add the core's far-tail series of :mod:`pwinterp._tails` when
 it has one: the closed-form sum of the logs of the factors the window
@@ -82,10 +82,9 @@ when the core is ``fast_ok`` (the window passes
 floor(x) at least 24 slots inside [-K, K], the batch holds at least 256
 points and, for ``value`` and ``divided``, the window is real;
 everything else runs pointwise.  Below 256 points one pointwise
-evaluation is cheaper than a cold bulk cell table.  Within the bulk path,
-``logabs`` sends a batch that is exactly the dyadic midpoint grid (checked
-block by block, see :func:`_midpoint_grid`) to the grid kernel, and every
-other batch, like every ``value`` and ``divided``, to ``real_blocks``.
+evaluation is cheaper than a cold bulk cell table.  Every bulk batch of
+``value``, ``divided`` and ``logabs`` goes to ``real_blocks``, whatever
+its points; the grid kernel takes a grid's description, not an array.
 ``value_logabs_blocks`` routes its whole batch by the same rule, once.
 Off the bulk path the nearest node comes from :func:`nearest_nodes`, a
 sorted search whose memory is O(points).
@@ -199,32 +198,6 @@ def _finite_points(z):
     return z
 
 
-def _midpoint_grid(x):
-    """(n0, M, cells) when ``x`` is exactly the dyadic midpoint grid
-    n + (j + 1/2)/M, M = 2^s, j = 0..M-1 within each cell n = n0, n0 + 1,
-    ..., n0 + cells - 1, in that order; None otherwise.  The points are
-    compared in blocks of ``_BLOCK``, so the check allocates no array the
-    size of ``x``."""
-    if x.size < 2:
-        return None
-    step = float(x[1] - x[0])
-    if not 0.0 < step <= 1.0 or math.frexp(step)[0] != 0.5:
-        return None
-    M = round(1.0 / step)
-    first = float(x[0]) * M - 0.5  # i0, the first point's index
-    if x.size % M or first % M:
-        return None
-    i0 = int(first)
-    # (j + 1/2)/M plus the block's (i0 + c0)/M: sums of dyadic numbers,
-    # exact while the grid's indices stay below 2^52
-    mid = (np.arange(min(_BLOCK, x.size)) + 0.5) / M
-    for c0 in range(0, x.size, _BLOCK):
-        block = x[c0:c0 + _BLOCK]
-        if not np.array_equal(block, mid[:block.size] + (i0 + c0) / M):
-            return None
-    return i0 // M, M, x.size // M
-
-
 class ProductCore:
     """Shared state for evaluating one node sequence's product."""
 
@@ -290,10 +263,7 @@ class ProductCore:
         z = _finite_points(z)
         if not self._bulk(z):
             return np.log(np.abs(self.divided(z)[0]))
-        grid = _midpoint_grid(z.real)
-        if grid is None:
-            return self.logabs_real(z.real)[0]
-        return self._grid_logabs(*grid)
+        return self.logabs_real(z.real)[0]
 
     def value_logabs_blocks(self, z):
         """``value(z)`` and ``logabs(z)`` together, one block of rows at a
@@ -303,25 +273,18 @@ class ProductCore:
         The routing is read from the whole batch, as ``value`` and
         ``logabs`` read it, and every bulk block takes the cell table of
         the whole batch's cell range.  A real window on the bulk path takes
-        S and L from one ``real_blocks`` pass; a dyadic midpoint grid takes
-        L from ``grid_tiles`` instead, whose tiles are these same blocks.
-        Pointwise evaluation is point by point, so its blocks are the
-        batch's.  No float array the size of the batch is formed.
+        S and L from one ``real_blocks`` pass.  Pointwise evaluation is
+        point by point, so its blocks are the batch's.  No float array the
+        size of the batch is formed.
         """
         z = _finite_points(z)
         signed = self._bulk(z, signed=True)
         bulk = signed or self._bulk(z)
-        grid = _midpoint_grid(z.real) if bulk else None
-        tiles = self.grid_tiles(*grid) if grid is not None else None
-        real = (self.real_blocks(z.real) if signed or (bulk and grid is None)
-                else None)
+        real = self.real_blocks(z.real) if bulk else None
         for c0 in range(0, z.size, _BLOCK):
             zb = z[c0:c0 + _BLOCK]
-            if real is not None:
+            if bulk:
                 L, dist, n = next(real)
-            if tiles is not None:
-                logabs = next(tiles)[2].reshape(-1)
-            elif bulk:
                 logabs = L.copy()
             else:
                 n_near = nearest_nodes(self.pos, zb)[1]
@@ -648,34 +611,24 @@ class ProductCore:
             L[apart] += self.tail.log_tail(x[apart])
 
     def takes_grid(self, n0, M, cells) -> bool:
-        """Whether ``logabs`` sends the dyadic midpoint grid x = n + (j +
-        1/2)/M over cells n0..n0 + cells - 1 to the grid kernel: the
-        routing rule of the module docstring, read from the grid's size
-        and ends without building it."""
+        """Whether ``grid_tiles`` serves the dyadic midpoint grid x = n +
+        (j + 1/2)/M over cells n0..n0 + cells - 1: the bulk path's routing
+        rule of the module docstring, read from the grid's size and ends
+        without building it."""
         ends = np.array([n0 + 0.5 / M, n0 + cells - 0.5 / M])
         return (self.fast_ok and M * cells >= _BULK_MIN_BATCH
                 and self._in_bulk_span(ends))
 
-    def _grid_logabs(self, n0, M, cells):
-        """log|D| on the dyadic midpoint grid, as ``_midpoint_grid`` reads
-        it: the tiles of ``grid_tiles`` written into one array."""
-        out = np.empty((cells, M))
-        for c0, j0, tile in self.grid_tiles(n0, M, cells):
-            out[c0:c0 + tile.shape[0], j0:j0 + tile.shape[1]] = tile
-        return out.reshape(-1)
-
     def grid_tiles(self, n0, M, cells):
         """log|D| on the dyadic midpoint grid x = n + (j + 1/2)/M, j =
         0..M-1 in each cell n = n0..n0 + cells - 1, one tile at a time:
-        ``logabs_real``'s values, with the offsets u_j = (j + 1/2)/M - 1/2
-        that every cell shares.
+        ``logabs_real``'s values to rounding, with the offsets u_j = (j +
+        1/2)/M - 1/2 that every cell shares.
 
-        Yields (c0, j0, tile), where tile[i, j] is the value at cell n0 +
-        c0 + i, offset j0 + j.  A tile is whole cells by a run of offsets,
-        ``_BLOCK`` points (one cell by ``_BLOCK`` offsets when M exceeds
-        it; the last tile may be shorter), so memory stays O(``_BLOCK``).
-        Tiles come in the grid's order, each the next ``_BLOCK`` points:
-        the blocks that ``real_blocks`` cuts from the same grid.  Each tile
+        Yields tiles in the grid's order, each the next ``_BLOCK`` points
+        (the last may be shorter): whole cells by a run of offsets, the
+        tile's rows its cells (one cell by ``_BLOCK`` offsets when M
+        exceeds ``_BLOCK``), so memory stays O(``_BLOCK``).  Each tile
         is a fresh array, the caller's to keep or overwrite, and its memory
         runs along its longer side.  In a tile the cell polynomial is one
         matrix product, the tile's table columns times the powers
@@ -733,7 +686,7 @@ class ProductCore:
                 if tail_apart:
                     x = n[:, None] + frac
                     self._add_tail_apart(x.T if cells_inner else x, prod)
-                yield c0, j0, prod.T if cells_inner else prod
+                yield prod.T if cells_inner else prod
 
     def _in_bulk_span(self, x) -> bool:
         """floor(x) -+ ``_W_NEAR`` in [-K, K] at every point, NaN failing."""

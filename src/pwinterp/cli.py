@@ -394,6 +394,10 @@ def _cmd_counterexample(args) -> int:
                       if args.x_values
                       else [float(2 ** m) for m in range(5, top + 1)])
     x_max = X_values[-1]
+    if x_max <= _FIT_FROM:
+        raise UsageError(
+            f"--x-values: the largest length must exceed {_FIT_FROM:g}, "
+            f"where the weight-exponent fit starts; got {x_max:g}")
     results = {}
     for orient, sign in (("outward", 1.0), ("inward", -1.0)):
         spec = _nodes.FamilySpec("signed", sign * d_crit)

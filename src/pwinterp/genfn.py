@@ -162,39 +162,44 @@ class GeneratingFunction:
         """Sums of v = F^p and of its dual v^(-1/(p-1)) over each run of
         ``block`` points of the midpoint grid x_i = (i + 1/2) h, i =
         -n_half..n_half - 1, as :func:`sampled_power_sums` gives them for
-        ``weight(x) ** p``: the same value at every point, summed in
-        another order.
+        ``weight(x) ** p``, to rounding.
 
-        When the runs are whole cells of a grid the grid kernel takes, the
-        kernel's tiles of log F are consumed as they come: F = exp, then
-        F^p and the dual, summed per cell and then per run of cells, so no
-        array the size of the grid is formed.  Otherwise a pointwise window
-        samples the weight in chunks of whole runs, since each of its
-        points is evaluated on its own, and a bulk window samples its
-        whole grid at once, since the bulk cell table follows the cell
-        range of its batch.
+        On whole cells of a step h = 1/M, M = 2^s, that the grid kernel
+        takes, the kernel's tiles of log F are consumed as they come, for
+        any run length: F = exp, then F^p and the dual, summed in units of
+        gcd(block, M) points and then per run, so no array the size of the
+        grid is formed.  Otherwise a pointwise window samples the weight in
+        chunks of whole runs, since each of its points is evaluated on its
+        own, and a bulk window samples its whole grid at once, since the
+        bulk cell table follows the cell range of its batch.
         """
         M = round(1.0 / h)  # 0 for h >= 2, which no cell holds
-        if M and n_half % M == 0 and block % M == 0:
+        if M and h == 1.0 / M and not M & (M - 1) and n_half % M == 0:
             grid = (-n_half // M, M, 2 * n_half // M)
             if self._core.takes_grid(*grid):
-                return self._tile_power_sums(p, *grid, block // M)
+                return self._tile_power_sums(p, *grid, block)
         return sampled_power_sums(lambda x: self.weight(x) ** p, p, h,
                                   n_half, block,
                                   None if self._core.fast_ok else _CHUNK)
 
-    def _tile_power_sums(self, p, n0, M, cells, per):
-        """``power_sums`` from the grid kernel's tiles, in runs of ``per``
-        cells."""
-        sums = np.zeros((2, cells))
-        for c0, _, tile in self._core.grid_tiles(n0, M, cells):
+    def _tile_power_sums(self, p, n0, M, cells, block):
+        """``power_sums`` from the grid kernel's tiles.  M and the tiles'
+        2^14 points are powers of two, so a unit of gcd(block, M) points
+        lies within one tile or is whole tiles; where M divides ``block``,
+        a unit is one cell."""
+        unit = math.gcd(block, M)
+        sums = np.zeros((2, M * cells // unit))
+        i0 = 0  # grid points summed so far
+        for tile in self._core.grid_tiles(n0, M, cells):
             v = np.exp(tile, out=tile)
             v **= p
-            dual = _dual(v, p)
-            at = slice(c0, c0 + v.shape[0])
-            sums[0, at] += v.sum(axis=1)
-            sums[1, at] += dual.sum(axis=1)
-        return np.add.reduceat(sums, np.arange(0, cells, per), axis=1)
+            per = min(unit, v.size)  # a unit, or the tile within one
+            at = slice(i0 // unit, i0 // unit + v.size // per)
+            for row, w in zip(sums, (v, _dual(v, p))):
+                row[at] += w.reshape(-1, per).sum(axis=1)
+            i0 += v.size
+        return np.add.reduceat(sums, np.arange(0, sums.shape[1],
+                                               block // unit), axis=1)
 
 
 def _dual(v, p):

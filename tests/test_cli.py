@@ -564,6 +564,23 @@ class TestSweepCommands:
         assert "--K 321 or more" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("x_values", ["16,32", "32"])
+    def test_counterexample_lengths_within_the_fit_start(
+            self, x_values, capsys, monkeypatch):
+        # the fit needs lengths past x = 32, where it starts
+        import pwinterp.nodes
+
+        def no_window(*args, **kwargs):
+            raise AssertionError("refusal must come before any window")
+        monkeypatch.setattr(pwinterp.nodes, "make_family", no_window)
+        code = run_cli(["counterexample", "--K", "4096",
+                        "--x-values", x_values])
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.startswith("pwinterp: error: --x-values")
+        assert "must exceed 32" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_counterexample_smallest_window_runs(self, tmp_path):
         out = tmp_path / "ce.json"
         assert run_cli(["counterexample", "--p", "2", "--K", "321",

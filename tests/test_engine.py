@@ -7,9 +7,9 @@ import pytest
 from pwinterp import (FamilySpec, GridSpec, NodeSequence, SampleSet,
                       build_generating_function, integer_lattice, make_family,
                       reconstruct)
-from pwinterp._engine import (_BLOCK, ProductCore, _fast_len,
-                              _midpoint_grid, nearest_nodes)
+from pwinterp._engine import _BLOCK, ProductCore, _fast_len, nearest_nodes
 from pwinterp._tails import _hurwitz_zeta, build_tail, tail_from_shifts
+from pwinterp.genfn import sampled_power_sums
 
 
 def _core(kind, d=0.0, K=2048, seed=0, tail=True):
@@ -701,6 +701,13 @@ def _dyadic_grid(n0, cells, M):
     return (np.arange(n0 * M, (n0 + cells) * M) + 0.5) * (1.0 / M)
 
 
+def _tile_logabs(core, n0, M, cells):
+    """log|D| on the dyadic midpoint grid: the grid kernel's tiles, in row
+    order, joined into one array."""
+    return np.concatenate([tile.reshape(-1)
+                           for tile in core.grid_tiles(n0, M, cells)])
+
+
 def _grid_windows():
     """Five K = 2048 windows for the midpoint-grid kernel."""
     K = 2048
@@ -713,9 +720,9 @@ def _grid_windows():
 
 
 class TestMidpointGridKernel:
-    """``logabs`` on the dyadic midpoint grid of ``continuous_ap``: the grid
-    kernel against ``logabs_real``, exact node hits, memory, and the far
-    tail carried by the cell table."""
+    """``grid_tiles`` on the dyadic midpoint grid of ``continuous_ap``: the
+    grid kernel against ``logabs_real``, exact node hits, memory, and the
+    far tail carried by the cell table."""
 
     @pytest.fixture(scope="class")
     def cores(self):
@@ -729,8 +736,9 @@ class TestMidpointGridKernel:
         # both kernels take complex moduli
         core = cores[name]
         x = _dyadic_grid(-300, 600, M)
-        assert _midpoint_grid(x) == (-300, M, 600) and core._bulk(x)
-        rel = np.expm1(core.logabs(x) - core.logabs_real(x)[0])
+        assert core.takes_grid(-300, M, 600)
+        rel = np.expm1(_tile_logabs(core, -300, M, 600)
+                       - core.logabs_real(x)[0])
         assert np.max(np.abs(rel)) <= 1e-9
 
     def test_exact_hits_take_the_other_eight(self):
@@ -738,8 +746,7 @@ class TestMidpointGridKernel:
         gf = build_generating_function(
             make_family(FamilySpec("constant_shift", 1 / 32), 2048))
         x = _dyadic_grid(-300, 600, 16)
-        assert _midpoint_grid(x) is not None
-        F = gf.weight(x)
+        F = np.exp(_tile_logabs(gf._core, -300, 16, 600))
         assert np.all(np.isfinite(F)) and np.all(F > 0)
         assert np.array_equal(x[::16], gf.seq.positions.real[
             gf.seq.array_offset(np.arange(-300, 300))])
@@ -747,20 +754,22 @@ class TestMidpointGridKernel:
         np.testing.assert_allclose(F[::16], np.abs(sprime), rtol=1e-8)
 
     def test_memory_stays_within_tiles(self, cores):
-        # M = 2^20 over two cells: 2M points, whose 16 MiB output is the
-        # one array the size of the batch
+        # M = 2^20 over two cells: 2M points, 16 MiB as one array, in 128
+        # tiles consumed as they come
         import tracemalloc
         core = cores["signed:0.2"]
-        x = _dyadic_grid(3, 2, 1 << 20)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            L = core.logabs(x)
+            sizes = []
+            for tile in core.grid_tiles(3, 1 << 20, 2):
+                assert np.all(np.isfinite(tile))
+                sizes.append(tile.size)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= L.nbytes + (8 << 20)
-        assert np.all(np.isfinite(L))
+        assert sizes == [_BLOCK] * 128
+        assert peak <= 8 << 20
 
     def test_table_tail_matches_log_tail_to_the_radius(self):
         # K = 2^15: the radius (K+1)/4 = 8192.25 takes cells -8192..8191
@@ -787,10 +796,10 @@ class TestMidpointGridKernel:
         assert core._tail_cells[1] == 255
         assert abs(core.tail.log_tail(np.array(256.0))) > 10.0
         x = _dyadic_grid(250, 12, 32)
-        assert _midpoint_grid(x) is not None
         nearest = nearest_nodes(core.pos, x)[1]
         point = np.abs(core.eval_points(x.astype(complex), nearest))
-        np.testing.assert_allclose(gf.weight(x), point, rtol=1e-7)
+        np.testing.assert_allclose(np.exp(_tile_logabs(core, 250, 32, 12)),
+                                   point, rtol=1e-7)
         np.testing.assert_allclose(np.exp(core.logabs_real(x[::-1])[0]),
                                    point[::-1], rtol=1e-7)
 
@@ -832,13 +841,17 @@ class TestRealBlocks:
     @pytest.mark.parametrize("M,cells", [(8, 4000), (128, 300),
                                          (1 << 15, 3)])
     def test_grid_tiles_come_in_row_order(self, cores, M, cells):
+        # each tile the next _BLOCK points, whole cells by a run of offsets
         core = cores["signed:0.2"]
         n0 = -cells // 2
         tiles = list(core.grid_tiles(n0, M, cells))
-        starts = [c0 * M + j0 for c0, j0, _ in tiles]
-        assert starts == list(range(0, M * cells, _BLOCK))
-        flat = np.concatenate([tile.reshape(-1) for _, _, tile in tiles])
-        assert _same_bits(flat, core._grid_logabs(n0, M, cells))
+        n = M * cells
+        assert [t.size for t in tiles] == [min(_BLOCK, n - c0)
+                                           for c0 in range(0, n, _BLOCK)]
+        assert all(t.shape[1] == min(M, _BLOCK) for t in tiles)
+        flat = np.concatenate([tile.reshape(-1) for tile in tiles])
+        want = core.logabs_real(_dyadic_grid(n0, cells, M))[0]
+        assert np.max(np.abs(np.expm1(flat - want))) <= 1e-9
 
 
 def _materialized_sums(gf, p, h, n_half, block):
@@ -859,16 +872,64 @@ class TestPowerSums:
         return {name: build_generating_function(seq)
                 for name, seq in _grid_windows().items()}
 
-    @pytest.mark.parametrize("M", [1, 2, 128])
-    @pytest.mark.parametrize("name", list(_grid_windows()))
-    def test_tiles_match_the_materialized_grid(self, gfs, name, M):
+    @pytest.mark.parametrize("M,cells,block", [
         # cells -300..299 in runs of 16, the last run 8 cells
+        pytest.param(1, 600, 16, id="1"),
+        pytest.param(2, 600, 32, id="2"),
+        pytest.param(128, 600, 16 * 128, id="128"),
+        # runs shorter than a cell, 48 points no power of two
+        pytest.param(128, 600, 32, id="128-run32"),
+        pytest.param(128, 600, 1, id="128-run1"),
+        pytest.param(128, 600, 48, id="128-run48"),
+        # cells of two tiles each, in runs of a quarter tile
+        pytest.param(1 << 15, 4, 1 << 12, id="32768-run4096"),
+    ])
+    @pytest.mark.parametrize("name", list(_grid_windows()))
+    def test_tiles_match_the_materialized_grid(self, gfs, name, M, cells,
+                                               block):
         gf = gfs[name]
-        assert gf._core.takes_grid(-300, M, 600)
-        got = gf.power_sums(2.0, 1.0 / M, 300 * M, 16 * M)
-        want = _materialized_sums(gf, 2.0, 1.0 / M, 300 * M, 16 * M)
-        assert got.shape == want.shape == (2, 38)
+        n_half = cells // 2 * M
+        assert gf._core.takes_grid(-cells // 2, M, cells)
+        got = gf.power_sums(2.0, 1.0 / M, n_half, block)
+        want = _materialized_sums(gf, 2.0, 1.0 / M, n_half, block)
+        assert got.shape == want.shape == (2, -(-cells * M // block))
         assert np.max(np.abs(got - want) / want) <= 1e-13
+
+    @pytest.mark.parametrize("h,n_half,block", [(1.5, 300, 30),
+                                                (1 / 20000, 40000, 40000),
+                                                (0.01, 30000, 1600)])
+    def test_steps_off_the_dyadic_grid_are_sampled(self, gfs, h, n_half,
+                                                   block):
+        # 1/h rounds to a whole M, but the grid is not n + (j + 1/2)/M
+        # with M = 2^s: the grid kernel would sum another grid
+        gf = gfs["signed:0.2"]
+        got = gf.power_sums(2.0, h, n_half, block)
+        want = sampled_power_sums(lambda x: gf.weight(x) ** 2.0, 2.0, h,
+                                  n_half, block)
+        assert _same_bits(got, want)
+
+    def test_short_runs_take_the_tiles(self):
+        # runs of 64 points, half a cell, on the 2M-point grid of h = 2^-7
+        # that a signed:0.1 verdict at K = 2^15 sweeps, after a sweep in
+        # runs of 16 cells has cached the cell table: the whole grid as
+        # three arrays took 48.8 MiB
+        import tracemalloc
+        gf = build_generating_function(
+            make_family(FamilySpec("signed", 0.1), 1 << 15))
+        h, n_half = 2.0 ** -7, 8192 * 128
+        cells16 = gf.power_sums(2.0, h, n_half, 16 * 128)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sums = gf.power_sums(2.0, h, n_half, 64)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 << 20
+        assert sums.shape == (2, 2 * n_half // 64)
+        regrouped = np.add.reduceat(sums, np.arange(0, sums.shape[1], 32),
+                                    axis=1)
+        assert np.max(np.abs(regrouped - cells16) / cells16) <= 1e-13
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_cells_wider_than_a_tile(self, gfs, p):
@@ -929,33 +990,25 @@ class TestRouting:
                 log.append((_path, np.size(z), bool(nodes)))
                 return _orig(core, z, *nodes)
             monkeypatch.setattr(ProductCore, name, counted)
-        grid = ProductCore._grid_logabs
+        grid = ProductCore.grid_tiles
 
         def grid_counted(core, n0, M, cells):
             log.append(("grid", M * cells, False))
             return grid(core, n0, M, cells)
-        monkeypatch.setattr(ProductCore, "_grid_logabs", grid_counted)
+        monkeypatch.setattr(ProductCore, "grid_tiles", grid_counted)
         return log
 
-    def test_dyadic_midpoint_grid_goes_to_the_grid_kernel(self, gf, calls):
-        for M in (1, 2, 128):
-            x = _dyadic_grid(-160, 320, M)
-            assert _midpoint_grid(x) == (-160, M, 320)
-            F = gf.weight(x)
-            assert calls[-1] == ("grid", x.size, False)
-            np.testing.assert_allclose(F, np.exp(gf._core.logabs_real(x)[0]),
-                                       rtol=1e-12)
-        assert [c[0] for c in calls] == ["grid", "bulk"] * 3
-
     def test_other_grids_go_to_logabs_real(self, gf, calls, rng):
+        # the grid kernel's one entrance is power_sums: a batch, even the
+        # dyadic midpoint grid itself, takes the general kernel
         h = 1.0 / 64
         mid = _dyadic_grid(-40, 80, 64)
-        others = {"i h": np.arange(-40 * 64, 40 * 64) * h,
+        others = {"dyadic midpoint grid": mid,
+                  "i h": np.arange(-40 * 64, 40 * 64) * h,
                   "step 0.01": GridSpec(-40.0, 40.0, 0.01).points(),
                   "short of its last point": mid[:-1],
                   "permuted": rng.permutation(mid)}
         for name, x in others.items():
-            assert _midpoint_grid(x) is None, name
             calls.clear()
             gf.weight(x)
             assert calls == [("bulk", x.size, False)], name
