@@ -1,14 +1,13 @@
-"""The discrete Hilbert operator and weighted boundedness probes.
+"""The discrete Hilbert operator and a weighted boundedness probe.
 
 The finite matrix with kernel 1/(target - source) carries the same
 weighted-norm story as the continuous transform: weights with bounded
 block quotients keep its sections bounded, runaway weights do not.  The
-principal-value utility shows the continuous analogue.
+probe certifies a lower bound on the operator's weighted norm.
 """
 import numpy as np
 
-from pwinterp import (DiscreteHilbertOperator, hilbert_transform_pv,
-                      probe_norm, witness_quotient)
+from pwinterp import DiscreteHilbertOperator, probe_norm
 
 N = 200
 k = np.arange(-N, N + 1, dtype=float)
@@ -18,20 +17,3 @@ print("== flat weight: the classical operator ==")
 res = probe_norm(op, np.ones(k.size), 2.0, trials=16, seed=0)
 print(f"  certified lower bound on the l2 norm: {res.lower_bound:.4f} "
       f"(true value pi = {np.pi:.4f})")
-
-print("\n== weight witnesses across block sizes ==")
-for label, w in (("w = |j| + 1", np.abs(k) + 1.0),
-                 ("w = exp(j)", np.exp(k - k.max() / 2))):
-    qs = [witness_quotient(op, w, 2.0, k=0, n=n).quotient
-          for n in (8, 16, 32, 64)]
-    trend = " -> ".join(f"{q:.3g}" for q in qs)
-    print(f"  {label:14s} witness quotients: {trend}")
-print("  (a bounded trend goes with block-quotient stability; the "
-      "exponential weight blows up)")
-
-print("\n== continuous principal value on an indicator ==")
-f = lambda t: np.ones_like(t)
-for t in (2.0, 0.5):
-    val = hilbert_transform_pv(f, (0.0, 1.0), t=t, grid_step=1e-4)
-    print(f"  (Hf)({t}) = {val:+.6f}")
-print(f"  oracle at t=2: {np.log(2) / (1j * np.pi):+.6f}")

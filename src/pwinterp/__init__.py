@@ -23,8 +23,6 @@ from .genfn import (
     build_generating_function,
     fit_weight_exponent,
     comparability_stats,
-    modulus_margin,
-    growth_diagnostics,
 )
 from .criteria import (
     WeightSequence,
@@ -42,8 +40,6 @@ from .criteria import (
 from .hilbert import (
     DiscreteHilbertOperator,
     probe_norm,
-    witness_quotient,
-    hilbert_transform_pv,
 )
 from .interp import (
     SampleSet,
@@ -51,9 +47,7 @@ from .interp import (
     GridFunction,
     weighted_data_norm,
     reconstruct,
-    grid_lp_norm,
     stability_ratio,
-    plancherel_polya_ratio,
     round_trip,
 )
 

@@ -98,6 +98,28 @@ def _grid_in_trust_radius(x: np.ndarray, gf) -> None:
             "narrow the grid or enlarge the window")
 
 
+def _number(text: str, flag: str, kind=float):
+    """``kind(text)``; a usage error naming ``flag`` if it does not parse."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise UsageError(f"{flag}: {text!r} is not a valid "
+                         f"{kind.__name__}") from None
+
+
+def _numbers(text: str, flag: str) -> list[float]:
+    """The floats of a comma-list flag."""
+    return [_number(t, flag) for t in text.split(",")]
+
+
+def _check_lengths(flag: str, *lengths) -> None:
+    """Refuse lengths that are not positive and finite."""
+    for x in lengths:
+        if not 0.0 < x < float("inf"):
+            raise UsageError(f"{flag}: a length must be positive and "
+                             f"finite, got {x:g}")
+
+
 def _parse_family(text: str) -> _nodes.FamilySpec:
     """Family spec grammar: kind[:d[:key=value ...]], e.g. signed:0.25."""
     parts = text.split(":")
@@ -108,13 +130,13 @@ def _parse_family(text: str) -> _nodes.FamilySpec:
         if "=" in part:
             key, val = part.split("=", 1)
             if key == "delta0":
-                kwargs["delta0"] = float(val)
+                kwargs["delta0"] = _number(val, "--family")
             elif key == "seed":
-                kwargs["seed"] = int(val)
+                kwargs["seed"] = _number(val, "--family", int)
             else:
                 raise UsageError(f"unknown family option {key!r}")
         else:
-            d = float(part)
+            d = _number(part, "--family")
     return _family_spec(kind, d, **kwargs)
 
 
@@ -296,6 +318,8 @@ def _verdict_payload(args, seq, rep) -> dict:
 
 def _cmd_check(args) -> int:
     p = _check_p(args.p)
+    if args.xmax is not None:
+        _check_lengths("--xmax", args.xmax)
     seq = _load_sequence(args)
     gf = build_generating_function(seq)
     rep = full_verdict(seq, p, gf=gf, x_max=args.xmax)
@@ -338,16 +362,20 @@ def _cmd_interp(args) -> int:
 def _cmd_kadets(args) -> int:
     p = _check_p(args.p)
     boundary = 1.0 / (2.0 * p.p_max)
-    d_values = sorted(float(t) for t in args.d_values.split(","))
+    d_values = sorted(_numbers(args.d_values, "--d-values"))
     orientations = args.orientations.split(",")
+    if args.xmax is not None:
+        _check_lengths("--xmax", args.xmax)
+    signs = {"outward": 1.0, "inward": -1.0}
+    if not set(orientations) <= signs.keys():
+        raise UsageError("orientations are outward,inward")
+    # every family is checked before any verdict runs
+    specs = {o: [_family_spec("signed", signs[o] * d) for d in d_values]
+             for o in orientations}
     rows = []
     for orient in orientations:
-        sign = {"outward": 1.0, "inward": -1.0}.get(orient)
-        if sign is None:
-            raise UsageError("orientations are outward,inward")
         verdicts = []
-        for d in d_values:
-            spec = _nodes.FamilySpec("signed", sign * d)
+        for d, spec in zip(d_values, specs[orient]):
             seq = _make_family(spec, args.K)
             rep = full_verdict(seq, p, x_max=args.xmax)
             verdicts.append((d, rep))
@@ -390,9 +418,10 @@ def _cmd_counterexample(args) -> int:
             f"{int(10 * _FIT_FROM) + 1} or more")
     # by default 2^5 up to full_verdict's x_max, 2^13 or the trust radius
     top = min(13, int(np.floor(np.log2(args.K / 4))))
-    X_values = sorted([float(t) for t in args.x_values.split(",")]
+    X_values = sorted(_numbers(args.x_values, "--x-values")
                       if args.x_values
                       else [float(2 ** m) for m in range(5, top + 1)])
+    _check_lengths("--x-values", *X_values)
     x_max = X_values[-1]
     if x_max <= _FIT_FROM:
         raise UsageError(
@@ -443,7 +472,7 @@ def _cmd_counterexample(args) -> int:
 
 def _cmd_alpha_scaling(args) -> int:
     spec = _parse_family(args.family)
-    alphas = [float(t) for t in args.alphas.split(",")]
+    alphas = _numbers(args.alphas, "--alphas")
     # every scaled family is checked before any fit runs
     scaled_specs = [
         _family_spec("integer") if alpha == 0.0 else

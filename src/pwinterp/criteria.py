@@ -82,24 +82,21 @@ def _as_weights(w) -> np.ndarray:
 class IntervalFamily:
     """Dyadic interval sweep inside [-x_max, x_max].
 
-    Level m holds intervals of length 2**m whose centers advance by
-    ``stride`` times the length; the two origin-anchored intervals
-    [0, 2**m] and [-2**m, 0] are always included, since power-type weights
-    are extremal there.
+    Level m holds intervals of length 2**m whose centers advance by half
+    the length; the two origin-anchored intervals [0, 2**m] and
+    [-2**m, 0] are always included, since power-type weights are extremal
+    there.
     """
 
     x_max: float
     m_min: int = 5
     m_max: int = 13
-    stride: float = 0.5
 
     def __post_init__(self):
         if self.m_min > self.m_max:
             raise ValueError("m_min must not exceed m_max")
         if 2.0 ** self.m_max > self.x_max:
             raise ValueError("largest interval exceeds x_max")
-        if self.stride <= 0:
-            raise ValueError("stride must be positive")
 
 
 @dataclass(frozen=True)
@@ -301,7 +298,10 @@ class DiscreteApResult:
     level_max: np.ndarray
 
 
-def discrete_ap(w, p, n_max: int, fit_min_length: int = 8) -> DiscreteApResult:
+_DISCRETE_FIT_FROM = 8  # shortest block length in the trend fit
+
+
+def discrete_ap(w, p, n_max: int) -> DiscreteApResult:
     """Two-average quotient of a weight sequence over index blocks.
 
     Computes sup over offsets k and lengths n <= n_max of
@@ -327,7 +327,7 @@ def discrete_ap(w, p, n_max: int, fit_min_length: int = 8) -> DiscreteApResult:
         q = aw * ad ** (p.p - 1.0)
         level_max[i] = float(q.max())
         sup = max(sup, level_max[i])
-    keep = lengths >= fit_min_length
+    keep = lengths >= _DISCRETE_FIT_FROM
     if np.count_nonzero(keep) >= 3:
         slope, _, r2 = _linear_fit(np.log(lengths[keep]), level_max[keep])
     else:
@@ -351,6 +351,9 @@ class ContinuousApResult:
     growth_persistence: float  # late increment ratio; ~1 for log divergence
     last_rel_change: float
     ring_ratio: float          # min dyadic ring-mass ratio of v and dual
+
+
+_TIE_REL = 1e-12  # relative gap within which quotients tie for a maximum
 
 
 def continuous_ap(v_sampler, p, fam: IntervalFamily,
@@ -393,7 +396,7 @@ def continuous_ap(v_sampler, p, fam: IntervalFamily,
             raise QuadratureStepError(
                 f"level m = {m}: intervals of length 2^{m} are shorter than "
                 f"the quadrature step h = 2^{-s} and hold no sample")
-        step = max(1, int(round(fam.stride * nL)))
+        step = max(1, nL // 2)
         plan.append((nL, step, math.gcd(step, nL)))
     top = int(np.floor(np.log2(fam.x_max)))
     ring_edges = [origin + sign * int(round(2.0 ** e / h))
@@ -431,9 +434,13 @@ def continuous_ap(v_sampler, p, fam: IntervalFamily,
         q = aw * ad ** (p.p - 1.0)
         if np.any(q < 1.0 - 1e-9):
             raise AssertionError("interval quotient below 1: quadrature bug")
-        j = int(np.argmax(q))
-        level_max[i] = float(q[j])
-        level_argmax[i] = float(x0 - h / 2 + starts[j] * h + L / 2)
+        level_max[i] = float(q.max())
+        # the centre of a maximum; a tie to rounding, as on periodic
+        # weights, goes to the centre nearest 0, then to the lower one
+        centres = x0 - h / 2 + starts * h + L / 2
+        tied = np.flatnonzero(q >= level_max[i] * (1.0 - _TIE_REL))
+        j = tied[np.lexsort((centres[tied], np.abs(centres[tied])))[0]]
+        level_argmax[i] = float(centres[j])
         sup = max(sup, level_max[i])
 
     if levels.size >= 2:
@@ -515,10 +522,13 @@ def select_subsequence(seq, r: float, j_max: int | None = None
     )
 
 
+# angles scanned around each probe circle, and bisection steps after it
+_PROBE_SCAN = 64
+_PROBE_BISECT = 48
+
+
 def select_probe_points(gf: GeneratingFunction, sel: AnchorSelection,
-                        eps: float | None = None,
-                        n_scan: int = 64, n_bisect: int = 48
-                        ) -> AnchorSelection:
+                        eps: float | None = None) -> AnchorSelection:
     """Place one probe on each circle |z - anchor| = eps where
 
         |S(z) / (z - anchor)| = |S'(anchor)|.
@@ -534,24 +544,24 @@ def select_probe_points(gf: GeneratingFunction, sel: AnchorSelection,
     anchors = sel.anchors
     m = anchors.size
     target = np.abs(gf.node_derivatives(sel.node_indices))
-    theta = np.linspace(0.0, 2.0 * np.pi, n_scan, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * np.pi, _PROBE_SCAN, endpoint=False)
 
     def circle_mod(th):
         return np.abs(gf.divided(anchors + eps_eff * np.exp(1j * th))[0])
 
-    mods = circle_mod(theta[:, None])   # the whole scan, (n_scan, m)
+    mods = circle_mod(theta[:, None])   # the whole scan, (_PROBE_SCAN, m)
     diffs = mods - target[None, :]
     lo_th = np.empty(m)
     hi_th = np.empty(m)
     found = np.zeros(m, dtype=bool)
-    for i in range(n_scan):
-        nxt = (i + 1) % n_scan
+    for i in range(_PROBE_SCAN):
+        nxt = (i + 1) % _PROBE_SCAN
         cross = ~found & (diffs[i] <= 0) & (diffs[nxt] >= 0)
         lo_th[cross] = theta[i]
-        hi_th[cross] = theta[i] + 2 * np.pi / n_scan
+        hi_th[cross] = theta[i] + 2 * np.pi / _PROBE_SCAN
         found |= cross
         cross = ~found & (diffs[i] >= 0) & (diffs[nxt] <= 0)
-        lo_th[cross] = theta[i] + 2 * np.pi / n_scan
+        lo_th[cross] = theta[i] + 2 * np.pi / _PROBE_SCAN
         hi_th[cross] = theta[i]
         found |= cross
     if not np.all(found):
@@ -561,7 +571,7 @@ def select_probe_points(gf: GeneratingFunction, sel: AnchorSelection,
             f"circle range [{mods[:, bad].min():g}, {mods[:, bad].max():g}], "
             f"target {target[bad]:g}"
         )
-    for _ in range(n_bisect):
+    for _ in range(_PROBE_BISECT):
         mid = 0.5 * (lo_th + hi_th)
         val = circle_mod(mid) - target
         neg = val <= 0
@@ -609,25 +619,26 @@ class CriteriaReport:
 
 
 _DENSITY_CANDIDATES = (0.5, 0.6, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0)
+_M_MIN = 5  # the sweep's shortest intervals, 2^5, unless x_max is shorter
 
 
 def full_verdict(seq, p, gf: GeneratingFunction | None = None,
                  x_max: float | None = None,
-                 m_min: int = 5,
-                 quad_step: float | None = None,
-                 r_candidates=_DENSITY_CANDIDATES,
-                 thresholds: Thresholds = Thresholds()) -> CriteriaReport:
+                 quad_step: float | None = None) -> CriteriaReport:
     """Run the full battery on a node sequence and fuse the evidence.
 
     FAIL needs an explicit divergence witness: zero separation, no density
     scale, a statistically clean quotient growth trend, or a ring ratio at
     the boundary power.  PASS needs every statistic stable under doubling.
-    Anything else is INCONCLUSIVE.
+    Anything else is INCONCLUSIVE.  An ``x_max`` that is not positive and
+    finite raises ``ValueError``.
     """
     from .genfn import build_generating_function
 
+    if x_max is not None and not 0.0 < x_max < np.inf:
+        raise ValueError(f"x_max must be positive and finite, got {x_max:g}")
     p = as_exponents(p)
-    th = thresholds
+    th = Thresholds()
     failed = []
 
     sep = (gf.separation if gf is not None and gf.seq is seq
@@ -661,14 +672,14 @@ def full_verdict(seq, p, gf: GeneratingFunction | None = None,
         abs(car.sup - car_half.sup) <= th.stabilize_rel * abs(car.sup)
     )
 
-    r0 = _nodes.relative_density(seq, r_candidates)
+    r0 = _nodes.relative_density(seq, _DENSITY_CANDIDATES)
     if r0 is None:
         failed.append("relative_density")
 
     if quad_step is None:
         quad_step = sep / 8.0
     m_max = int(np.floor(np.log2(x_max)))
-    fam = IntervalFamily(x_max=x_max, m_min=min(m_min, m_max), m_max=m_max)
+    fam = IntervalFamily(x_max=x_max, m_min=min(_M_MIN, m_max), m_max=m_max)
     ap = continuous_ap(gf, p, fam, quad_step)
 
     growth_fires = (

@@ -1,11 +1,11 @@
-"""The generating function of a node sequence and diagnostics built on it.
+"""The generating function of a node sequence.
 
 The generating function is the entire function vanishing exactly on the
 nodes, realized as the symmetric product over the window.  This module
 wraps the evaluation engine with the public surface: point values, node
-derivatives, the normalized weight ``F(x) = |S(x)| / dist(x, Lambda)``,
-asymptotic exponent fits, and the lower-bound and growth diagnostics used
-by the criteria battery.
+derivatives, the normalized weight ``F(x) = |S(x)| / dist(x, Lambda)``
+and the block sums of ``F^p`` that the interval sweep reads, the
+weight-exponent fit, and the derivative-to-weight comparability ratio.
 """
 from __future__ import annotations
 
@@ -26,9 +26,6 @@ __all__ = [
     "fit_weight_exponent",
     "RatioStats",
     "comparability_stats",
-    "modulus_margin",
-    "GrowthDiagnostics",
-    "growth_diagnostics",
     "OverflowReported",
     "TrustRadiusError",
 ]
@@ -298,9 +295,12 @@ def _linear_fit(t, y):
     return math.ldexp(float(coef[0]), e), math.ldexp(float(coef[1]), e), r2
 
 
-def fit_weight_exponent(gf: GeneratingFunction, x_min: float, x_max: float,
-                        n_pts: int = 25,
-                        window_samples: int = 32) -> WeightExponentFit:
+_FIT_POINTS = 25    # geometric sample points of the exponent fit
+_FIT_WINDOW = 32    # midpoint samples averaged over each one's unit window
+
+
+def fit_weight_exponent(gf: GeneratingFunction, x_min: float,
+                        x_max: float) -> WeightExponentFit:
     """Least-squares slope of log(mean F) against log x.
 
     F is averaged over one unit-length window around each sample point to
@@ -309,10 +309,10 @@ def fit_weight_exponent(gf: GeneratingFunction, x_min: float, x_max: float,
     K = gf.seq.half_width
     if not (1.0 <= x_min < x_max <= K / 10.0):
         raise ValueError("fit range must satisfy 1 <= x_min < x_max <= K/10")
-    xs = np.geomspace(x_min, x_max, n_pts)
-    sub = (np.arange(window_samples) + 0.5) / window_samples - 0.5
+    xs = np.geomspace(x_min, x_max, _FIT_POINTS)
+    sub = (np.arange(_FIT_WINDOW) + 0.5) / _FIT_WINDOW - 0.5
     pts = (xs[:, None] + sub[None, :]).ravel()
-    F = gf.weight(pts).reshape(n_pts, window_samples)
+    F = gf.weight(pts).reshape(_FIT_POINTS, _FIT_WINDOW)
     fbar = F.mean(axis=1)
     if np.ptp(fbar) == 0.0:
         raise ValueError("degenerate fit: averaged weight is constant")
@@ -362,70 +362,3 @@ def comparability_stats(gf: GeneratingFunction, anchors,
     rho = np.exp(log_rho)
     lo, hi = float(rho.min()), float(rho.max())
     return RatioStats(min=lo, max=hi, spread=hi / lo)
-
-
-def modulus_margin(gf: GeneratingFunction, p, eps: float,
-                   samples) -> np.ndarray:
-    """Normalized lower-bound margins |S(z)| (1+|z|)^(1/p) e^(-pi |Im z|).
-
-    Samples must be admissible: dist(z, Lambda) > eps (1 + |Im z|).  The
-    diagnostic passes when the minimum stays bounded away from zero.
-    """
-    p = as_exponents(p)
-    z = np.asarray(samples, dtype=np.complex128).ravel()
-    dist, _ = nearest_nodes(gf.seq.positions, z)
-    bad = dist <= eps * (1.0 + np.abs(z.imag))
-    if np.any(bad):
-        raise ValueError(
-            f"{np.count_nonzero(bad)} samples violate the admissibility "
-            "condition dist(z, nodes) > eps (1 + |Im z|)"
-        )
-    vals = gf.value(z)
-    with np.errstate(divide="ignore"):
-        logm = (np.log(np.abs(vals)) + np.log1p(np.abs(z)) / p.p
-                - np.pi * np.abs(z.imag))
-    return np.exp(logm)
-
-
-@dataclass(frozen=True)
-class GrowthDiagnostics:
-    """Partial integrals of F^p, raw and damped by (1 + |x|^p)."""
-
-    X: np.ndarray
-    raw: np.ndarray      # integral of F^p over [-X, X]
-    damped: np.ndarray   # integral of F^p / (1 + |x|^p) over [-X, X]
-    raw_growing: bool
-    damped_stable: bool
-
-
-def growth_diagnostics(gf: GeneratingFunction, p, X_list,
-                       quad_step: float | None = None,
-                       stable_rel: float = 0.05) -> GrowthDiagnostics:
-    """Composite-midpoint partial integrals of the weight's p-th power.
-
-    For a sequence with interpolation-grade weight the raw integral keeps
-    growing while the damped one stabilizes; a stalling raw column flags a
-    fast-decaying weight instead.
-    """
-    p = as_exponents(p)
-    X = np.sort(np.asarray(X_list, dtype=float))
-    if quad_step is None:
-        quad_step = min(gf.separation / 8.0, 0.125)
-    h = quad_step
-    n = int(np.ceil(X[-1] / h))
-    xg = (np.arange(n) + 0.5) * h
-    F = gf.weight(xg)
-    Fm = gf.weight(-xg)
-    vp = F ** p.p + Fm ** p.p
-    cs_raw = np.cumsum(vp) * h
-    cs_damp = np.cumsum((F ** p.p + Fm ** p.p) / (1 + xg ** p.p)) * h
-    idx = np.minimum(np.round(X / h).astype(int) - 1, n - 1)
-    raw = cs_raw[idx]
-    damped = cs_damp[idx]
-    raw_growing = bool(raw[-1] > raw[-2] * (1 + stable_rel))
-    damped_stable = bool(
-        (damped[-1] - damped[-2]) <= stable_rel * damped[-1]
-    )
-    return GrowthDiagnostics(X=X, raw=raw, damped=damped,
-                             raw_growing=raw_growing,
-                             damped_stable=damped_stable)

@@ -3,8 +3,7 @@
 The finite section of the operator a |-> { sum_k a_k / (t_j - s_k) } is the
 bridge between interpolation weights and Muckenhoupt conditions: bounded
 sections force the weight's block quotients to stabilize.  The probe here
-reports certified lower bounds on the weighted operator norm; a
-principal-value transform utility serves the continuous-side oracle tests.
+reports certified lower bounds on the weighted operator norm.
 """
 from __future__ import annotations
 
@@ -20,9 +19,6 @@ __all__ = [
     "weighted_norm",
     "ProbeResult",
     "probe_norm",
-    "WitnessResult",
-    "witness_quotient",
-    "hilbert_transform_pv",
 ]
 
 
@@ -123,58 +119,3 @@ def probe_norm(op: DiscreteHilbertOperator, w, p, trials: int = 16,
         best = max(best, float(q))
         history.append(best)
     return ProbeResult(lower_bound=best, history=tuple(history))
-
-
-@dataclass(frozen=True)
-class WitnessResult:
-    quotient: float
-    block_ratio: float
-
-
-def witness_quotient(op: DiscreteHilbertOperator, w, p, k: int,
-                     n: int) -> WitnessResult:
-    """Boundedness witness built from the weight itself.
-
-    Puts a_l = w_l^(-1/(p-1)) on the block I1 = {k+1, ..., k+n}, applies the
-    operator, and measures the weighted norm of the output restricted to
-    I2 = {k+2n+1, ..., k+3n}, together with the I1/I2 weight block ratio.
-    A quotient that grows with n signals an operator the weight cannot
-    carry.
-    """
-    p = as_exponents(p)
-    w = _as_weights(w)
-    if k < 0 or k + 3 * n > w.size:
-        raise ValueError("window too small for the witness blocks")
-    i1 = slice(k + 1, k + n + 1)
-    i2 = slice(k + 2 * n + 1, k + 3 * n + 1)
-    a = np.zeros(w.size)
-    a[i1] = w[i1] ** (-1.0 / (p.p - 1.0))
-    out = op.apply(a)
-    restricted = np.zeros_like(out)
-    restricted[i2] = out[i2]
-    quotient = weighted_norm(restricted, w, p) / weighted_norm(a, w, p)
-    block_ratio = float(np.sum(w[i1]) / np.sum(w[i2]))
-    return WitnessResult(quotient=float(quotient), block_ratio=block_ratio)
-
-
-def hilbert_transform_pv(f, support: tuple[float, float], t: float,
-                         grid_step: float) -> complex:
-    """Principal-value transform (1/(i pi)) pv-int f(tau)/(t - tau) dtau.
-
-    ``f`` is sampled at midpoints of ``grid_step`` cells over ``support``.
-    The symmetric cell pair straddling t is excluded; by oddness of the
-    kernel its principal value contributes f(t) * 0, so no correction is
-    added.  t inside the support must keep the excluded cells interior.
-    """
-    a, b = float(support[0]), float(support[1])
-    h = float(grid_step)
-    if h <= 0 or b <= a:
-        raise ValueError("need positive step and a nonempty support")
-    if a < t < b and (t - a < h or b - t < h):
-        raise ValueError("t too close to the support boundary for this step")
-    n = int(round((b - a) / h))
-    tau = a + (np.arange(n) + 0.5) * h
-    keep = np.abs(tau - t) > h / 2 * (1 + 1e-12)
-    vals = np.asarray(f(tau[keep]), dtype=np.complex128)
-    integral = np.sum(vals / (t - tau[keep])) * h
-    return complex(integral / (1j * np.pi))

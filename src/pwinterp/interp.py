@@ -5,8 +5,8 @@ Finite-support data a_k on the nodes is interpolated by
     f(x) = sum_k a_k / S'(lambda_k) * S(x) / (x - lambda_k),
 
 the Lagrange-type series normalized by the generating function's node
-derivatives.  Grid evaluation, weighted data norms and the stability and
-sampling-inequality ratios live here.
+derivatives.  Grid evaluation, the weighted data norm, the stability ratio
+and a closed-form round trip live here, with the sample CSV format.
 """
 from __future__ import annotations
 
@@ -25,9 +25,7 @@ __all__ = [
     "save_samples",
     "weighted_data_norm",
     "reconstruct",
-    "grid_lp_norm",
     "stability_ratio",
-    "plancherel_polya_ratio",
     "RoundTripReport",
     "round_trip",
 ]
@@ -174,38 +172,16 @@ def reconstruct(gf: GeneratingFunction, s: SampleSet,
                         step=grid.step)
 
 
-def grid_lp_norm(g: GridFunction, p) -> float:
-    """Riemann-sum L^p norm (step * sum |values|^p)^(1/p)."""
-    p = as_exponents(p)
-    return float((g.step * np.sum(np.abs(g.values) ** p.p)) ** (1.0 / p.p))
-
-
 def stability_ratio(gf: GeneratingFunction, s: SampleSet, p,
                     grid: GridSpec) -> float:
-    """Reconstruction L^p norm over the weighted data norm."""
-    num = grid_lp_norm(reconstruct(gf, s, grid), p)
+    """Reconstruction L^p norm over the weighted data norm; the norm is
+    the Riemann sum (step * sum |f|^p)^(1/p) on the grid."""
+    p = as_exponents(p)
+    g = reconstruct(gf, s, grid)
+    num = float((g.step * np.sum(np.abs(g.values) ** p.p)) ** (1.0 / p.p))
     den = weighted_data_norm(s, gf.seq, p)
     if den == 0.0:
         raise ValueError("zero data norm")
-    return num / den
-
-
-def plancherel_polya_ratio(f, sigma, p, grid: GridSpec) -> float:
-    """(sum_j |f(sigma_j)|^p)^(1/p) over the grid L^p norm of f.
-
-    ``f`` is a vectorized callable; ``sigma`` a separated point set.  For
-    functions of the right exponential type the ratio stays bounded across
-    test functions; it is scale invariant by construction.
-    """
-    p = as_exponents(p)
-    sigma = np.asarray(sigma, dtype=np.complex128).ravel()
-    fs = np.asarray(f(sigma), dtype=np.complex128)
-    num = float(np.sum(np.abs(fs) ** p.p) ** (1.0 / p.p))
-    x = grid.points()
-    vals = np.asarray(f(x), dtype=np.complex128)
-    den = float((grid.step * np.sum(np.abs(vals) ** p.p)) ** (1.0 / p.p))
-    if den == 0.0:
-        raise ValueError("zero function norm")
     return num / den
 
 

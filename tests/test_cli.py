@@ -607,6 +607,54 @@ class TestSweepCommands:
         assert code == 64
 
 
+class TestBadFlagValues:
+    """A flag whose value does not parse, or is out of its range, is a
+    usage error, refused on one line before any window is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_window(self, monkeypatch):
+        import pwinterp.criteria
+        import pwinterp.nodes
+
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("refusal must come before any evaluation")
+        monkeypatch.setattr(pwinterp.criteria, "carleson_sum", no_evaluation)
+        monkeypatch.setattr(pwinterp.nodes, "make_family", no_evaluation)
+
+    def _refused(self, command, flag, capsys):
+        code = run_cli(command.split())
+        err = capsys.readouterr().err
+        assert code == 64, err
+        assert err.startswith("pwinterp: error: ") and flag in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command,flag", [
+        ("check --family signed:0.2 --K 256 --xmax 0", "--xmax"),
+        ("check --family integer --K 256 --xmax -1", "--xmax"),
+        ("check --family integer --K 256 --xmax nan", "--xmax"),
+        ("kadets --K 512 --d-values 0.1 --xmax 0", "--xmax"),
+        ("counterexample --K 4096 --x-values 0,64,128", "--x-values"),
+        ("counterexample --K 4096 --x-values=-8,64,128", "--x-values"),
+        ("counterexample --K 4096 --x-values nan,64,128", "--x-values"),
+    ])
+    def test_length_not_positive_and_finite(self, command, flag, capsys):
+        self._refused(command, flag, capsys)
+
+    @pytest.mark.parametrize("command,flag", [
+        ("kadets --K 512 --d-values abc", "--d-values"),
+        ("check --family signed:abc --K 256", "--family"),
+        ("check --family random:0.3:seed=x --K 256", "--family"),
+        ("alpha-scaling --family signed:0.2 --alphas x", "--alphas"),
+        ("counterexample --K 4096 --x-values 64,y", "--x-values"),
+    ])
+    def test_number_that_does_not_parse(self, command, flag, capsys):
+        self._refused(command, flag, capsys)
+
+    @pytest.mark.parametrize("d_values", ["1.0", "nan", "0.1,1.0"])
+    def test_kadets_magnitude_out_of_range(self, d_values, capsys):
+        self._refused(f"kadets --K 512 --d-values {d_values}", "", capsys)
+
+
 class TestDeterminism:
     def test_check_byte_identical(self, tmp_path):
         outs = []

@@ -172,6 +172,15 @@ class TestContinuousAp:
         res = continuous_ap(lambda x: np.exp(np.sin(x)), 1.7, fam, 1 / 64)
         assert np.all(res.level_max >= 1.0)
 
+    def test_periodic_weight_centres_at_the_origin(self):
+        # every whole-period interval has the same quotient, so each level
+        # ties to rounding and the tie goes to the centre nearest 0
+        fam = IntervalFamily(x_max=1024.0, m_min=0, m_max=10)
+        res = continuous_ap(lambda x: 2.0 + np.cos(2 * np.pi * x), 2.0, fam,
+                            1 / 16)
+        assert np.ptp(res.level_max) < 1e-12 * res.sup
+        assert np.all(res.level_argmax == 0.0)
+
     def test_nonpositive_sampler_rejected(self):
         fam = IntervalFamily(x_max=32.0, m_min=2, m_max=5)
         with pytest.raises(ValueError):
@@ -275,13 +284,17 @@ class TestFullVerdict:
         assert (rep.verdict, rep.failed_checks) == (ref.verdict,
                                                     ref.failed_checks)
         got, want = np.array(rep.ap_quotients), np.array(ref.ap_quotients)
-        # the centre column is the argmax, a tie on periodic weights that
-        # rounding breaks either way
-        assert np.array_equal(got[:, 0], want[:, 0])
+        # lengths and centres exactly, quotients to rounding
+        assert np.array_equal(got[:, [0, 2]], want[:, [0, 2]])
         np.testing.assert_allclose(got[:, 1], want[:, 1], rtol=1e-13, atol=0)
         for field in ("ap_sup", "ring_ratio"):
             assert getattr(rep, field) == pytest.approx(
                 getattr(ref, field), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("x_max", [0.0, -1.0, np.nan, np.inf])
+    def test_x_max_not_positive_and_finite_is_refused(self, x_max):
+        with pytest.raises(ValueError, match="x_max must be positive"):
+            full_verdict(integer_lattice(256), 2.0, x_max=x_max)
 
     def test_separation_once_per_verdict(self, monkeypatch):
         calls = []

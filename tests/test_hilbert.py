@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import digamma
 
-from pwinterp import (DiscreteHilbertOperator, hilbert_transform_pv,
-                      probe_norm, witness_quotient)
+from pwinterp import DiscreteHilbertOperator, probe_norm
 from pwinterp.hilbert import weighted_norm
 
 
@@ -88,62 +87,6 @@ class TestProbeNorm:
         a = probe_norm(op1, w, 2.0, trials=8, seed=5).lower_bound
         b = probe_norm(op2, w, 2.0, trials=8, seed=5).lower_bound
         assert max(a, b) / min(a, b) <= 4.0
-
-
-class TestWitness:
-    def test_unit_weight_ratio_one(self):
-        op = _lattice_op(80)
-        res = witness_quotient(op, np.ones(161), 2.0, k=0, n=32)
-        assert res.block_ratio == pytest.approx(1.0)
-
-    def test_linear_weight_oracle(self):
-        # w = 1, 2, 3, ... : block sums are arithmetic series
-        op = _lattice_op(80)
-        w = np.arange(1.0, 162.0)
-        res = witness_quotient(op, w, 2.0, k=0, n=32)
-        expect = np.sum(w[1:33]) / np.sum(w[65:97])
-        assert res.block_ratio == pytest.approx(expect, rel=1e-12)
-
-    def test_exponential_weight_quotient_grows(self):
-        N = 140
-        op = _lattice_op(N)
-        j = np.arange(-N, N + 1, dtype=float)
-        w = np.exp(j - j.max() / 2)
-        qs = [witness_quotient(op, w, 2.0, k=0, n=n).quotient
-              for n in (8, 16, 32, 64)]
-        assert all(b > 2.0 * a for a, b in zip(qs, qs[1:]))
-
-    def test_window_guard(self):
-        op = _lattice_op(10)
-        with pytest.raises(ValueError, match="window"):
-            witness_quotient(op, np.ones(21), 2.0, k=0, n=8)
-
-
-class TestPrincipalValue:
-    def test_indicator_outside_support(self):
-        f = lambda t: np.ones_like(t)
-        got = hilbert_transform_pv(f, (0.0, 1.0), t=2.0, grid_step=1e-4)
-        expect = np.log(2.0) / (1j * np.pi)
-        assert got == pytest.approx(expect, rel=1e-6)
-
-    def test_symmetric_point_cancels(self):
-        f = lambda t: np.ones_like(t)
-        got = hilbert_transform_pv(f, (0.0, 1.0), t=0.5, grid_step=1e-3)
-        assert abs(got) < 1e-12
-
-    def test_odd_function_doubles_one_side(self):
-        t0 = 0.0
-        f = lambda t: t  # odd about t0
-        h = 1e-4
-        full = hilbert_transform_pv(f, (-1.0, 1.0), t=t0, grid_step=h)
-        # one-sided integral of tau/(0 - tau) over (0, 1] is -1; the
-        # excluded symmetric cell leaves an O(h) hole
-        assert full == pytest.approx(2 * (-1.0) / (1j * np.pi), rel=2 * h)
-
-    def test_boundary_guard(self):
-        f = lambda t: np.ones_like(t)
-        with pytest.raises(ValueError, match="boundary"):
-            hilbert_transform_pv(f, (0.0, 1.0), t=0.9995, grid_step=1e-3)
 
 
 class TestWeightedNorm:

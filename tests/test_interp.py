@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from pwinterp import (FamilySpec, GridSpec, NodeSequence, SampleSet,
-                      build_generating_function, grid_lp_norm,
-                      integer_lattice, make_family, plancherel_polya_ratio,
-                      reconstruct, round_trip, stability_ratio,
+                      build_generating_function, integer_lattice,
+                      make_family, reconstruct, round_trip, stability_ratio,
                       weighted_data_norm)
-from pwinterp.interp import GridFunction, load_samples, save_samples
+from pwinterp.interp import load_samples, save_samples
 
 
 def sinc(x):
@@ -121,24 +120,6 @@ class TestGridSpec:
             GridSpec(x_min, x_max, step)
 
 
-class TestGridNorm:
-    def test_constant_function(self):
-        g = GridFunction(grid=np.arange(0, 1, 0.01),
-                         values=np.ones(100, dtype=complex), step=0.01)
-        assert grid_lp_norm(g, 2.0) == pytest.approx(1.0, abs=0.01)
-
-    def test_sinc_l2_norm(self):
-        x = np.arange(-40, 40, 0.01)
-        g = GridFunction(grid=x, values=np_sinc(x).astype(complex),
-                         step=0.01)
-        assert grid_lp_norm(g, 2.0) == pytest.approx(1.0, abs=2e-2)
-
-    def test_zero_function(self):
-        g = GridFunction(grid=np.arange(0, 1, 0.1),
-                         values=np.zeros(10, dtype=complex), step=0.1)
-        assert grid_lp_norm(g, 2.0) == 0.0
-
-
 class TestStabilityRatio:
     def test_unit_sinc_ratio_one(self, gf_lattice_8k):
         ratio = stability_ratio(gf_lattice_8k, SampleSet.unit(0), 2.0,
@@ -173,28 +154,6 @@ class TestStabilityRatio:
         s = SampleSet(np.array([0]), np.array([0.0 + 0j]))
         with pytest.raises(ValueError, match="zero data norm"):
             stability_ratio(gf_lattice_8k, s, 2.0, GridSpec(-5, 5, 0.1))
-
-
-class TestPlancherelPolya:
-    def test_sinc_on_half_integers(self):
-        sigma = np.arange(-500, 501) + 0.5
-        ratio = plancherel_polya_ratio(np_sinc, sigma, 2.0,
-                                       GridSpec(-500.0, 500.0, 0.05))
-        assert ratio == pytest.approx(1.0, abs=2e-2)
-
-    def test_sinc_on_integers(self):
-        sigma = np.arange(-500, 501).astype(float)
-        ratio = plancherel_polya_ratio(np_sinc, sigma, 2.0,
-                                       GridSpec(-500.0, 500.0, 0.05))
-        assert ratio == pytest.approx(1.0, abs=2e-2)
-
-    def test_scale_invariance(self):
-        sigma = np.arange(-100, 101) + 0.5
-        grid = GridSpec(-100.0, 100.0, 0.05)
-        r1 = plancherel_polya_ratio(np_sinc, sigma, 2.0, grid)
-        r2 = plancherel_polya_ratio(lambda x: 5.0 * np_sinc(x), sigma, 2.0,
-                                    grid)
-        assert r2 == pytest.approx(r1, rel=1e-12)
 
 
 class TestRoundTrip:
