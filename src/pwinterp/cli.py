@@ -84,20 +84,6 @@ def _parse_grid(text: str) -> GridSpec:
     return grid
 
 
-def _grid_in_trust_radius(x: np.ndarray, gf) -> None:
-    """Refuse grid points past the far-tail series' trust radius.
-
-    Called after the evaluation and before any output is written, so that
-    a product too large to represent stays a data error.
-    """
-    reach = max(-float(x.min()), float(x.max()))
-    if reach > gf.trust_radius:
-        raise TrustRadiusError(
-            f"--grid reaches |x| = {reach:g}, past the trust radius "
-            f"(K+1)/4 = {gf.trust_radius:g} of the far-tail series; "
-            "narrow the grid or enlarge the window")
-
-
 def _number(text: str, flag: str, kind=float):
     """``kind(text)``; a usage error naming ``flag`` if it does not parse."""
     try:
@@ -134,26 +120,25 @@ def _parse_family(text: str) -> _nodes.FamilySpec:
             elif key == "seed":
                 kwargs["seed"] = _number(val, "--family", int)
             else:
-                raise UsageError(f"unknown family option {key!r}")
+                raise UsageError(f"--family: unknown option {key!r}")
         else:
             d = _number(part, "--family")
-    return _family_spec(kind, d, **kwargs)
+    return _family_spec("--family", kind, d, **kwargs)
 
 
-def _family_spec(kind: str, d: float = 0.0, **kwargs) -> _nodes.FamilySpec:
-    """A FamilySpec whose rejection is a usage error."""
+def _family_spec(flag: str, kind: str, d: float = 0.0,
+                 **kwargs) -> _nodes.FamilySpec:
+    """A FamilySpec whose rejection is a usage error naming ``flag``."""
     try:
         return _nodes.FamilySpec(kind, d, **kwargs)
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(f"{flag}: {exc}") from exc
 
 
 def _check_p(p: float) -> Exponents:
-    if not (1.0 < p < float("inf")):
-        raise UsageError(
-            "p must satisfy 1 < p < inf: complete interpolating sequences "
-            "do not exist for p <= 1 or p = inf"
-        )
+    if not 1.0 < p < float("inf"):
+        raise UsageError(f"--p {p:g}: complete interpolating sequences "
+                         "exist only for 1 < p < inf")
     return Exponents(p)
 
 
@@ -292,7 +277,6 @@ def _cmd_genfn(args) -> int:
         for S, F in gf.value_weight_blocks(x):
             yield [x[c0:c0 + S.size], S.real, S.imag, F]
             c0 += S.size
-        _grid_in_trust_radius(x, gf)
 
     _stream_csv(args.output, ["x", "re_S", "im_S", "F"], rows())
     return EXIT_PASS
@@ -353,7 +337,6 @@ def _cmd_interp(args) -> int:
     gf = build_generating_function(seq)
     samples = load_samples(args.samples)
     rec = reconstruct(gf, samples, grid)
-    _grid_in_trust_radius(rec.grid, gf)
     _write_csv(args.output, ["x", "re_f", "im_f"],
                [rec.grid, rec.values.real, rec.values.imag])
     return EXIT_PASS
@@ -363,42 +346,41 @@ def _cmd_kadets(args) -> int:
     p = _check_p(args.p)
     boundary = 1.0 / (2.0 * p.p_max)
     d_values = sorted(_numbers(args.d_values, "--d-values"))
+    if any(d < 0.0 for d in d_values):
+        raise UsageError("--d-values: magnitudes are not negative; the "
+                         "sign comes from --orientations")
     orientations = args.orientations.split(",")
     if args.xmax is not None:
         _check_lengths("--xmax", args.xmax)
     signs = {"outward": 1.0, "inward": -1.0}
     if not set(orientations) <= signs.keys():
-        raise UsageError("orientations are outward,inward")
+        raise UsageError("--orientations: the choices are outward,inward")
     # every family is checked before any verdict runs
-    specs = {o: [_family_spec("signed", signs[o] * d) for d in d_values]
+    specs = {o: [_family_spec("--d-values", "signed", signs[o] * d)
+                 for d in d_values]
              for o in orientations}
     rows = []
     for orient in orientations:
-        verdicts = []
-        for d, spec in zip(d_values, specs[orient]):
-            seq = _make_family(spec, args.K)
-            rep = full_verdict(seq, p, x_max=args.xmax)
-            verdicts.append((d, rep))
         seen_fail = False
-        for d, rep in verdicts:
+        for d, spec in zip(d_values, specs[orient]):
+            rep = full_verdict(_make_family(spec, args.K), p, x_max=args.xmax)
             verdict = rep.verdict
             if verdict == "FAIL":
                 seen_fail = True
             elif seen_fail and verdict == "PASS":
                 # verdicts may not recover once lost along the sweep
                 verdict = "INCONCLUSIVE"
-            rows.append((orient, d, verdict, rep.ap_sup, rep.growth_slope,
-                         rep.growth_r2, rep.ring_ratio))
+            rows.append({"orientation": orient, "d": d, "verdict": verdict,
+                         "ap_sup": rep.ap_sup,
+                         "growth_slope": rep.growth_slope,
+                         "growth_r2": rep.growth_r2,
+                         "ring_ratio": rep.ring_ratio})
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config": {"command": "kadets", "p": args.p, "K": args.K,
                    "d_values": d_values, "orientations": orientations,
                    "xmax": args.xmax, "boundary": boundary},
-        "rows": [
-            {"orientation": o, "d": d, "verdict": v, "ap_sup": s,
-             "growth_slope": g, "growth_r2": r2, "ring_ratio": rr}
-            for (o, d, v, s, g, r2, rr) in rows
-        ],
+        "rows": rows,
     }
     _write_json(payload, args.json)
     return EXIT_PASS
@@ -432,11 +414,6 @@ def _cmd_counterexample(args) -> int:
         spec = _nodes.FamilySpec("signed", sign * d_crit)
         seq = _make_family(spec, args.K)
         gf = build_generating_function(seq)
-        if x_max > gf.trust_radius:
-            raise TrustRadiusError(
-                f"--x-values reach {x_max:g}, past the trust radius "
-                f"(K+1)/4 = {gf.trust_radius:g} of the far-tail series; "
-                "lower them or enlarge the window")
         fit = fit_weight_exponent(gf, _FIT_FROM,
                                   min(4096.0, x_max, args.K / 10))
         quad = gf.separation / 8.0
@@ -473,11 +450,16 @@ def _cmd_counterexample(args) -> int:
 def _cmd_alpha_scaling(args) -> int:
     spec = _parse_family(args.family)
     alphas = _numbers(args.alphas, "--alphas")
+    if not 1.0 <= args.fit_min < args.fit_max <= args.K / 10:
+        raise UsageError(
+            f"--fit-min {args.fit_min:g} and --fit-max {args.fit_max:g} "
+            f"must satisfy 1 <= --fit-min < --fit-max <= K/10 = "
+            f"{args.K / 10:g}")
     # every scaled family is checked before any fit runs
     scaled_specs = [
-        _family_spec("integer") if alpha == 0.0 else
-        _family_spec(spec.kind, alpha * spec.d, delta0=alpha * spec.delta0,
-                     seed=spec.seed)
+        _family_spec("--alphas", "integer") if alpha == 0.0 else
+        _family_spec("--alphas", spec.kind, alpha * spec.d,
+                     delta0=alpha * spec.delta0, seed=spec.seed)
         for alpha in alphas
     ]
     base = _make_family(spec, args.K)
@@ -586,14 +568,9 @@ def _join_grid_flags(argv):
     """Fold ``--grid -10:10:0.01`` into ``--grid=...`` so the leading dash
     of a negative bound is not read as an option."""
     out = []
-    it = iter(argv)
-    for token in it:
-        if token == "--grid":
-            value = next(it, None)
-            if value is None:
-                out.append(token)
-            else:
-                out.append(f"--grid={value}")
+    for token in argv:
+        if out and out[-1] == "--grid":
+            out[-1] = f"--grid={token}"
         else:
             out.append(token)
     return out
@@ -605,6 +582,10 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_join_grid_flags(argv))
     try:
+        for flag, low in (("K", 1), ("seed", 0)):  # integer flag floors
+            if getattr(args, flag, low) < low:
+                raise UsageError(f"--{flag} {getattr(args, flag)}: must be "
+                                 f"at least {low}")
         return args.func(args)
     except (UsageError, TrustRadiusError, QuadratureStepError) as exc:
         sys.stderr.write(f"pwinterp: error: {exc}\n")

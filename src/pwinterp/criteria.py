@@ -631,7 +631,8 @@ def full_verdict(seq, p, gf: GeneratingFunction | None = None,
     scale, a statistically clean quotient growth trend, or a ring ratio at
     the boundary power.  PASS needs every statistic stable under doubling.
     Anything else is INCONCLUSIVE.  An ``x_max`` that is not positive and
-    finite raises ``ValueError``.
+    finite raises ``ValueError``; one past the trust radius of ``gf``
+    raises its :class:`TrustRadiusError` before the Carleson sums run.
     """
     from .genfn import build_generating_function
 
@@ -658,11 +659,14 @@ def full_verdict(seq, p, gf: GeneratingFunction | None = None,
         if K < 64:
             raise ValueError("window too small for the interval sweep")
         x_max = 2.0 ** min(13, int(np.floor(np.log2(K / 4))))
-    if x_max > gf.trust_radius:
-        raise TrustRadiusError(
-            f"x_max = {x_max:g} exceeds the trust radius "
-            f"(K+1)/4 = {gf.trust_radius:g} of the far-tail series; "
-            "lower x_max or enlarge the window")
+
+    # the sweep goes first: its power sums refuse an x_max past the trust
+    # radius before the Carleson sums are paid for
+    if quad_step is None:
+        quad_step = sep / 8.0
+    m_max = int(np.floor(np.log2(x_max)))
+    fam = IntervalFamily(x_max=x_max, m_min=min(_M_MIN, m_max), m_max=m_max)
+    ap = continuous_ap(gf, p, fam, quad_step)
 
     # the half window's separation is at least the full window's
     car = carleson_sum(seq, separation=sep)
@@ -675,12 +679,6 @@ def full_verdict(seq, p, gf: GeneratingFunction | None = None,
     r0 = _nodes.relative_density(seq, _DENSITY_CANDIDATES)
     if r0 is None:
         failed.append("relative_density")
-
-    if quad_step is None:
-        quad_step = sep / 8.0
-    m_max = int(np.floor(np.log2(x_max)))
-    fam = IntervalFamily(x_max=x_max, m_min=min(_M_MIN, m_max), m_max=m_max)
-    ap = continuous_ap(gf, p, fam, quad_step)
 
     growth_fires = (
         ap.growth_slope > th.slope_factor * float(np.mean(ap.level_max))

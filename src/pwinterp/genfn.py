@@ -75,6 +75,10 @@ class GeneratingFunction:
     table, kept for the last cell range and replaced whole, so instances
     are safe to call concurrently.  Build through
     :func:`build_generating_function`.
+
+    Past ``trust_radius`` the product is not the limit's: every method
+    raises :class:`TrustRadiusError` there, those taking points after they
+    evaluate, so that :class:`OverflowReported` comes first.
     """
 
     def __init__(self, seq, core: ProductCore,
@@ -88,12 +92,26 @@ class GeneratingFunction:
         self.trust_radius = (core.tail.radius if core.tail is not None
                              else np.inf)
 
+    def _within_radius(self, z, where: str = "a point at |z|") -> None:
+        """Refuse points ``z`` past the trust radius, naming ``where`` the
+        farthest lies.  Real points are read by their least and greatest,
+        so no array the size of ``z`` is formed."""
+        z = np.asarray(z)
+        reach = (np.max(np.abs(z), initial=0.0) if np.iscomplexobj(z)
+                 else max(-np.min(z, initial=0.0), np.max(z, initial=0.0)))
+        if reach > self.trust_radius:
+            raise TrustRadiusError(
+                f"{where} = {reach:g} lies past the trust radius (K+1)/4 = "
+                f"{self.trust_radius:g} of the far-tail series; enlarge the "
+                "window")
+
     # -- S and D ------------------------------------------------------------
 
     def value(self, z):
         """Product value S(z); accepts scalars or arrays."""
         scalar = np.isscalar(z) or np.asarray(z).ndim == 0
         vals = self._core.value(z)
+        self._within_radius(z)
         return complex(vals[0]) if scalar else vals.reshape(np.shape(z))
 
     def divided(self, z):
@@ -101,6 +119,7 @@ class GeneratingFunction:
         nearest z (ties to the lowest), shaped like ``z``; on a node D is
         S'(lambda_n)."""
         D, n = self._core.divided(z)
+        self._within_radius(z)
         if np.isscalar(z) or np.asarray(z).ndim == 0:
             return complex(D[0]), int(n[0])
         return D.reshape(np.shape(z)), n.reshape(np.shape(z))
@@ -117,12 +136,9 @@ class GeneratingFunction:
         truncated product is not the limit's."""
         ks = np.asarray(ks).ravel()
         lam = self.seq.positions[self.seq.array_offset(ks)]
-        far = np.flatnonzero(np.abs(lam) > self.trust_radius)
-        if far.size:
-            raise TrustRadiusError(
-                f"node {ks[far[0]]} at |lambda| = {abs(lam[far[0]]):g} lies "
-                f"past the trust radius (K+1)/4 = {self.trust_radius:g} of "
-                "the far-tail series; enlarge the window")
+        if lam.size:
+            far = np.argmax(np.abs(lam))
+            self._within_radius(lam[far], f"node {ks[far]} at |lambda|")
         vals = self._core.divided(lam)[0]
         if np.any(vals == 0):
             raise ValueError("vanishing node derivative: multiple zero")
@@ -140,6 +156,7 @@ class GeneratingFunction:
         scalar = np.isscalar(x) or np.asarray(x).ndim == 0
         xx = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
         F = np.exp(self._core.logabs(xx))
+        self._within_radius(xx)
         return float(F[0]) if scalar else F.reshape(np.shape(x))
 
     def value_weight_blocks(self, x):
@@ -154,6 +171,7 @@ class GeneratingFunction:
         xx = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
         for S, L in self._core.value_logabs_blocks(xx):
             yield S, np.exp(L)
+        self._within_radius(xx)
 
     def power_sums(self, p: float, h: float, n_half: int, block: int):
         """Sums of v = F^p and of its dual v^(-1/(p-1)) over each run of
@@ -170,6 +188,7 @@ class GeneratingFunction:
         own, and a bulk window samples its whole grid at once, since the
         bulk cell table follows the cell range of its batch.
         """
+        self._within_radius(n_half * h, "the grid's end at |x|")
         M = round(1.0 / h)  # 0 for h >= 2, which no cell holds
         if M and h == 1.0 / M and not M & (M - 1) and n_half % M == 0:
             grid = (-n_half // M, M, 2 * n_half // M)

@@ -155,7 +155,8 @@ def reconstruct(gf: GeneratingFunction, s: SampleSet,
     support.  The nearest node's term never divides by x - lambda_n, so a
     grid point on a support node reproduces its sample, and one on any
     other node gives 0.  Raises :class:`pwinterp.genfn.TrustRadiusError`
-    for a support node past the trust radius.
+    for a support node past the trust radius before it evaluates, and for
+    a grid point past it after.
     """
     x = grid.points()
     lam = gf.seq.positions

@@ -82,6 +82,8 @@ class FamilySpec:
             )
         if self.kind == "signed" and abs(self.delta0) > 1.0:
             raise ValueError("signed family requires |delta0| <= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def delta(self, k) -> np.ndarray:
         """The pattern's perturbation ``delta_k`` at integer indices ``k``.

@@ -1,10 +1,15 @@
+import contextlib
 import csv
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pwinterp import cli
 from pwinterp.cli import main
@@ -650,9 +655,122 @@ class TestBadFlagValues:
     def test_number_that_does_not_parse(self, command, flag, capsys):
         self._refused(command, flag, capsys)
 
-    @pytest.mark.parametrize("d_values", ["1.0", "nan", "0.1,1.0"])
+    @pytest.mark.parametrize("d_values", ["1.0", "nan", "0.1,1.0", "-0.1"])
     def test_kadets_magnitude_out_of_range(self, d_values, capsys):
         self._refused(f"kadets --K 512 --d-values {d_values}", "", capsys)
+
+    @pytest.mark.parametrize("command,flag", [
+        ("check --family integer --K 0", "--K"),
+        ("family --family integer --K -3 -o n.csv", "--K"),
+        ("kadets --K 0", "--K"),
+        ("alpha-scaling --family integer --K -1", "--K"),
+        ("check --family integer --K 256 --seed -1 --with-operator-probe",
+         "--seed"),
+        ("family --family random:0.3:seed=-1 --K 64 -o n.csv", "--family"),
+        ("alpha-scaling --family integer --K 4096", "--fit-max"),
+        ("alpha-scaling --family signed:0.2 --K 4096 --fit-min nan",
+         "--fit-min"),
+        ("alpha-scaling --family integer --K 4096 --fit-min 8 --fit-max 4",
+         "--fit-min"),
+    ])
+    def test_value_out_of_range(self, command, flag, capsys):
+        self._refused(command, flag, capsys)
+
+
+# Each subcommand's grammar: flag -> (valid values, bad values).  The bad
+# ones are zero, negative, NaN, infinite and unparsable numbers, reversed
+# or empty grids, lengths past the trust radius, families that do not
+# exist and windows too small or too large.
+_BAD = ["0", "-1", "nan", "inf", "-inf", "x", ""]
+_FAMILIES = (["integer", "signed:0.2", "signed:-0.25", "alternating:0.1",
+              "random:0.3:seed=3"],
+             ["signed:0.7", "integer:0.1", "bogus", "random:0.3:seed=-1",
+              "signed:0.2:delta0=2", "signed:0.2:foo=1", "signed:nan", ":"])
+_K = (["128", "321"], ["0", "-5", "1.5", "x", "10", "1000000000000"])
+_GRIDS = (["-5:5:0.5", "-30:30:0.25"],
+          ["-40:40:0.5", "5:-5:0.5", "-5:5:0", "-5:5:-1", "nan:1:0.1",
+           "0:inf:1", "1:2", "a:b:c", "-5:5:1e-12"])
+_P = (["2", "1.5"], ["1", "0.5", *_BAD])
+_GRAMMAR = {
+    "family": {"--family": _FAMILIES, "--K": _K},
+    "genfn": {"--family": _FAMILIES, "--K": _K, "--grid": _GRIDS},
+    "interp": {"--family": _FAMILIES, "--K": _K, "--grid": _GRIDS,
+               "--p": _P, "--samples": (["3"], ["40", "bad", "absent"])},
+    "check": {"--family": _FAMILIES, "--K": _K, "--p": _P,
+              "--xmax": (["32"], ["1e6", *_BAD]),
+              "--seed": (["5"], ["-1", "x"]),
+              "--with-operator-probe": ([None], []),
+              "--probe-trials": (["2"], ["-1", "x"])},
+    "kadets": {"--K": _K, "--p": _P, "--xmax": (["32"], ["1e6", *_BAD]),
+               "--d-values": (["0.1", "0.1,0.25"],
+                              ["-0.1", "1.0", "0.1,,0.2", *_BAD]),
+               "--orientations": (["inward", "outward,inward"],
+                                  ["sideways", ""])},
+    "counterexample": {"--K": (["321"], _K[1]), "--p": _P,
+                       "--x-values": (["64", "32,64"],
+                                      ["0.01,64", "16,32", "64,2048",
+                                       "nan,64", "-8,64", "x"])},
+    "alpha-scaling": {"--family": _FAMILIES, "--K": _K,
+                      "--alphas": (["0.5,1"], ["2", "-1", *_BAD]),
+                      "--fit-min": (["2"], ["32", "1", *_BAD]),
+                      "--fit-max": (["12"], ["2048", "1", *_BAD])},
+}
+# given in every argv: required, or with a default that is refused (the fit
+# range) or slow (a window of K = 2^15)
+_ALWAYS = {"--family", "--K", "--grid", "--samples", "--fit-min",
+           "--fit-max"}
+_SAMPLES = {"3": "k,re_a,im_a\n3,1.0,0.0\n",
+            "40": "k,re_a,im_a\n40,1.0,0.0\n", "bad": "k,re_a\n3,x\n"}
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand's argv in which at most two flags may be bad."""
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    grammar = _GRAMMAR[command]
+    wild = draw(st.sets(st.sampled_from(sorted(grammar)), max_size=2))
+    argv = [command]
+    for flag, (valid, bad) in grammar.items():
+        if flag not in _ALWAYS and not draw(st.booleans()):
+            continue
+        value = draw(st.sampled_from(valid + bad if flag in wild else valid))
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=_argv())
+def test_generated_argv_keeps_the_exit_contract(argv):
+    """Every argv exits 0, 1 (a FAIL verdict only), 2, 64 or 65; a refusal
+    writes one stderr line, no traceback and no file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if "--samples" in argv:
+            i = argv.index("--samples") + 1
+            path = os.path.join(tmp, argv[i])
+            if argv[i] in _SAMPLES:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(_SAMPLES[argv[i]])
+            argv[i] = path
+        inputs = set(os.listdir(tmp))
+        out = os.path.join(tmp, "out")
+        out_flag = "-o" if argv[0] in ("family", "genfn", "interp") else "--json"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = main(argv + [out_flag, out])
+            except SystemExit as exc:  # argparse's refusal
+                code = exc.code
+        assert code in (0, 1, 2, 64, 65), (argv, err.getvalue())
+        if code in (64, 65):
+            assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            assert set(os.listdir(tmp)) == inputs, argv
+        elif argv[0] == "check":
+            with open(out, encoding="utf-8") as fh:
+                verdict = json.load(fh)["report"]["verdict"]
+            assert code == {"PASS": 0, "FAIL": 1}.get(verdict, 2), argv
+        else:
+            assert code == 0 and os.path.exists(out), (argv, code)
 
 
 class TestDeterminism:

@@ -151,7 +151,7 @@ def _routing_cases():
     signed = make_family(FamilySpec("signed", 0.2), 2048)
     return {
         "bulk": (signed, np.linspace(-500.0, 500.0, 100_001)),
-        "exact hits": (integer_lattice(2048),
+        "exact hits": (integer_lattice(4096),
                        np.arange(-1000.0, 1000.0, 1.0 / 16)),
         "near the window edge": (integer_lattice(20),
                                  np.linspace(-2.95, 2.95, 601)),
@@ -326,6 +326,21 @@ class TestNodeDerivativeTrustRadius:
             gf.node_derivatives([0, 40])
         # S = sin(pi z)/pi, so S'(32) = cos(32 pi) = 1
         assert gf.node_derivative(32) == pytest.approx(1.0, abs=1e-3)
+        # every evaluation: S(32.25) = sin(pi/4)/pi, 1/4 from node 32
+        S = np.sin(np.pi / 4) / np.pi
+        for ask, want in [
+            (gf.value, S),
+            (lambda x: gf.divided(x)[0], 4 * S),
+            (gf.weight, 4 * S),
+            (lambda x: np.concatenate(
+                [v for v, _ in gf.value_weight_blocks([-x, x])])[1], S),
+            # F^2 at the grid's last midpoint, x - 1/8
+            (lambda x: gf.power_sums(2.0, 0.25, round(4 * x), 1)[0, -1],
+             (8 * np.sin(np.pi / 8) / np.pi) ** 2),
+        ]:
+            assert ask(32.25) == pytest.approx(want, rel=1e-6)
+            with pytest.raises(TrustRadiusError, match="= 32.25 of"):
+                ask(32.5)
 
     def test_importable_from_criteria_and_cli(self):
         from pwinterp import cli, criteria, genfn

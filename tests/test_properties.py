@@ -219,7 +219,7 @@ def test_conjugate_symmetry_on_real_windows(seq, seed):
     gf = build_generating_function(seq)
     rng = np.random.default_rng(seed)
     lim = min(gf.trust_radius, seq.half_width / 2)
-    z = rng.uniform(-lim, lim, 64) + 1j * rng.uniform(-lim, lim, 64)
+    z = rng.uniform(0.0, lim, 64) * np.exp(2j * np.pi * rng.uniform(size=64))
     z[:8] = z[:8].real  # real arguments inside a complex batch
     np.testing.assert_array_equal(gf.value(np.conj(z)), np.conj(gf.value(z)))
 
@@ -228,11 +228,12 @@ def test_conjugate_symmetry_on_real_windows(seq, seed):
 @given(seq=real_families(256, 1024, 0.45), seed=st.integers(0, 1 << 32))
 def test_product_vanishes_at_nodes_on_both_kernels(seq, seed):
     # one batch of 256 real points runs the bulk kernel, four batches of
-    # 64 the pointwise product
+    # 64 the pointwise product; a small window has fewer than 256 nodes
+    # inside the trust radius, so nodes are drawn with replacement
     gf = build_generating_function(seq)
     rng = np.random.default_rng(seed)
-    inner = np.flatnonzero(np.abs(seq.indices) <= seq.half_width - 26)
-    lam = seq.positions.real[rng.choice(inner, 256, replace=False)]
+    inner = np.flatnonzero(np.abs(seq.positions) <= gf.trust_radius)
+    lam = seq.positions.real[rng.choice(inner, 256)]
     assert np.all(gf.value(lam) == 0)
     for part in np.split(lam, 4):
         assert np.all(gf.value(part) == 0)
