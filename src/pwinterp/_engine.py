@@ -34,13 +34,12 @@ Three kernels on two paths approximate the symmetric infinite product
   real, only those enter log|m + u - delta|.  The bulk path gives log|D|,
   D the product with the nearest node left out, and the sign of D on real
   windows, so off the axis it serves ``logabs`` alone.  It is the one
-  producer of real-point blocks, log|D|, dist and nearest node for
-  ``_BLOCK`` points at a time from one cell table for the whole batch's
-  cell range, and has two consumers: ``logabs_real`` writes the blocks
-  into the arrays that ``value``, ``divided`` and ``logabs`` read, and
-  ``value_logabs_blocks`` turns each into S and log|D| as it comes, so
-  ``pwinterp genfn`` writes its grid dump from one pass and holds no
-  array the size of its grid; and
+  producer of real-point blocks, log|D|, dist and nearest node for one
+  block of points at a time from one cell table for the whole batch's
+  cell range.  ``logabs_real`` writes the blocks into the arrays that
+  ``value``, ``divided`` and ``logabs`` read; ``value_logabs_blocks``
+  turns each into S and log|D| as it comes, so ``pwinterp genfn`` holds
+  no array the size of its grid, and so does ``grid_logabs`` (below); and
 * ``grid_tiles``, the bulk path's grid kernel: log|D| alone, on the
   dyadic midpoint grid x = n + (j + 1/2)/M, M = 2^s, over whole cells,
   which ``continuous_ap`` sweeps the weight on.  Every cell there holds
@@ -49,11 +48,12 @@ Three kernels on two paths approximate the symmetric infinite product
   of u, and its band as the nine values lambda_(n+j) - (n + 1/2)
   broadcast against u, the product of the nine distances divided by the
   least: no gathers, no argmin, and no per-point nearest node.  Its
-  tiles, at most ``_BLOCK`` points each, have one consumer, and that is
-  its one entrance: :meth:`pwinterp.genfn.GeneratingFunction.power_sums`,
-  which hands it the grid's description, never an array, and sums F^p
-  and its dual over runs of any length as each tile comes, so the
-  ``A_p`` sweep holds no array the size of its grid.
+  tiles, at most ``_BLOCK`` points each, have one entrance,
+  ``grid_logabs``: the one producer of the ``A_p`` sweep's weight grid,
+  which takes the grid's description, never an array, and yields log F
+  from the tiles where they serve, else in chunks, to
+  :meth:`pwinterp.genfn.GeneratingFunction.power_sums`, which sums each
+  piece as it comes, whatever the sweep's ``x_max``.
 
 Both paths add the core's far-tail series of :mod:`pwinterp._tails` when
 it has one: the closed-form sum of the logs of the factors the window
@@ -83,9 +83,9 @@ floor(x) at least 24 slots inside [-K, K], the batch holds at least 256
 points and, for ``value`` and ``divided``, the window is real;
 everything else runs pointwise.  Below 256 points one pointwise
 evaluation is cheaper than a cold bulk cell table.  Every bulk batch of
-``value``, ``divided`` and ``logabs`` goes to ``real_blocks``, whatever
-its points; the grid kernel takes a grid's description, not an array.
-``value_logabs_blocks`` routes its whole batch by the same rule, once.
+``value``, ``divided`` and ``logabs`` goes to ``real_blocks``.
+``value_logabs_blocks`` and ``grid_logabs`` route their whole batch or
+grid by the same rule, once; ``grid_logabs`` alone picks the grid kernel.
 Off the bulk path the nearest node comes from :func:`nearest_nodes`, a
 sorted search whose memory is O(points).
 """
@@ -547,23 +547,21 @@ class ProductCore:
 
     def logabs_real(self, x):
         """log|D| = log|S(x)/(x - lambda_n)|, dist(x, Lambda) and the
-        nearest offset n on real points: ``real_blocks`` writing its
-        blocks into three arrays."""
+        nearest offset n on real points, ``real_blocks``' in three arrays."""
         x = np.asarray(x, dtype=np.float64)
         out = (np.empty(x.size), np.empty(x.size),
                np.empty(x.size, dtype=np.int64))
-        for _ in self.real_blocks(x, out):
-            pass
+        for c0, block in zip(range(0, x.size, _BLOCK), self.real_blocks(x)):
+            for whole, part in zip(out, block):
+                whole[c0:c0 + _BLOCK] = part
         return out
 
-    def real_blocks(self, x, out=None):
+    def real_blocks(self, x):
         """log|D|, dist(x, Lambda) and the nearest offset n on real points,
-        one block of ``_BLOCK`` consecutive points at a time: yields (L,
-        dist, n) for x[c0:c0 + ``_BLOCK``], c0 = 0, ``_BLOCK``, ...: fresh
-        arrays, or with ``out``, three arrays the size of ``x``, views of
-        those, written in place.  The one cell table covers the whole
-        batch's cell range, so a point's values do not depend on how the
-        batch is cut.
+        one block of ``_BLOCK`` consecutive points at a time: yields fresh
+        arrays (L, dist, n) for x[c0:c0 + ``_BLOCK``], c0 = 0, ``_BLOCK``,
+        ....  The one cell table covers the whole batch's cell range, so a
+        point's values do not depend on how the batch is cut.
 
         ``x`` may come in any order.  A point in cell n = floor(x) takes
         the nodes of its 9-slot band, |k - n| <= ``_BAND``, directly:
@@ -583,14 +581,18 @@ class ProductCore:
                 "evaluation points too close to the window edge; "
                 "enlarge the node window"
             )
-        n_base, n_top = math.floor(x.min()), math.floor(x.max())
+        return self._bulk_blocks(
+            math.floor(x.min()), math.floor(x.max()),
+            (x[c0:c0 + _BLOCK] for c0 in range(0, x.size, _BLOCK)))
+
+    def _bulk_blocks(self, n_base, n_top, xs):
+        """Fresh (L, dist, n) for each block of points in cells
+        n_base..n_top that ``xs`` yields, from one cell table."""
         table = self._cell_table(n_base, n_top)
         tail_apart = self._tail_apart(n_base, n_top)
-        for c0 in range(0, x.size, _BLOCK):
-            xb = x[c0:c0 + _BLOCK]
-            block = ((np.empty(xb.size), np.empty(xb.size),
-                      np.empty(xb.size, dtype=np.int64)) if out is None
-                     else tuple(a[c0:c0 + _BLOCK] for a in out))
+        for xb in xs:
+            block = (np.empty(xb.size), np.empty(xb.size),
+                     np.empty(xb.size, dtype=np.int64))
             self._block_logs(xb, table, n_base, *block)
             if tail_apart:
                 self._add_tail_apart(xb, block[0])
@@ -610,14 +612,41 @@ class ProductCore:
         if np.any(apart):
             L[apart] += self.tail.log_tail(x[apart])
 
-    def takes_grid(self, n0, M, cells) -> bool:
-        """Whether ``grid_tiles`` serves the dyadic midpoint grid x = n +
-        (j + 1/2)/M over cells n0..n0 + cells - 1: the bulk path's routing
-        rule of the module docstring, read from the grid's size and ends
-        without building it."""
-        ends = np.array([n0 + 0.5 / M, n0 + cells - 0.5 / M])
-        return (self.fast_ok and M * cells >= _BULK_MIN_BATCH
+    def grid_logabs(self, h, n_half, run):
+        """log F = log|D| on the midpoint grid x_i = (i + 1/2) h, i =
+        -n_half..n_half - 1, for a consumer that sums runs of ``run``
+        points: 2-D pieces in grid order whose rows lie each within one
+        run and, but for the grid's last, share one width dividing ``run``.
+
+        The grid is routed once, by ``logabs``' rule.  On the bulk path a
+        grid of whole cells of a step h = 1/M, M = 2^s, takes the grid
+        kernel's tiles, in rows of gcd(run, M) points or a tile.  Any other
+        grid comes in chunks of whole runs, at least ``_BLOCK`` points, its
+        rows the runs, the last run alone if shorter; each chunk's points
+        are formed as it comes, and on the bulk path read one cell table
+        for the whole grid.  Memory is O(max(run, ``_BLOCK``)).
+        """
+        n = 2 * n_half
+        ends = np.array([0.5 - n_half, n_half - 0.5]) * h
+        bulk = (self.fast_ok and n >= _BULK_MIN_BATCH
                 and self._in_bulk_span(ends))
+        M = round(1.0 / h)  # 0 for h >= 2, which no cell holds
+        if (bulk and M and h == 1.0 / M and not M & (M - 1)
+                and n_half % M == 0):
+            width = math.gcd(run, min(M, _BLOCK))
+            return (tile.reshape(-1, width)
+                    for tile in self.grid_tiles(-n_half // M, M, n // M))
+        whole = n - n % run  # the points of whole runs; the rest is a run
+        edges = sorted({*range(0, whole, -(-_BLOCK // run) * run), whole, n})
+        xs = ((np.arange(i0, i1) - n_half + 0.5) * h
+              for i0, i1 in zip(edges, edges[1:]))
+        if bulk:
+            chunks = (L for L, _, _ in self._bulk_blocks(
+                math.floor(ends[0]), math.floor(ends[1]), xs))
+        else:
+            chunks = (np.log(np.abs(self.eval_points(
+                x, nearest_nodes(self.pos, x)[1]))) for x in xs)
+        return (L.reshape(-1, min(run, L.size)) for L in chunks)
 
     def grid_tiles(self, n0, M, cells):
         """log|D| on the dyadic midpoint grid x = n + (j + 1/2)/M, j =

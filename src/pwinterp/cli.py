@@ -331,7 +331,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_interp(args) -> int:
-    _check_p(args.p)
     grid = _parse_grid(args.grid)
     seq = _load_sequence(args)
     gf = build_generating_function(seq)
@@ -404,6 +403,10 @@ def _cmd_counterexample(args) -> int:
                       if args.x_values
                       else [float(2 ** m) for m in range(5, top + 1)])
     _check_lengths("--x-values", *X_values)
+    mant, expo = np.frexp(X_values)  # X = 2^(expo - 1) when mant is 1/2
+    if np.any(mant != 0.5):
+        raise UsageError(f"--x-values: {X_values[np.argmax(mant != 0.5)]:g} "
+                         "is not a power of two, an interval sweep length")
     x_max = X_values[-1]
     if x_max <= _FIT_FROM:
         raise UsageError(
@@ -417,14 +420,12 @@ def _cmd_counterexample(args) -> int:
         fit = fit_weight_exponent(gf, _FIT_FROM,
                                   min(4096.0, x_max, args.K / 10))
         quad = gf.separation / 8.0
-        m_min = int(np.round(np.log2(X_values[0])))
-        fam = IntervalFamily(x_max=x_max, m_min=m_min,
-                             m_max=int(np.round(np.log2(x_max))))
+        fam = IntervalFamily(x_max=x_max, m_min=int(expo[0] - 1),
+                             m_max=int(expo[-1] - 1))
         ap = continuous_ap(gf, p, fam, quad)
         # origin-anchored quotients at the requested lengths
-        idx = [int(np.round(np.log2(X))) - m_min for X in X_values]
         t = np.log1p(np.asarray(X_values)) ** (p.p - 1.0)
-        q = ap.level_max[idx]
+        q = ap.level_max[expo - expo[0]]
         slope, _, r2 = _linear_fit(t, q)
         results[orient] = {
             "d": sign * d_crit,
@@ -527,7 +528,6 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("interp", help="reconstruct from samples")
     add_source(sp)
-    sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--samples", required=True, help="CSV k,re_a,im_a")
     sp.add_argument("--grid", required=True, help="xmin:xmax:step")
     sp.add_argument("-o", "--out", "--output", dest="output", default=None)
@@ -586,6 +586,11 @@ def main(argv=None) -> int:
             if getattr(args, flag, low) < low:
                 raise UsageError(f"--{flag} {getattr(args, flag)}: must be "
                                  f"at least {low}")
+        # a generated window too small for the sweep's default --xmax
+        if getattr(args, "xmax", 0) is None and args.K < 64 and not getattr(
+                args, "nodes", None):
+            raise UsageError(f"--K {args.K} is too small for the sweep's "
+                             "default --xmax: give --K 64 or more, or --xmax")
         return args.func(args)
     except (UsageError, TrustRadiusError, QuadratureStepError) as exc:
         sys.stderr.write(f"pwinterp: error: {exc}\n")

@@ -375,7 +375,7 @@ def continuous_ap(v_sampler, p, fam: IntervalFamily,
     global prefix sum, which weights of huge dynamic range would cancel):
     a level's blocks, and the rings, are sums of those.  A generating
     function gives its sums from :meth:`GeneratingFunction.power_sums`,
-    which on the grid kernel forms no array the size of the grid; a plain
+    which forms no array the size of the grid, whatever ``x_max``; a plain
     sampler sees the whole grid in one call.  A level whose intervals are
     shorter than h holds no sample and is refused with a
     :class:`QuadratureStepError`.

@@ -36,10 +36,6 @@ _PROBE_POINTS = np.array(
     [0.437, 1.618, 2.718, 3.303, 4.669, 5.567, 6.854, 8.243]
 )
 
-# points per chunk of a pointwise window's sampled weight, rounded up to
-# whole runs
-_CHUNK = 1 << 14
-
 
 @dataclass(frozen=True)
 class Exponents:
@@ -174,80 +170,48 @@ class GeneratingFunction:
         self._within_radius(xx)
 
     def power_sums(self, p: float, h: float, n_half: int, block: int):
-        """Sums of v = F^p and of its dual v^(-1/(p-1)) over each run of
-        ``block`` points of the midpoint grid x_i = (i + 1/2) h, i =
-        -n_half..n_half - 1, as :func:`sampled_power_sums` gives them for
-        ``weight(x) ** p``, to rounding.
-
-        On whole cells of a step h = 1/M, M = 2^s, that the grid kernel
-        takes, the kernel's tiles of log F are consumed as they come, for
-        any run length: F = exp, then F^p and the dual, summed in units of
-        gcd(block, M) points and then per run, so no array the size of the
-        grid is formed.  Otherwise a pointwise window samples the weight in
-        chunks of whole runs, since each of its points is evaluated on its
-        own, and a bulk window samples its whole grid at once, since the
-        bulk cell table follows the cell range of its batch.
-        """
+        """:func:`sampled_power_sums` for ``weight(x) ** p``, bit for bit
+        off the grid kernel and to rounding on it, with no array the size
+        of the grid: a grid past the trust radius is refused unevaluated,
+        and :meth:`pwinterp._engine.ProductCore.grid_logabs`' pieces of
+        log F are summed as they come."""
         self._within_radius(n_half * h, "the grid's end at |x|")
-        M = round(1.0 / h)  # 0 for h >= 2, which no cell holds
-        if M and h == 1.0 / M and not M & (M - 1) and n_half % M == 0:
-            grid = (-n_half // M, M, 2 * n_half // M)
-            if self._core.takes_grid(*grid):
-                return self._tile_power_sums(p, *grid, block)
-        return sampled_power_sums(lambda x: self.weight(x) ** p, p, h,
-                                  n_half, block,
-                                  None if self._core.fast_ok else _CHUNK)
-
-    def _tile_power_sums(self, p, n0, M, cells, block):
-        """``power_sums`` from the grid kernel's tiles.  M and the tiles'
-        2^14 points are powers of two, so a unit of gcd(block, M) points
-        lies within one tile or is whole tiles; where M divides ``block``,
-        a unit is one cell."""
-        unit = math.gcd(block, M)
-        sums = np.zeros((2, M * cells // unit))
-        i0 = 0  # grid points summed so far
-        for tile in self._core.grid_tiles(n0, M, cells):
-            v = np.exp(tile, out=tile)
-            v **= p
-            per = min(unit, v.size)  # a unit, or the tile within one
-            at = slice(i0 // unit, i0 // unit + v.size // per)
-            for row, w in zip(sums, (v, _dual(v, p))):
-                row[at] += w.reshape(-1, per).sum(axis=1)
-            i0 += v.size
-        return np.add.reduceat(sums, np.arange(0, sums.shape[1],
-                                               block // unit), axis=1)
+        return _run_sums((np.exp(L, out=L) ** p for L in
+                          self._core.grid_logabs(h, n_half, block)), p, block)
 
 
-def _dual(v, p):
-    """The dual weight v^(-1/(p-1)) of weight values ``v``, refused unless
-    every one is finite and positive."""
-    if not np.all(np.isfinite(v)) or np.any(v <= 0):
-        raise ValueError("weight sampler must return finite positive values")
-    return v ** (-1.0 / (p - 1.0))
+def _run_sums(pieces, p: float, block: int):
+    """Sums of v, refused unless finite and positive, and of its dual
+    v^(-1/(p-1)) over each run of ``block`` points: each row summed, then
+    each run's rows, of 2-D pieces of v in grid order whose rows lie each
+    within one run and, but for the last, share one width."""
+    sums, width = [], None
+    for v in pieces:
+        if not np.all(np.isfinite(v)) or np.any(v <= 0):
+            raise ValueError("weight sampler must return finite positive "
+                             "values")
+        width = width or v.shape[1]
+        sums.append((v.sum(axis=1), (v ** (-1.0 / (p - 1.0))).sum(axis=1)))
+    sums = np.concatenate(sums, axis=1)
+    return np.add.reduceat(sums, np.arange(0, sums.shape[1], block // width),
+                           axis=1)
 
 
 def sampled_power_sums(v_sampler, p: float, h: float, n_half: int,
-                       block: int, chunk: int | None = None):
+                       block: int):
     """Sums of v = v_sampler(x) and of its dual v^(-1/(p-1)) over each run
     of ``block`` points of the midpoint grid x_i = (i + 1/2) h, i =
     -n_half..n_half - 1; the last run may be shorter.  Returns the two
     arrays of run sums.  The sampler, a vectorized map to finite positive
-    values, sees the whole grid in one call, or with ``chunk`` set,
-    chunks of whole runs of at least that many points.
+    values, sees the whole grid in one call.
     """
-    n = 2 * n_half
-    per = n if chunk is None else -(-chunk // block) * block
-    sums = []
-    for i0 in range(0, n, per):
-        x = (np.arange(i0, min(i0 + per, n)) - n_half + 0.5) * h
-        v = np.asarray(v_sampler(x), dtype=float)
-        if v.shape != x.shape:
-            raise ValueError("weight sampler must return finite positive "
-                             "values")
-        runs = np.arange(0, x.size, block)
-        sums.append((np.add.reduceat(v, runs),
-                     np.add.reduceat(_dual(v, p), runs)))
-    return np.concatenate(sums, axis=1)
+    x = (np.arange(2 * n_half) - n_half + 0.5) * h
+    v = np.asarray(v_sampler(x), dtype=float)
+    if v.shape != x.shape:
+        raise ValueError("weight sampler must return finite positive values")
+    runs = np.split(v, [v.size - v.size % block])  # whole runs, the rest
+    return _run_sums((r.reshape(-1, min(block, r.size)) for r in runs
+                      if r.size), p, block)
 
 
 def build_generating_function(seq, compensate: bool = True,

@@ -541,7 +541,8 @@ class TestSweepCommands:
                                                  for m in range(5, 11)]
 
     @pytest.mark.parametrize("x_values,words", [
-        ("0.01,64,128,256", "level m = -7"),
+        ("0.01,64,128,256", "0.01 is not a power of two"),
+        ("0.0078125,64,128,256", "level m = -7"),
         ("64,2048", "past the trust radius"),
     ])
     def test_counterexample_lengths_out_of_range_are_usage_errors(
@@ -672,6 +673,12 @@ class TestBadFlagValues:
          "--fit-min"),
         ("alpha-scaling --family integer --K 4096 --fit-min 8 --fit-max 4",
          "--fit-min"),
+        # a window too small for the sweep's default --xmax
+        ("check --family integer --K 10", "--K"),
+        ("kadets --K 63", "--K"),
+        # each length of the sweep is a power of two
+        ("counterexample --K 4096 --x-values 64,96,4096", "--x-values"),
+        ("counterexample --K 4096 --x-values 64,128,5000", "--x-values"),
     ])
     def test_value_out_of_range(self, command, flag, capsys):
         self._refused(command, flag, capsys)
@@ -695,7 +702,7 @@ _GRAMMAR = {
     "family": {"--family": _FAMILIES, "--K": _K},
     "genfn": {"--family": _FAMILIES, "--K": _K, "--grid": _GRIDS},
     "interp": {"--family": _FAMILIES, "--K": _K, "--grid": _GRIDS,
-               "--p": _P, "--samples": (["3"], ["40", "bad", "absent"])},
+               "--samples": (["3"], ["40", "bad", "absent"])},
     "check": {"--family": _FAMILIES, "--K": _K, "--p": _P,
               "--xmax": (["32"], ["1e6", *_BAD]),
               "--seed": (["5"], ["-1", "x"]),

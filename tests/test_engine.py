@@ -708,6 +708,16 @@ def _tile_logabs(core, n0, M, cells):
                            for tile in core.grid_tiles(n0, M, cells)])
 
 
+def _takes_tiles(core, M, cells, run=1):
+    """Whether ``grid_logabs`` serves the midpoint grid of step 1/M over
+    cells -cells/2..cells/2 - 1 from the grid kernel's tiles, bit for bit,
+    in rows of gcd(run, M) points (at most a tile)."""
+    pieces = list(core.grid_logabs(1.0 / M, cells // 2 * M, run))
+    return (all(p.shape[1] == np.gcd(run, min(M, _BLOCK)) for p in pieces)
+            and _same_bits(np.concatenate([p.ravel() for p in pieces]),
+                           _tile_logabs(core, -cells // 2, M, cells)))
+
+
 def _grid_windows():
     """Five K = 2048 windows for the midpoint-grid kernel."""
     K = 2048
@@ -736,7 +746,7 @@ class TestMidpointGridKernel:
         # both kernels take complex moduli
         core = cores[name]
         x = _dyadic_grid(-300, 600, M)
-        assert core.takes_grid(-300, M, 600)
+        assert _takes_tiles(core, M, 600)
         rel = np.expm1(_tile_logabs(core, -300, M, 600)
                        - core.logabs_real(x)[0])
         assert np.max(np.abs(rel)) <= 1e-9
@@ -889,33 +899,40 @@ class TestPowerSums:
                                                block):
         gf = gfs[name]
         n_half = cells // 2 * M
-        assert gf._core.takes_grid(-cells // 2, M, cells)
+        assert _takes_tiles(gf._core, M, cells, block)
         got = gf.power_sums(2.0, 1.0 / M, n_half, block)
         want = _materialized_sums(gf, 2.0, 1.0 / M, n_half, block)
         assert got.shape == want.shape == (2, -(-cells * M // block))
         assert np.max(np.abs(got - want) / want) <= 1e-13
 
-    @pytest.mark.parametrize("h,n_half,block", [(1.5, 300, 30),
-                                                (1 / 20000, 40000, 40000),
-                                                (0.01, 30000, 1600)])
+    @pytest.mark.parametrize("h,n_half,block", [
+        (1.5, 300, 30), (1 / 20000, 40000, 40000), (0.01, 30000, 1600),
+        # x_max = 299.5: a dyadic step whose grid ends in half cells, in
+        # runs of 96 points, the last 64
+        (2.0 ** -7, 38336, 96)])
     def test_steps_off_the_dyadic_grid_are_sampled(self, gfs, h, n_half,
                                                    block):
         # 1/h rounds to a whole M, but the grid is not n + (j + 1/2)/M
-        # with M = 2^s: the grid kernel would sum another grid
+        # over whole cells with M = 2^s: the grid kernel would sum another
+        # grid
         gf = gfs["signed:0.2"]
         got = gf.power_sums(2.0, h, n_half, block)
         want = sampled_power_sums(lambda x: gf.weight(x) ** 2.0, 2.0, h,
                                   n_half, block)
         assert _same_bits(got, want)
 
-    def test_short_runs_take_the_tiles(self):
+    @pytest.fixture(scope="class")
+    def gf_wide(self):
+        return build_generating_function(
+            make_family(FamilySpec("signed", 0.1), 1 << 15))
+
+    def test_short_runs_take_the_tiles(self, gf_wide):
         # runs of 64 points, half a cell, on the 2M-point grid of h = 2^-7
         # that a signed:0.1 verdict at K = 2^15 sweeps, after a sweep in
         # runs of 16 cells has cached the cell table: the whole grid as
         # three arrays took 48.8 MiB
         import tracemalloc
-        gf = build_generating_function(
-            make_family(FamilySpec("signed", 0.1), 1 << 15))
+        gf = gf_wide
         h, n_half = 2.0 ** -7, 8192 * 128
         cells16 = gf.power_sums(2.0, h, n_half, 16 * 128)
         tracemalloc.start()
@@ -930,6 +947,27 @@ class TestPowerSums:
         regrouped = np.add.reduceat(sums, np.arange(0, sums.shape[1], 32),
                                     axis=1)
         assert np.max(np.abs(regrouped - cells16) / cells16) <= 1e-13
+
+    def test_grid_ending_in_half_cells_streams(self, gf_wide):
+        # x_max = 8191.5 on the same window: the grid of h = 2^-7 ends in
+        # half cells, so it takes the general kernel in chunks, against the
+        # cell table that a whole-cell sweep has cached; sampling the grid
+        # whole took 66.6 MiB.  Its runs of 64 points are those of the
+        # x_max = 8192 grid but the first and the last, to the kernels'
+        # rounding
+        import tracemalloc
+        h, n_half = 2.0 ** -7, 8192 * 128
+        cells = gf_wide.power_sums(2.0, h, n_half, 64)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sums = gf_wide.power_sums(2.0, h, n_half - 64, 64)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 << 20
+        assert sums.shape == (2, 2 * n_half // 64 - 2)
+        assert np.max(np.abs(sums - cells[:, 1:-1]) / sums) <= 1e-13
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_cells_wider_than_a_tile(self, gfs, p):
@@ -949,12 +987,12 @@ class TestPowerSums:
         assert not gf._core.fast_ok
         want = _materialized_sums(gf, 2.0, 1.0 / 512, 32 * 512, 4 * 512)
         sizes = []
-        weight = type(gf).weight
+        eval_points = ProductCore.eval_points
 
-        def counted(self, x):
-            sizes.append(np.size(x))
-            return weight(self, x)
-        monkeypatch.setattr(type(gf), "weight", counted)
+        def counted(core, z, *nodes):
+            sizes.append(np.size(z))
+            return eval_points(core, z, *nodes)
+        monkeypatch.setattr(ProductCore, "eval_points", counted)
         got = gf.power_sums(2.0, 1.0 / 512, 32 * 512, 4 * 512)
         assert sizes == [16384, 16384]
         assert np.max(np.abs(got - want) / want) <= 1e-13
@@ -964,12 +1002,12 @@ class TestPowerSums:
         # underflows to 0, and rises to about 9.8 on signed:-0.2, where it
         # overflows with numpy's warning
         gf = gfs["signed:0.2"]
-        assert gf._core.takes_grid(-300, 8, 600)
+        assert _takes_tiles(gf._core, 8, 600)
         with pytest.raises(ValueError, match="finite positive"):
             gf.power_sums(400.0, 1.0 / 8, 300 * 8, 16 * 8)
         gf = build_generating_function(
             make_family(FamilySpec("signed", -0.2), 2048))
-        assert gf._core.takes_grid(-300, 8, 600)
+        assert _takes_tiles(gf._core, 8, 600)
         with pytest.warns(RuntimeWarning, match="overflow"):
             with pytest.raises(ValueError, match="finite positive"):
                 gf.power_sums(400.0, 1.0 / 8, 300 * 8, 16 * 8)
