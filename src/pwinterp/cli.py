@@ -106,6 +106,17 @@ def _check_lengths(flag: str, *lengths) -> None:
                              f"finite, got {x:g}")
 
 
+@contextlib.contextmanager
+def _reach_of(flag: str | None):
+    """Prefix a trust-radius refusal with ``flag``, which set the reach."""
+    try:
+        yield
+    except TrustRadiusError as exc:
+        if not flag:
+            raise
+        raise UsageError(f"{flag}: {exc}") from None
+
+
 def _parse_family(text: str) -> _nodes.FamilySpec:
     """Family spec grammar: kind[:d[:key=value ...]], e.g. signed:0.25."""
     parts = text.split(":")
@@ -171,13 +182,104 @@ def _write_json(payload: dict, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-_CSV_BLOCK = 1 << 11  # rows per block: about 0.6 MiB of text and lists
+_CSV_BLOCK = 1 << 12  # rows per run of :func:`_csv_text`
+
+# The tables of _csv_text, as uint32 words of 4 ASCII bytes: the digits
+# of 0000..9999; at 48 (i + 24) + j + 24, the mask keeping bytes i to
+# j - 1, each clipped to 0..4; the sign, the point and the separators.
+# Then the trailing zeros of 0000..9999, and 10^0..10^20, exact.
+_DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1)
+_WORDS = (_DIGITS.T + ord("0")).copy().view(np.uint32).ravel()
+_ENDS = np.clip(np.arange(-24, 24), 0, 4)
+_KEEP = (255 * ((_ENDS[:, None, None] <= np.arange(4))
+                & (np.arange(4) < _ENDS[:, None]))).astype(
+                    np.uint8).view(np.uint32).ravel()
+_MINUS, _POINT, _COMMA, _CRLF = np.frombuffer(
+    b"-\0\0\0.\0\0\0,\0\0\0\r\n\0\0", np.uint32)
+_TZ = ((_DIGITS[3] == 0) * (1 + (_DIGITS[2] == 0) * (
+    1 + (_DIGITS[1] == 0) * (1 + (_DIGITS[0] == 0))))).astype(np.int8)
+_F10 = np.cumprod(np.full(21, 10.0)) / 10.0
 
 
 def _write_csv(path: str | None, header, cols) -> None:
     """Write whole float columns as CSV: :func:`_stream_csv` with the
     columns as its one block."""
     _stream_csv(path, header, [cols])
+
+
+def _split(a):
+    """Veltkamp's split of ``a`` into two 26-bit halves."""
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _csv_text(cols) -> str:
+    """``csv.writer``'s text for rows given as equal-length float64
+    columns, each value's ``repr``: see :func:`_stream_csv`."""
+    v = np.stack(cols, axis=1).ravel()
+    a = np.abs(v)
+    mant, ex = np.frexp(a)
+    fixed = (a >= 1e-4) & (a < 2.0 ** 53) & (mant != 0.5)
+    a = np.where(fixed, a, 1.5)
+    s = 16 - np.floor(np.log10(a)).astype(np.int64)
+    t = _F10[s]
+    p = a * t
+    (ah, al), (th, tl) = _split(a), _split(t)
+    err = ((ah * th - p) + ah * tl + al * th) + al * tl
+    n = np.rint(err)
+    D, r = p.astype(np.int64) + n.astype(np.int64), err - n
+    H = np.ldexp(t, np.where(fixed, ex, 1) - 54)
+    above = np.ceil(r + H) - 1.0  # B - D
+    B = D + above.astype(np.int64)
+    count = above - np.floor(r - H)  # B - A
+    b10, b100 = B - B // 10 * 10, B - B // 100 * 100
+    r10 = D - D // 10 * 10
+    d10 = r10 + r  # from the multiple of 10 below
+    ten, hundred = b10 < count, b100 < count
+    C = np.where(hundred, B - b100,
+                 np.where(ten, D - r10 + 10 * (d10 > 5.0), D))
+    doubt = ((D < 10 ** 16) | (D >= 10 ** 17)
+             | ~hundred & np.where(ten, d10 == 5.0, np.abs(r) == 0.5))
+    plain = fixed & ~doubt
+    C = np.where(plain, C, 0)  # ±0.0, and the values that take repr
+    s = np.where(plain, s, 16)
+    # A value's text is its sign, C's digits from 10^s up, a point and
+    # those below, in a field as wide as the run's widest value; the bytes
+    # not printed are NUL, deleted once for the whole run.  First C's
+    # 4-digit words, units first, and its count of trailing zeros.
+    top = max(int(s.max()), 16)  # the highest weight printed: C < 10^17
+    words, tz, low = [], np.zeros(C.shape, np.int8), np.ones(C.shape, bool)
+    for _ in range(top // 4 + 1):
+        q = C // 10000
+        words.append(C - q * 10000)
+        tz += _TZ.take(words[-1]) * low
+        low &= words[-1] == 0
+        C = q
+    # the mask of each word is at its index less 196 j: the integer part
+    # keeps 10^s up to 10^16 (or just 10^s), the fraction 10^(s-1) down to
+    # its last nonzero digit
+    whole = (27 - np.maximum(s, 16)) * 48 + 28 - s
+    frac = (28 - s) * 48 + 28 - np.minimum(tz, s - 1)
+    parts = ([np.where(np.signbit(v), _MINUS, 0)]
+             + [_WORDS.take(words[j]) & _KEEP.take(whole + 196 * j)
+                for j in range(top // 4, int(s.min()) // 4 - 1, -1)]
+             + [_POINT]
+             + [_WORDS.take(words[j]) & _KEEP.take(frac + 196 * j)
+                for j in range((int(s.max()) - 1) // 4, -1, -1)])
+    odd = np.flatnonzero(np.where(fixed, doubt, v != 0.0))
+    reprs = np.array([repr(x) for x in v[odd].tolist()], dtype=bytes)
+    width = max(len(parts), -(-reprs.itemsize // 4))
+    field = np.zeros((v.size, width + 1), np.uint32)
+    for c, part in enumerate(parts):
+        field[:, c] = part
+    field[odd, :width] = reprs.astype(f"S{4 * width}").view(
+        np.uint32).reshape(odd.size, width)
+    rows = field.reshape(len(cols[0]), len(cols), width + 1)
+    rows[:, :, -1] = _COMMA
+    rows[:, -1, -1] = _CRLF
+    text = rows.view(np.uint8).ravel()
+    return np.compress(text != 0, text).tobytes().decode("ascii")
 
 
 def _stream_csv(path: str | None, header, blocks) -> None:
@@ -188,8 +290,22 @@ def _stream_csv(path: str | None, header, blocks) -> None:
     ``blocks`` yields blocks of rows, each a list of float columns, and is
     consumed as the rows are written, so a caller can evaluate its rows
     block by block.  Within a block the rows go out in runs of
-    ``_CSV_BLOCK``, each formatted by one ``str.format`` map, so the text
-    held at once does not grow with the number of rows.
+    ``_CSV_BLOCK``, each formatted from whole columns by
+    :func:`_csv_text`, so the text held at once does not grow with the
+    number of rows.  ``repr`` writes the shortest decimal that rounds back
+    to ``v``, the nearest if several, found here exactly.  Where ``1e-4 <=
+    |v| < 2^53`` and the mantissa is no power of two, ``repr`` writes fixed
+    notation and the rounding interval is symmetric.  With ``s = 16 -
+    floor(log10 |v|)``, ``10^s`` is exact and Dekker's two-product makes
+    ``|v| 10^s = D + r`` exact, ``D`` an integer of 17 digits; the
+    half-width ``H = 10^s ulp / 2 < 12`` and ``r -+ H`` are exact too.  Of
+    the fewer than 24 integers inside, ``repr``'s digits are the one
+    multiple of 100 if there is one, else the multiple of 10 nearest ``D +
+    r`` if one is inside, else ``D`` (an end of the interval that is an
+    integer ends in 5, so it decides nothing).  A tie between the two
+    nearest candidates, a ``D`` not of 17 digits, and every value outside
+    that range but ``±0.0`` (NaN, infinities, subnormals, tiny and huge
+    values, powers of two) take ``repr`` itself, value by value.
 
     The output is atomic.  The rows are staged in a new file beside a
     regular (or new) ``path`` and moved onto it by ``os.replace``; any
@@ -198,15 +314,13 @@ def _stream_csv(path: str | None, header, blocks) -> None:
     a run that raises, in ``blocks`` too, or is interrupted writes nothing
     and leaves no file or truncated CSV.
     """
-    row = ",".join(["{!r}"] * len(header)) + "\r\n"
     fh, staged = _staging_file(path)
     try:
         with fh:
             fh.write(",".join(header) + "\r\n")
             for cols in blocks:
                 for c0 in range(0, len(cols[0]), _CSV_BLOCK):
-                    run = [c[c0:c0 + _CSV_BLOCK].tolist() for c in cols]
-                    fh.write("".join(map(row.format, *run)))
+                    fh.write(_csv_text([c[c0:c0 + _CSV_BLOCK] for c in cols]))
             if staged is None:
                 fh.seek(0)
                 if not path:
@@ -278,7 +392,8 @@ def _cmd_genfn(args) -> int:
             yield [x[c0:c0 + S.size], S.real, S.imag, F]
             c0 += S.size
 
-    _stream_csv(args.output, ["x", "re_S", "im_S", "F"], rows())
+    with _reach_of(f"--grid {args.grid}"):
+        _stream_csv(args.output, ["x", "re_S", "im_S", "F"], rows())
     return EXIT_PASS
 
 
@@ -305,8 +420,12 @@ def _cmd_check(args) -> int:
     if args.xmax is not None:
         _check_lengths("--xmax", args.xmax)
     seq = _load_sequence(args)
+    if args.xmax is None and seq.half_width < 64:
+        raise UsageError(f"--nodes {args.nodes}: K = {seq.half_width} is too "
+                         "small for the sweep's default --xmax: give --xmax")
     gf = build_generating_function(seq)
-    rep = full_verdict(seq, p, gf=gf, x_max=args.xmax)
+    with _reach_of(args.xmax and f"--xmax {args.xmax:g}"):
+        rep = full_verdict(seq, p, gf=gf, x_max=args.xmax)
     payload = _verdict_payload(args, seq, rep)
     if args.with_operator_probe:
         # keep the anchors, each within 1 of 4j, inside the trust radius
@@ -335,7 +454,14 @@ def _cmd_interp(args) -> int:
     seq = _load_sequence(args)
     gf = build_generating_function(seq)
     samples = load_samples(args.samples)
-    rec = reconstruct(gf, samples, grid)
+    try:
+        rec = reconstruct(gf, samples, grid)
+    except TrustRadiusError as exc:
+        # reconstruct refuses a far sample before it evaluates: that
+        # refusal, if any, names --samples, and any other --grid
+        with _reach_of(f"--samples {args.samples}"):
+            gf.node_derivatives(samples.indices)
+        raise UsageError(f"--grid {args.grid}: {exc}") from None
     _write_csv(args.output, ["x", "re_f", "im_f"],
                [rec.grid, rec.values.real, rec.values.imag])
     return EXIT_PASS
@@ -362,7 +488,9 @@ def _cmd_kadets(args) -> int:
     for orient in orientations:
         seen_fail = False
         for d, spec in zip(d_values, specs[orient]):
-            rep = full_verdict(_make_family(spec, args.K), p, x_max=args.xmax)
+            with _reach_of(args.xmax and f"--xmax {args.xmax:g}"):
+                rep = full_verdict(_make_family(spec, args.K), p,
+                                   x_max=args.xmax)
             verdict = rep.verdict
             if verdict == "FAIL":
                 seen_fail = True
@@ -422,7 +550,8 @@ def _cmd_counterexample(args) -> int:
         quad = gf.separation / 8.0
         fam = IntervalFamily(x_max=x_max, m_min=int(expo[0] - 1),
                              m_max=int(expo[-1] - 1))
-        ap = continuous_ap(gf, p, fam, quad)
+        with _reach_of("--x-values"):
+            ap = continuous_ap(gf, p, fam, quad)
         # origin-anchored quotients at the requested lengths
         t = np.log1p(np.asarray(X_values)) ** (p.p - 1.0)
         q = ap.level_max[expo - expo[0]]

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -58,6 +59,81 @@ class TestCsvOutput:
         new = capsys.readouterr().out
         _csv_writer_rows(sys.stdout, header, cols[:3])
         assert new == capsys.readouterr().out
+
+
+def _repr_rows(cols):
+    """Each value's ``repr``, comma-separated, CRLF line ends."""
+    return "".join(",".join(map(repr, row)) + "\r\n"
+                   for row in zip(*(c.tolist() for c in cols)))
+
+
+@functools.cache
+def _formatter_cases():
+    """About 1.5 million float64 values, by the way ``repr`` writes them."""
+    rng = np.random.default_rng(24)
+    # random mantissas under every exponent, signs mixed
+    bits = ((rng.integers(0, 2, (2048, 200), dtype=np.uint64) << 63)
+            | (np.arange(2048, dtype=np.uint64)[:, None] << 52)
+            | rng.integers(0, 1 << 52, (2048, 200), dtype=np.uint64))
+    grids = [x0 + h * np.arange(50_000) for x0, h in
+             [(-4000.0, 0.01), (0.1, 0.001), (-1.0, 1e-4), (-30.0, 0.1),
+              (1e12, 0.5), (0.0, 0.0625)]]
+    u = rng.uniform(-1000.0, 1000.0, 100_000)
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    edges = np.concatenate([10.0 ** np.arange(-5, 18), [
+        2.0 ** 53, 5e-324, np.finfo(float).tiny, 1e308]])
+    near = np.concatenate([np.nextafter(twos, 0.0), twos,
+                           np.nextafter(twos, np.inf)])
+    for _ in range(3):
+        edges = np.concatenate([np.nextafter(edges, 0.0), edges,
+                                np.nextafter(edges, np.inf)])
+    return {
+        "bit patterns": bits.view(float).ravel(),
+        "grid decimals": np.concatenate(grids),
+        "rounded decimals": np.concatenate([np.round(u, k)
+                                            for k in (0, 1, 3, 6, 9)]),
+        "integers": np.concatenate([
+            rng.integers(0, 1 << 53, 100_000).astype(float),
+            np.arange(-5000.0, 5000.0)]),
+        "lognormal": rng.lognormal(0.0, 12.0, 200_000)
+        * rng.choice([-1.0, 1.0], 200_000),
+        "powers of two": np.concatenate([near, -near]),
+        "range edges": np.concatenate([edges, -edges]),
+        "specials": np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf,
+                              5e-324, -5e-324, 2.2e-308, 1e-310,
+                              np.finfo(float).max]),
+    }
+
+
+class TestCsvFormatter:
+    """``_stream_csv`` formats whole columns with numpy; the text must be
+    ``repr``'s, value for value."""
+
+    @pytest.mark.parametrize("case", list(_formatter_cases()))
+    def test_matches_repr(self, case, tmp_path):
+        v = _formatter_cases()[case]
+        v = np.concatenate([v, np.zeros(-v.size % 4)])
+        cols = list(v.reshape(-1, 4).T)
+        cli._write_csv(str(tmp_path / "v.csv"), ["a", "b", "c", "d"], cols)
+        got = (tmp_path / "v.csv").read_bytes().decode("ascii")
+        want = "a,b,c,d\r\n" + _repr_rows(cols)
+        if got != want:
+            bad = [(g, w) for g, w in zip(got.split("\r\n"),
+                                          want.split("\r\n")) if g != w]
+            pytest.fail(f"{len(bad)} rows differ from repr, first {bad[0]}")
+
+    def test_covers_a_million_values(self):
+        assert sum(v.size for v in _formatter_cases().values()) >= 10 ** 6
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(values=st.lists(st.floats(), min_size=1, max_size=60),
+           width=st.integers(1, 4))
+    def test_any_floats(self, values, width):
+        v = np.array(values[:len(values) // width * width] or values[:1]
+                     * width)
+        cols = list(v.reshape(-1, width).T)
+        assert cli._csv_text(cols) == _repr_rows(cols)
 
 
 class TestFamilyCommand:
@@ -340,6 +416,7 @@ class TestGridTrustRadius:
         assert code == 64
         err = capsys.readouterr().err
         assert err.count("\n") == 1
+        assert err.startswith("pwinterp: error: --grid -50:50:0.5: ")
         assert "trust radius (K+1)/4 = 32.25" in err
         assert not (tmp_path / "g.csv").exists()
 
@@ -395,7 +472,29 @@ class TestCheckCommand:
         code = run_cli(["check", "--family", "integer", "--K", "256",
                         "--xmax", "128", "--json", str(tmp_path / "r.json")])
         assert code == 64
-        assert "trust radius (K+1)/4 = 64.25" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("pwinterp: error: --xmax 128: ")
+        assert "trust radius (K+1)/4 = 64.25" in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_small_loaded_window_is_usage_error(self, tmp_path, capsys,
+                                                monkeypatch):
+        # a loaded window too small for the sweep's default --xmax is
+        # refused naming --xmax before any generating function is built
+        from pwinterp import integer_lattice, save_nodes
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("refusal must come before any build")
+        monkeypatch.setattr(cli, "build_generating_function", no_build)
+        nodes = tmp_path / "small.csv"
+        save_nodes(integer_lattice(10), str(nodes))
+        code = run_cli(["check", "--nodes", str(nodes),
+                        "--json", str(tmp_path / "r.json")])
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.startswith(f"pwinterp: error: --nodes {nodes}: ")
+        assert "K = 10" in err and "give --xmax" in err
+        assert err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("command", ["check", "family"])
@@ -497,6 +596,7 @@ class TestInterpCommand:
         assert code == 64
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "node 40 at |lambda| = 40" in err
+        assert err.startswith(f"pwinterp: error: --samples {samples}: ")
         assert not out.exists()
 
 
@@ -512,6 +612,17 @@ class TestSweepCommands:
         verdicts = {r["d"]: r["verdict"] for r in rows}
         assert verdicts[0.1] == "PASS"
         assert verdicts[0.25] == "FAIL"
+
+    @pytest.mark.parametrize("command,flag", [
+        ("kadets --K 512 --d-values 0.1 --xmax 256", "--xmax 256"),
+        ("counterexample --K 4096 --x-values 64,2048", "--x-values"),
+    ])
+    def test_reach_past_trust_radius_names_the_flag(self, command, flag,
+                                                    capsys):
+        assert run_cli(command.split()) == 64
+        err = capsys.readouterr().err
+        assert err.startswith(f"pwinterp: error: {flag}: ")
+        assert "lies past the trust radius" in err and err.count("\n") == 1
 
     def test_counterexample_orientation_report(self, tmp_path):
         out = tmp_path / "ce.json"
