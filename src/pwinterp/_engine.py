@@ -50,8 +50,8 @@ Three kernels on two paths approximate the symmetric infinite product
   least: no gathers, no argmin, and no per-point nearest node.  Its
   tiles, at most ``_BLOCK`` points each, have one entrance,
   ``grid_logabs``: the one producer of the ``A_p`` sweep's weight grid,
-  which takes the grid's description, never an array, and yields log F
-  from the tiles where they serve, else in chunks, to
+  which takes the grid's description, never an array, and yields log F,
+  from the tiles of the whole cells it meets on the bulk path, to
   :meth:`pwinterp.genfn.GeneratingFunction.power_sums`, which sums each
   piece as it comes, whatever the sweep's ``x_max``.
 
@@ -84,10 +84,10 @@ points and, for ``value`` and ``divided``, the window is real;
 everything else runs pointwise.  Below 256 points one pointwise
 evaluation is cheaper than a cold bulk cell table.  Every bulk batch of
 ``value``, ``divided`` and ``logabs`` goes to ``real_blocks``.
-``value_logabs_blocks`` and ``grid_logabs`` route their whole batch or
-grid by the same rule, once; ``grid_logabs`` alone picks the grid kernel.
-Off the bulk path the nearest node comes from :func:`nearest_nodes`, a
-sorted search whose memory is O(points).
+``value_logabs_blocks`` routes its whole batch by the same rule, once;
+``grid_logabs`` sends a bulk grid to the grid kernel, any other to
+``logabs`` in chunks.  Off the bulk path the nearest node comes from
+:func:`nearest_nodes`, a sorted search whose memory is O(points).
 """
 from __future__ import annotations
 
@@ -581,22 +581,11 @@ class ProductCore:
                 "evaluation points too close to the window edge; "
                 "enlarge the node window"
             )
-        return self._bulk_blocks(
-            math.floor(x.min()), math.floor(x.max()),
-            (x[c0:c0 + _BLOCK] for c0 in range(0, x.size, _BLOCK)))
-
-    def _bulk_blocks(self, n_base, n_top, xs):
-        """Fresh (L, dist, n) for each block of points in cells
-        n_base..n_top that ``xs`` yields, from one cell table."""
+        n_base, n_top = math.floor(x.min()), math.floor(x.max())
         table = self._cell_table(n_base, n_top)
         tail_apart = self._tail_apart(n_base, n_top)
-        for xb in xs:
-            block = (np.empty(xb.size), np.empty(xb.size),
-                     np.empty(xb.size, dtype=np.int64))
-            self._block_logs(xb, table, n_base, *block)
-            if tail_apart:
-                self._add_tail_apart(xb, block[0])
-            yield block
+        return (self._block_logs(x[c0:c0 + _BLOCK], table, n_base, tail_apart)
+                for c0 in range(0, x.size, _BLOCK))
 
     def _tail_apart(self, n_min, n_max) -> bool:
         """Whether some cell of n_min..n_max lies outside ``_tail_cells``
@@ -618,35 +607,37 @@ class ProductCore:
         points: 2-D pieces in grid order whose rows lie each within one
         run and, but for the grid's last, share one width dividing ``run``.
 
-        The grid is routed once, by ``logabs``' rule.  On the bulk path a
-        grid of whole cells of a step h = 1/M, M = 2^s, takes the grid
-        kernel's tiles, in rows of gcd(run, M) points or a tile.  Any other
-        grid comes in chunks of whole runs, at least ``_BLOCK`` points, its
-        rows the runs, the last run alone if shorter; each chunk's points
-        are formed as it comes, and on the bulk path read one cell table
-        for the whole grid.  Memory is O(max(run, ``_BLOCK``)).
+        The step h must be a power of two, else a ValueError.  On the bulk
+        path, by ``logabs``' rule read from the grid's ends and size, a
+        grid of h = 1/M <= 1 takes the tiles of the whole cells it meets,
+        in rows of gcd(run, min(M, ``_BLOCK``), n_half) points, less the
+        off = -n_half % M points at each end, whole rows, that lie off the
+        grid.  Any other grid, pointwise or of h >= 2, comes from
+        ``logabs`` in chunks of whole runs, each routed on its own, at
+        least ``_BLOCK`` points, its rows the runs, the last run alone if
+        shorter.  Memory is O(max(run, ``_BLOCK``)).
         """
+        if math.frexp(h)[0] != 0.5:
+            raise ValueError(f"grid step h = {h!r} is not a power of two")
         n = 2 * n_half
         ends = np.array([0.5 - n_half, n_half - 0.5]) * h
-        bulk = (self.fast_ok and n >= _BULK_MIN_BATCH
-                and self._in_bulk_span(ends))
-        M = round(1.0 / h)  # 0 for h >= 2, which no cell holds
-        if (bulk and M and h == 1.0 / M and not M & (M - 1)
-                and n_half % M == 0):
-            width = math.gcd(run, min(M, _BLOCK))
-            return (tile.reshape(-1, width)
-                    for tile in self.grid_tiles(-n_half // M, M, n // M))
+        if (h <= 1.0 and self.fast_ok and n >= _BULK_MIN_BATCH
+                and self._in_bulk_span(ends)):
+            M = round(1.0 / h)
+            off = -n_half % M  # points of each end cell off the grid
+            width = math.gcd(run, min(M, _BLOCK), n_half)
+            # the grid is rows lo..hi - 1 of the tiles, ``per`` to a tile
+            lo, hi, per = off // width, (off + n) // width, _BLOCK // width
+            cells = (n + 2 * off) // M
+            tiles = self.grid_tiles(-cells // 2, M, cells)
+            return (tile.reshape(-1, width)[max(lo - t * per, 0):hi - t * per]
+                    for t, tile in enumerate(tiles)
+                    if t * per < hi and (t + 1) * per > lo)
         whole = n - n % run  # the points of whole runs; the rest is a run
         edges = sorted({*range(0, whole, -(-_BLOCK // run) * run), whole, n})
-        xs = ((np.arange(i0, i1) - n_half + 0.5) * h
-              for i0, i1 in zip(edges, edges[1:]))
-        if bulk:
-            chunks = (L for L, _, _ in self._bulk_blocks(
-                math.floor(ends[0]), math.floor(ends[1]), xs))
-        else:
-            chunks = (np.log(np.abs(self.eval_points(
-                x, nearest_nodes(self.pos, x)[1]))) for x in xs)
-        return (L.reshape(-1, min(run, L.size)) for L in chunks)
+        return (self.logabs((np.arange(i0, i1) - n_half + 0.5) * h)
+                .reshape(-1, min(run, i1 - i0))
+                for i0, i1 in zip(edges, edges[1:]))
 
     def grid_tiles(self, n0, M, cells):
         """log|D| on the dyadic midpoint grid x = n + (j + 1/2)/M, j =
@@ -722,10 +713,10 @@ class ProductCore:
         return bool(x.min() >= _W_NEAR - self.K
                     and x.max() < self.K + 1 - _W_NEAR)
 
-    def _block_logs(self, x, table, n_base, L, dist, nearest):
-        """One block of ``real_blocks``, without the point-by-point tail of
-        cells outside ``_tail_cells``; fills ``L``, ``dist`` and
-        ``nearest``."""
+    def _block_logs(self, x, table, n_base, tail_apart):
+        """One block of ``real_blocks``: fresh (L, dist, nearest) at ``x``
+        from ``table``, whose column 0 is cell ``n_base``, and with
+        ``tail_apart`` the tail of cells outside ``_tail_cells``."""
         fn = np.floor(x)
         u = x - (fn + 0.5)
         at = fn.astype(np.int64) + self.K  # array offset of node floor(x)
@@ -738,20 +729,23 @@ class ProductCore:
         # the band's argmin, ties to the lower slot, one row at a time
         imin = np.zeros(x.size, dtype=np.int64)
         closer = np.empty(x.size, dtype=bool)
-        dist[:] = d[0]
+        dist = d[0].copy()
         for j in range(1, 2 * _BAND + 1):
             np.less(d[j], dist, out=closer)
             imin[closer] = j
             np.minimum(dist, d[j], out=dist)
-        nearest[:] = at + (imin - _BAND)
+        nearest = at + (imin - _BAND)
         d[imin, np.arange(x.size)] = 1.0  # the nearest node, divided out
-        np.log(np.prod(d, axis=0), out=L)
+        L = np.log(np.prod(d, axis=0))
         cell = at - (n_base + self.K)
         acc = table[_T_ORD].take(cell)
         for s in range(_T_ORD - 1, -1, -1):
             acc *= u
             acc += table[s].take(cell)
         L += acc
+        if tail_apart:
+            self._add_tail_apart(x, L)
+        return L, dist, nearest
 
     def sign_real(self, x, nearest):
         """Sign of D = S(x)/(x - lambda_n) at real points, with n =

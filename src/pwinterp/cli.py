@@ -29,8 +29,8 @@ from . import nodes as _nodes
 from .genfn import (Exponents, OverflowReported, _linear_fit,
                     build_generating_function, fit_weight_exponent)
 from .criteria import (IntervalFamily, QuadratureStepError, Thresholds,
-                       TrustRadiusError, continuous_ap, full_verdict,
-                       select_subsequence)
+                       TrustRadiusError, continuous_ap, default_x_max,
+                       full_verdict, select_subsequence)
 from .hilbert import DiscreteHilbertOperator, probe_norm
 from .interp import GridSpec, load_samples, reconstruct
 
@@ -420,9 +420,8 @@ def _cmd_check(args) -> int:
     if args.xmax is not None:
         _check_lengths("--xmax", args.xmax)
     seq = _load_sequence(args)
-    if args.xmax is None and seq.half_width < 64:
-        raise UsageError(f"--nodes {args.nodes}: K = {seq.half_width} is too "
-                         "small for the sweep's default --xmax: give --xmax")
+    if args.xmax is None:
+        _default_xmax(seq.half_width, f"--nodes {args.nodes}", "--xmax")
     gf = build_generating_function(seq)
     with _reach_of(args.xmax and f"--xmax {args.xmax:g}"):
         rep = full_verdict(seq, p, gf=gf, x_max=args.xmax)
@@ -525,8 +524,8 @@ def _cmd_counterexample(args) -> int:
             f"--K {args.K} is too small: the weight-exponent fit runs from "
             f"x = {_FIT_FROM:g} to K/10, so the window needs --K "
             f"{int(10 * _FIT_FROM) + 1} or more")
-    # by default 2^5 up to full_verdict's x_max, 2^13 or the trust radius
-    top = min(13, int(np.floor(np.log2(args.K / 4))))
+    # by default 2^5 up to full_verdict's x_max
+    top = int(np.log2(default_x_max(args.K)))
     X_values = sorted(_numbers(args.x_values, "--x-values")
                       if args.x_values
                       else [float(2 ** m) for m in range(5, top + 1)])
@@ -705,21 +704,29 @@ def _join_grid_flags(argv):
     return out
 
 
+def _default_xmax(K, flag: str, remedy: str) -> float:
+    """``default_x_max(K)``, refused as a usage error naming ``flag``."""
+    try:
+        return default_x_max(K)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}: give {remedy}") from None
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_join_grid_flags(argv))
     try:
-        for flag, low in (("K", 1), ("seed", 0)):  # integer flag floors
-            if getattr(args, flag, low) < low:
-                raise UsageError(f"--{flag} {getattr(args, flag)}: must be "
-                                 f"at least {low}")
+        # integer flag floors
+        for flag, low in (("K", 1), ("seed", 0), ("probe-trials", 0)):
+            value = getattr(args, flag.replace("-", "_"), low)
+            if value < low:
+                raise UsageError(f"--{flag} {value}: must be at least {low}")
         # a generated window too small for the sweep's default --xmax
-        if getattr(args, "xmax", 0) is None and args.K < 64 and not getattr(
+        if getattr(args, "xmax", 0) is None and not getattr(
                 args, "nodes", None):
-            raise UsageError(f"--K {args.K} is too small for the sweep's "
-                             "default --xmax: give --K 64 or more, or --xmax")
+            _default_xmax(args.K, f"--K {args.K}", "--K 64 or more, or --xmax")
         return args.func(args)
     except (UsageError, TrustRadiusError, QuadratureStepError) as exc:
         sys.stderr.write(f"pwinterp: error: {exc}\n")

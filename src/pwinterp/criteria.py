@@ -16,7 +16,8 @@ import numpy as np
 
 from . import nodes as _nodes
 from .genfn import (GeneratingFunction, TrustRadiusError, as_exponents,
-                    _linear_fit, sampled_power_sums)
+                    build_generating_function, _linear_fit,
+                    sampled_power_sums)
 
 __all__ = [
     "WeightSequence",
@@ -622,6 +623,13 @@ _DENSITY_CANDIDATES = (0.5, 0.6, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0)
 _M_MIN = 5  # the sweep's shortest intervals, 2^5, unless x_max is shorter
 
 
+def default_x_max(K: int) -> float:
+    """The sweep's x_max when none is given, refused below K = 64."""
+    if K < 64:
+        raise ValueError(f"K = {K} is too small for the default x_max")
+    return 2.0 ** min(13, int(np.floor(np.log2(K / 4))))
+
+
 def full_verdict(seq, p, gf: GeneratingFunction | None = None,
                  x_max: float | None = None,
                  quad_step: float | None = None) -> CriteriaReport:
@@ -634,8 +642,6 @@ def full_verdict(seq, p, gf: GeneratingFunction | None = None,
     finite raises ``ValueError``; one past the trust radius of ``gf``
     raises its :class:`TrustRadiusError` before the Carleson sums run.
     """
-    from .genfn import build_generating_function
-
     if x_max is not None and not 0.0 < x_max < np.inf:
         raise ValueError(f"x_max must be positive and finite, got {x_max:g}")
     p = as_exponents(p)
@@ -654,11 +660,8 @@ def full_verdict(seq, p, gf: GeneratingFunction | None = None,
 
     if gf is None:
         gf = build_generating_function(seq, separation=sep)
-    K = seq.half_width
     if x_max is None:
-        if K < 64:
-            raise ValueError("window too small for the interval sweep")
-        x_max = 2.0 ** min(13, int(np.floor(np.log2(K / 4))))
+        x_max = default_x_max(seq.half_width)
 
     # the sweep goes first: its power sums refuse an x_max past the trust
     # radius before the Carleson sums are paid for

@@ -170,11 +170,11 @@ class GeneratingFunction:
         self._within_radius(xx)
 
     def power_sums(self, p: float, h: float, n_half: int, block: int):
-        """:func:`sampled_power_sums` for ``weight(x) ** p``, bit for bit
-        off the grid kernel and to rounding on it, with no array the size
-        of the grid: a grid past the trust radius is refused unevaluated,
-        and :meth:`pwinterp._engine.ProductCore.grid_logabs`' pieces of
-        log F are summed as they come."""
+        """:func:`sampled_power_sums` for ``weight(x) ** p`` on a step h
+        that is a power of two, to rounding on the grid kernel, with no
+        array the size of the grid: a grid past the trust radius is refused
+        unevaluated, and :meth:`pwinterp._engine.ProductCore.grid_logabs`'
+        pieces of log F are summed as they come."""
         self._within_radius(n_half * h, "the grid's end at |x|")
         return _run_sums((np.exp(L, out=L) ** p for L in
                           self._core.grid_logabs(h, n_half, block)), p, block)

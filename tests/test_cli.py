@@ -778,6 +778,8 @@ class TestBadFlagValues:
         ("alpha-scaling --family integer --K -1", "--K"),
         ("check --family integer --K 256 --seed -1 --with-operator-probe",
          "--seed"),
+        ("check --family integer --K 256 --with-operator-probe "
+         "--probe-trials -1", "--probe-trials"),
         ("family --family random:0.3:seed=-1 --K 64 -o n.csv", "--family"),
         ("alpha-scaling --family integer --K 4096", "--fit-max"),
         ("alpha-scaling --family signed:0.2 --K 4096 --fit-min nan",

@@ -1,5 +1,7 @@
 """Cross-checks between the two product-evaluation paths and the tail
 series, against closed-form and brute-force oracles."""
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -708,14 +710,20 @@ def _tile_logabs(core, n0, M, cells):
                            for tile in core.grid_tiles(n0, M, cells)])
 
 
-def _takes_tiles(core, M, cells, run=1):
-    """Whether ``grid_logabs`` serves the midpoint grid of step 1/M over
-    cells -cells/2..cells/2 - 1 from the grid kernel's tiles, bit for bit,
-    in rows of gcd(run, M) points (at most a tile)."""
-    pieces = list(core.grid_logabs(1.0 / M, cells // 2 * M, run))
-    return (all(p.shape[1] == np.gcd(run, min(M, _BLOCK)) for p in pieces)
+def _takes_tiles(core, M, n_half, run=1):
+    """Whether ``grid_logabs`` serves the midpoint grid of step 1/M, x_i =
+    (i + 1/2)/M for i = -n_half..n_half - 1, from the grid kernel's tiles
+    over the whole cells it meets, bit for bit, in rows of gcd(run, M,
+    n_half) points (at most a tile): the off = -n_half % M points of each
+    end cell that lie off the grid are cut."""
+    off = -n_half % M
+    cells = 2 * (n_half + off) // M
+    tiles = _tile_logabs(core, -cells // 2, M, cells)[off:off + 2 * n_half]
+    pieces = list(core.grid_logabs(1.0 / M, n_half, run))
+    width = math.gcd(run, min(M, _BLOCK), n_half)
+    return (all(p.shape[1] == width for p in pieces)
             and _same_bits(np.concatenate([p.ravel() for p in pieces]),
-                           _tile_logabs(core, -cells // 2, M, cells)))
+                           tiles))
 
 
 def _grid_windows():
@@ -746,7 +754,7 @@ class TestMidpointGridKernel:
         # both kernels take complex moduli
         core = cores[name]
         x = _dyadic_grid(-300, 600, M)
-        assert _takes_tiles(core, M, 600)
+        assert _takes_tiles(core, M, 300 * M)
         rel = np.expm1(_tile_logabs(core, -300, M, 600)
                        - core.logabs_real(x)[0])
         assert np.max(np.abs(rel)) <= 1e-9
@@ -882,43 +890,49 @@ class TestPowerSums:
         return {name: build_generating_function(seq)
                 for name, seq in _grid_windows().items()}
 
-    @pytest.mark.parametrize("M,cells,block", [
+    @pytest.mark.parametrize("M,n_half,block", [
         # cells -300..299 in runs of 16, the last run 8 cells
-        pytest.param(1, 600, 16, id="1"),
+        pytest.param(1, 300, 16, id="1"),
         pytest.param(2, 600, 32, id="2"),
-        pytest.param(128, 600, 16 * 128, id="128"),
+        pytest.param(128, 300 * 128, 16 * 128, id="128"),
         # runs shorter than a cell, 48 points no power of two
-        pytest.param(128, 600, 32, id="128-run32"),
-        pytest.param(128, 600, 1, id="128-run1"),
-        pytest.param(128, 600, 48, id="128-run48"),
+        pytest.param(128, 300 * 128, 32, id="128-run32"),
+        pytest.param(128, 300 * 128, 1, id="128-run1"),
+        pytest.param(128, 300 * 128, 48, id="128-run48"),
         # cells of two tiles each, in runs of a quarter tile
-        pytest.param(1 << 15, 4, 1 << 12, id="32768-run4096"),
+        pytest.param(1 << 15, 2 << 15, 1 << 12, id="32768-run4096"),
+        # an odd n_half: rows of one point
+        pytest.param(1, 301, 16, id="1-odd"),
+        # grids ending in part cells, x_max = 250.375 and 299.5, in rows of
+        # one and of 32 points; the last run of the second is 64 points
+        pytest.param(8, 2003, 24, id="8-part-run24"),
+        pytest.param(128, 38336, 96, id="128-part-run96"),
+        # x_max = 1.25: a tile and a half of each end cell off the grid
+        pytest.param(1 << 15, 5 << 13, 1 << 12, id="32768-part-run4096"),
     ])
     @pytest.mark.parametrize("name", list(_grid_windows()))
-    def test_tiles_match_the_materialized_grid(self, gfs, name, M, cells,
+    def test_tiles_match_the_materialized_grid(self, gfs, name, M, n_half,
                                                block):
         gf = gfs[name]
-        n_half = cells // 2 * M
-        assert _takes_tiles(gf._core, M, cells, block)
+        assert _takes_tiles(gf._core, M, n_half, block)
         got = gf.power_sums(2.0, 1.0 / M, n_half, block)
         want = _materialized_sums(gf, 2.0, 1.0 / M, n_half, block)
-        assert got.shape == want.shape == (2, -(-cells * M // block))
+        assert got.shape == want.shape == (2, -(-2 * n_half // block))
         assert np.max(np.abs(got - want) / want) <= 1e-13
 
-    @pytest.mark.parametrize("h,n_half,block", [
-        (1.5, 300, 30), (1 / 20000, 40000, 40000), (0.01, 30000, 1600),
-        # x_max = 299.5: a dyadic step whose grid ends in half cells, in
-        # runs of 96 points, the last 64
-        (2.0 ** -7, 38336, 96)])
-    def test_steps_off_the_dyadic_grid_are_sampled(self, gfs, h, n_half,
-                                                   block):
-        # 1/h rounds to a whole M, but the grid is not n + (j + 1/2)/M
-        # over whole cells with M = 2^s: the grid kernel would sum another
-        # grid
+    @pytest.mark.parametrize("h", [1.5, 1 / 20000, 0.01])
+    def test_steps_off_the_powers_of_two_are_refused(self, gfs, h):
+        with pytest.raises(ValueError, match="is not a power of two") as exc:
+            gfs["signed:0.2"].power_sums(2.0, h, 300, 30)
+        assert f"h = {h!r} " in str(exc.value)
+
+    def test_step_of_two_is_one_logabs_chunk(self, gfs):
+        # no cell holds a point of h = 2, so the 300-point grid on the
+        # bulk window is one logabs chunk: the sampled weight's bits
         gf = gfs["signed:0.2"]
-        got = gf.power_sums(2.0, h, n_half, block)
-        want = sampled_power_sums(lambda x: gf.weight(x) ** 2.0, 2.0, h,
-                                  n_half, block)
+        got = gf.power_sums(2.0, 2.0, 150, 30)
+        want = sampled_power_sums(lambda x: gf.weight(x) ** 2.0, 2.0, 2.0,
+                                  150, 30)
         assert _same_bits(got, want)
 
     @pytest.fixture(scope="class")
@@ -950,7 +964,7 @@ class TestPowerSums:
 
     def test_grid_ending_in_half_cells_streams(self, gf_wide):
         # x_max = 8191.5 on the same window: the grid of h = 2^-7 ends in
-        # half cells, so it takes the general kernel in chunks, against the
+        # half cells, which the tiles of its whole cells cut, against the
         # cell table that a whole-cell sweep has cached; sampling the grid
         # whole took 66.6 MiB.  Its runs of 64 points are those of the
         # x_max = 8192 grid but the first and the last, to the kernels'
@@ -1002,12 +1016,12 @@ class TestPowerSums:
         # underflows to 0, and rises to about 9.8 on signed:-0.2, where it
         # overflows with numpy's warning
         gf = gfs["signed:0.2"]
-        assert _takes_tiles(gf._core, 8, 600)
+        assert _takes_tiles(gf._core, 8, 300 * 8)
         with pytest.raises(ValueError, match="finite positive"):
             gf.power_sums(400.0, 1.0 / 8, 300 * 8, 16 * 8)
         gf = build_generating_function(
             make_family(FamilySpec("signed", -0.2), 2048))
-        assert _takes_tiles(gf._core, 8, 600)
+        assert _takes_tiles(gf._core, 8, 300 * 8)
         with pytest.warns(RuntimeWarning, match="overflow"):
             with pytest.raises(ValueError, match="finite positive"):
                 gf.power_sums(400.0, 1.0 / 8, 300 * 8, 16 * 8)
@@ -1054,6 +1068,12 @@ class TestRouting:
     @pytest.fixture(scope="class")
     def gf(self):
         return build_generating_function(integer_lattice(2048))
+
+    def test_part_cell_grid_takes_the_tiles(self, gf, calls):
+        # x_max = 40.25 at h = 1/8: the grid's end cells are cut from one
+        # call of the grid kernel over the 82 cells it meets
+        gf.power_sums(2.0, 1.0 / 8, 322, 2)
+        assert calls == [("grid", 8 * 82, False)]
 
     def test_real_batch_of_256_goes_bulk(self, gf, calls):
         x = np.linspace(-50.3, 50.3, 256)
