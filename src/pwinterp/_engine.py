@@ -6,8 +6,8 @@ Three kernels on two paths approximate the symmetric infinite product
 
 * ``eval_points``, the pointwise path: the product at arbitrary complex
   arguments.  The nonzero nodes, in order of increasing |lambda|, are
-  stored chunk-major, 64 to a chunk, as (64, n_chunks) arrays (a
-  symmetric window then puts about 32 plus/minus pairs in each chunk,
+  stored chunk-major, 64 to a chunk, as (64, n_chunks) arrays built on the
+  first pointwise call (a symmetric window puts about 32 pairs in a chunk,
   which keeps chunk products in range; one that overflows all the same is
   reported).  A pass over at most 2^18 complex factors (4 MiB) forms all
   factors of its points in one array, multiplies each chunk's 64 in place
@@ -22,16 +22,16 @@ Three kernels on two paths approximate the symmetric infinite product
   band's other 8 factors, the nearest node's left out, take one log.  Every
   other node enters through one Taylor polynomial per cell, of order 12
   in u = x - (n + 1/2), evaluated by one Horner pass: the mid nodes, 4 <
-  |k - n| <= 24, are summed into it directly from their true positions
-  (|a| >= 3 for a = n + 1/2 - lambda, so each node's remainder is below
-  1e-11), and the far field, every node with |k - n| > 24, through orders
-  0 to 5 from FFT convolutions of short delta moments with the kernels
-  log|m| and m^-P.  Those transforms (numpy.fft) have the alias-free
-  length, the least 5-smooth integer >= cells + 2K, not the full
-  linear-convolution length, and a kernel that no nonzero moment pairs
-  with is not transformed.  Off the axis the band takes complex moduli,
-  the mid nodes complex a, and the far moments Re(delta^j): with m and u
-  real, only those enter log|m + u - delta|.  The bulk path gives log|D|,
+  |k - n| <= 24, from their true positions, and the far field, |k - n| >
+  24, through orders 0 to 5 from FFT convolutions of the moments
+  Re(delta^j) with the kernels log|m| and m^-P.  Each series is cut where
+  its terms fall below 3e-13 per node at the window's own largest shift D
+  (so below 1e-11 per mid node and 1.2e-11 over the far field; see the
+  constants).  The transforms (numpy.fft) have the alias-free length, the
+  least 5-smooth integer >= cells + 2K, and a moment or kernel that no
+  kept term reads is not transformed.  Off the axis the band takes complex
+  moduli, the mid nodes complex a, and the far moments Re(delta^j): with m
+  and u real, only those enter log|m + u - delta|.  The bulk path gives log|D|,
   D the product with the nearest node left out, and the sign of D on real
   windows, so off the axis it serves ``logabs`` alone.  It is the one
   producer of real-point blocks, log|D|, dist and nearest node for one
@@ -98,30 +98,46 @@ import numpy as np
 from ._tails import TailCompensation, lattice_shifts
 
 # Bulk kernel split, in index slots from a point's cell n = floor(x), with
-# u = x - (n + 1/2) in [-1/2, 1/2):
+# u = x - (n + 1/2) in [-1/2, 1/2) and D = max|delta_k| <= MAX_SHIFT, the
+# window's own largest shift:
 # * the band, |k - n| <= _BAND, is multiplied directly: |delta| <= MAX_SHIFT
 #   keeps the nearest node there;
+# * the truncation rule: every series term below is kept while its bound
+#   per node, at the window's D, exceeds _BUDGET = 3e-13, and no longer;
 # * the mid field, _BAND < |k - n| <= _W_NEAR, enters the cell's Taylor
-#   polynomial in u of order _T_ORD from the true positions: |a| >= 3 for
-#   a = n + 1/2 - lambda, so the ratio is at most 1/6 and the remainder,
-#   rho^13/(13 (1 - rho)), stays below 1e-11 per node;
+#   polynomial in u from the true positions: a node j slots away has |a| >=
+#   j - 1/2 - D for a = n + 1/2 - lambda, so the ratio is at most rho_j =
+#   1/(2j - 1 - 2D), and the node takes the least order T whose remainder,
+#   rho_j^(T+1)/((T+1)(1 - rho_j)), is within _BUDGET, at most _T_ORD.
+#   That cap binds at slot 5 alone, for D > 0.69, whose order-12 remainder
+#   is below 9.3e-13 per node at D = 1 and 7.1e-12 at D = 1.5 (rho = 1/6),
+#   so every mid node stays below 1e-11.  The orders run from 12 at slot 5
+#   to 6 or 7 at slot 24, 8.1 on average at D = 0.2 and 8.5 at D = 1.5;
 # * the far field, |k - n| > _W_NEAR, every node whatever its delta,
-#   enters the same polynomial through orders 0.._S_ORD of FFT moments:
-#   with m = n - k + 1/2, |m| >= 24.5 and |delta| <= MAX_SHIFT = 1.5, the
-#   ratio |u/(m - delta)| is below 0.5/23 = 0.022, so the remainder from
-#   u^6 on, summed over both sides, stays below 1.9e-10, at most
-#   (1 - 1.5/24.5)^-6 = 1.46 times its u^6 terms at delta = 0.  No
-#   cancellation between the sides is assumed: a common shift moves every
-#   far node toward one side, where orders up to u^4 alone leave 3.2e-9
-#   at the cell edges of the translate k - 1.5.  The delta expansions
-#   decay at least as fast as (1.5/24)^j, so the first omitted one, j =
-#   _J_DELTA + 1, stays below 2e-12 per node and 1.3e-11 over the far
-#   field.
+#   enters the same polynomial through orders 0.._S_ORD in u of FFT
+#   moments, m = n - k + 1/2, by log|m - delta + u| = log|m| - sum_j
+#   Re(delta^j) m^-j / j - sum_s (-u)^s/s sum_j C(s+j-1, j) Re(delta^j)
+#   m^-(s+j): with |m| >= 24.5 and |delta| <= MAX_SHIFT = 1.5, the ratio
+#   |u/(m - delta)| is below 0.5/23 = 0.022, so the remainder from u^6 on,
+#   summed over both sides, stays below 1.9e-10, at most (1 - 1.5/24.5)^-6
+#   = 1.46 times its u^6 terms at delta = 0.  No cancellation between the
+#   sides is assumed: a common shift moves every far node toward one side,
+#   where orders up to u^4 alone leave 3.2e-9 at the cell edges of the
+#   translate k - 1.5.  The term (s, j) is below C(s+j-1, j) D^j 2^-s /
+#   (s 24.5^(s+j)) per node, D^j/(j 24.5^j) for s = 0, and is kept by the
+#   rule, or whenever s + j <= 1, whose far-field sum grows like log K.
+#   Over the far field a term of order P = s + j adds at most 2 (1 + 24.5/
+#   (P - 1)) times its per-node bound, so the omitted terms together stay
+#   below 1.3e-12 per node and 1.2e-11 over the far field at every D <=
+#   1.5 (the worst is D = 0.52).  Only j = 0 is kept at D = 0; j <= 5 and
+#   kernels to m^-7 at D = 0.2; j <= 8 and m^-9 at D = 1; and j <= 9
+#   (_J_DELTA) and m^-10 at D = 1.5, where j = 10 is below 7.4e-14.
 _BAND = 4
 _W_NEAR = 24
 _T_ORD = 12
 _S_ORD = 5
-_J_DELTA = 8
+_J_DELTA = 9
+_BUDGET = 3e-13
 _BAND_SLOTS = np.arange(-_BAND, _BAND + 1)[:, None]
 # (-1)^(s+1)/s: log(1 + t) = sum_s _SERIES_COEF[s] t^s
 _SERIES_COEF = np.array([0.0] + [(-1.0) ** (s + 1) / s
@@ -209,19 +225,7 @@ class ProductCore:
         self.zero_mask = pos == 0
         if np.count_nonzero(self.zero_mask) > 1:
             raise ValueError("duplicate node positions at 0")
-        # the pointwise kernel multiplies the nonzero nodes in order of
-        # |lambda|, chunk-major: node i of that order sits at
-        # [i % 64, i // 64] of (64, n_chunks) arrays, one column per chunk
-        order = np.flatnonzero(~self.zero_mask)
-        order = order[np.argsort(np.abs(pos[order]), kind="stable")]
-        n_chunks = max(1, -(-order.size // _CHUNK))
-        self._n_pad = n_chunks * _CHUNK - order.size  # in the last chunk
-        lam = np.ones(n_chunks * _CHUNK, dtype=np.complex128)
-        lam[:order.size] = pos[order]
-        self._lam = np.ascontiguousarray(lam.reshape(n_chunks, _CHUNK).T)
-        self._inv = 1.0 / self._lam
-        self._column = np.full(pos.size, -1, dtype=np.int64)
-        self._column[order] = np.arange(order.size)
+        self._lam = None  # the pointwise layout, on its first use
         self.total_lognorm = float(
             np.sum(np.log(np.abs(np.where(self.zero_mask, 1.0, pos)))))
         self._fast_setup()
@@ -311,6 +315,24 @@ class ProductCore:
 
     # -- point-wise path -------------------------------------------------
 
+    def pointwise_layout(self):
+        """``_reduce``'s nodes ``_lam``, ``_inv``, ``_column``, ``_n_pad``."""
+        if self._lam is None:
+            # node i of the |lambda| order sits at [i % 64, i // 64] of
+            # (64, n_chunks) arrays, one column per chunk, padded with ones;
+            # a concurrent caller sees all of them or none
+            order = np.flatnonzero(~self.zero_mask)
+            order = order[np.argsort(np.abs(self.pos[order]), kind="stable")]
+            n_chunks = max(1, -(-order.size // _CHUNK))
+            n_pad = n_chunks * _CHUNK - order.size  # in the last chunk
+            lam = np.concatenate([self.pos[order], np.ones(n_pad)])
+            lam = np.ascontiguousarray(lam.reshape(n_chunks, _CHUNK).T)
+            column = np.full(self.pos.size, -1, dtype=np.int64)
+            column[order] = np.arange(order.size)  # -1 for a node at 0
+            self._n_pad, self._inv, self._column = n_pad, 1.0 / lam, column
+            self._lam = lam
+        return self._lam
+
     def eval_points(self, z, exclude=None):
         """Compensated product at complex points.
 
@@ -341,11 +363,12 @@ class ProductCore:
         exclude = (np.full(npts, -1, dtype=np.int64) if exclude is None
                    else np.asarray(exclude, dtype=np.int64).ravel())
         has_exc = exclude >= 0
+        lam = self.pointwise_layout()
         col = np.where(has_exc, self._column[exclude], -1)
         mant = np.empty(npts, dtype=np.complex128)
         e2 = np.empty(npts)
-        per = max(1, _PASS_FACTORS // self._lam.size)  # points per pass
-        g = np.empty((min(per, npts),) + self._lam.shape, dtype=np.complex128)
+        per = max(1, _PASS_FACTORS // lam.size)  # points per pass
+        g = np.empty((min(per, npts),) + lam.shape, dtype=np.complex128)
         for p0 in range(0, npts, per):
             p = slice(p0, min(p0 + per, npts))
             mant[p], e2[p] = self._reduce(z[p], col[p], g[:p.stop - p0])
@@ -403,10 +426,11 @@ class ProductCore:
 
     def _fast_setup(self):
         self.real = self.seq.is_real
-        self.fast_ok = lattice_shifts(self.seq) is not None
+        self.fast_ok = (delta := lattice_shifts(self.seq)) is not None
         if not self.fast_ok:
             return
         self.K = self.seq.half_width
+        self._max_shift = float(np.max(np.abs(delta)))  # D of the constants
         # the kernels subtract points from these: complex only off the axis,
         # and contiguous, since every point gathers its band from them
         self._kernel_pos = (np.ascontiguousarray(self.pos.real) if self.real
@@ -440,12 +464,15 @@ class ProductCore:
         mid = np.zeros_like(table)  # sum over the mid nodes of Re(a^-s)
         first = n_min + self.K  # array offset of node n_min
         for j in range(_BAND + 1, _W_NEAR + 1):
+            rho = 0.5 / (j - 0.5 - self._max_shift)  # the order's ratio
+            order = next((T for T in range(1, _T_ORD) if rho ** (T + 1)
+                          <= _BUDGET * (T + 1) * (1 - rho)), _T_ORD)
             for k0 in (first + j, first - j):
                 a = centre - self._kernel_pos[k0:k0 + centre.size]
                 mid[0] += np.log(np.abs(a))
                 inv = 1.0 / a
                 p = inv.copy()
-                for s in range(1, _T_ORD + 1):
+                for s in range(1, order + 1):
                     mid[s] += p.real
                     p *= inv
         mid[1:] *= _SERIES_COEF[1:, None]
@@ -488,18 +515,27 @@ class ProductCore:
         """Rows 0.._S_ORD of the cell table: the far field (every node more
         than ``_W_NEAR`` slots away) from FFT convolutions of the moments
         Re(delta^j), taken over all nodes (ones for j = 0), with the
-        kernels log|m| and m^-P, m = n - k + 1/2.
+        kernels log|m| and m^-P, m = n - k + 1/2, for the terms that the
+        truncation rule keeps at the window's largest shift.
 
         The kernel spans No = cells + 2K offsets and the data 2K + 1 <= No
         nodes, so the cyclic convolution of length L >= No differs from the
         linear one at output i by y[i - L] and y[i + L], both outside the
         linear support for the outputs read back.  Each kernel's transform
-        is formed once, used for every term it feeds and dropped; a kernel
-        that feeds no term, as m^-6.. on the lattice, is not transformed.
+        is formed once, used for every term it feeds and dropped.  A zero
+        moment, as every one past j = 0 on the lattice, and a kernel that
+        no kept term with a nonzero moment reads are not transformed.
         """
         K = self.K
         o_min, o_max = n_min - K, n_max + K
         L = _fast_len(o_max - o_min + 1)
+        D, terms = self._max_shift, []  # (s, j, coefficient), by the rule
+        for s, j in np.ndindex(_S_ORD + 1, _J_DELTA + 1):
+            coef = (1.0 if s + j == 0 else -1.0 / j if s == 0
+                    else _SERIES_COEF[s] * math.comb(s + j - 1, j))
+            # the bound per node, |u| <= 1/2: 2^s 24.5^s = 49^s
+            if s + j <= 1 or abs(coef) * (D / 24.5) ** j > _BUDGET * 49 ** s:
+                terms.append((s, j, coef))
         # the gate's delta, recomputed rather than kept on the core to bound
         # its memory; m and u are real, so only Re(delta^j) enters
         # log|m + u - delta|
@@ -508,12 +544,13 @@ class ProductCore:
             delta = delta.real
         dhat = []
         data = np.ones_like(delta)
-        for j in range(_J_DELTA + 1):
+        for j in range(max(t[1] for t in terms) + 1):
             if j:
                 data = data * delta
             dhat.append(np.fft.rfft(data.real, L) if np.any(data.real)
                         else None)
         del data, delta
+        terms = [t for t in terms if dhat[t[1]] is not None]
         o = np.arange(o_min, o_max + 1, dtype=np.float64)
         far = np.abs(o) > _W_NEAR
         m = o + 0.5
@@ -523,21 +560,16 @@ class ProductCore:
         del o, far, m
         acc = np.zeros((_S_ORD + 1, L // 2 + 1), dtype=np.complex128)
         scratch = np.empty(L // 2 + 1, dtype=np.complex128)
-        for P in range(_S_ORD + _J_DELTA + 1):
+        for P in range(max(s + j for s, j, _ in terms) + 1):
             if P == 1:
                 kern = inv.copy()
             elif P > 1:
                 kern *= inv
-            # log|m - delta + u| = log|m| - sum_j Re(delta^j) m^-j / j
-            #   - sum_s (-u)^s/s sum_j C(s+j-1, j) Re(delta^j) m^-(s+j)
-            terms = [(s, P - s) for s in range(min(P, _S_ORD) + 1)
-                     if P - s <= _J_DELTA and dhat[P - s] is not None]
-            if not terms:  # no nonzero moment pairs with this kernel
+            feeds = [t for t in terms if t[0] + t[1] == P]
+            if not feeds:
                 continue
             khat = np.fft.rfft(kern, L)
-            for s, j in terms:
-                coef = (1.0 if P == 0 else -1.0 / j if s == 0
-                        else _SERIES_COEF[s] * math.comb(s + j - 1, j))
+            for s, j, coef in feeds:
                 np.multiply(dhat[j], khat, out=scratch)
                 scratch *= coef
                 acc[s] += scratch

@@ -185,10 +185,12 @@ def carleson_sum(seq, max_probes: int = 512,
         (np.arange(n) >= n // 4) & (np.arange(n) < n - n // 4)
     )
     if inner.size > max_probes:
-        take = np.unique(np.concatenate([
+        take = np.sort(np.concatenate([
             inner[:: max(1, inner.size // max_probes)],
             [inner[0], inner[inner.size // 2], inner[-1]],
         ]))
+        # sorted and compared: np.unique would import numpy.ma
+        take = take[np.diff(take, prepend=-1) != 0]
     else:
         take = inner
     facs = 1.0 + np.abs(pos.imag)
@@ -415,10 +417,9 @@ def continuous_ap(v_sampler, p, fam: IntervalFamily,
     for i, (m, (nL, step, g)) in enumerate(zip(levels, plan)):
         L = 2.0 ** m
         starts = np.arange(0, 2 * n_half - nL + 1, step)
-        starts = np.unique(np.concatenate(
-            [starts, [origin, origin - nL, 2 * n_half - nL]]
-        ))
-        starts = np.unique(starts // g * g)
+        starts = np.sort(np.concatenate(
+            [starts, [origin, origin - nL, 2 * n_half - nL]])) // g * g
+        starts = starts[np.diff(starts, prepend=-1) != 0]  # all >= 0
         # the level's blocks, each a run of finest blocks
         runs = np.arange(0, bv.size, g // block)
         lv = np.add.reduceat(bv, runs)

@@ -67,10 +67,10 @@ def as_exponents(p) -> Exponents:
 class GeneratingFunction:
     """Evaluator for the product S, the divided product D(z) = S(z)/(z -
     lambda_n) by the nearest node n, the node derivatives S' (D on the
-    nodes) and the weight F = |D|.  The one cache is the core's bulk cell
-    table, kept for the last cell range and replaced whole, so instances
-    are safe to call concurrently.  Build through
-    :func:`build_generating_function`.
+    nodes) and the weight F = |D|.  The core's bulk cell table, kept for
+    the last cell range, and its pointwise layout, built on first use, are
+    each set whole, so instances are safe to call concurrently.  Build
+    through :func:`build_generating_function`.
 
     Past ``trust_radius`` the product is not the limit's: every method
     raises :class:`TrustRadiusError` there, those taking points after they
@@ -219,8 +219,8 @@ def build_generating_function(seq, compensate: bool = True,
                               ) -> GeneratingFunction:
     """Build the product evaluator for a node sequence.
 
-    The build records the relative change of S at fixed probe points when
-    the window is halved (a convergence diagnostic for the limit product).
+    The build records ``convergence_probe`` (K >= 4): max |S_(K/2)/S_K - 1|
+    at eight points, from the two windows' tails and :func:`_outer_logs`.
 
     Parameters
     ----------
@@ -237,21 +237,35 @@ def build_generating_function(seq, compensate: bool = True,
         separation = _nodes.separation(seq) if len(seq) > 1 else np.inf
     if separation <= 0.0:
         raise ValueError("zero separation: duplicate node positions")
-
-    def core_for(window):
-        return ProductCore(window, build_tail(window) if compensate else None)
-
-    core = core_for(seq)
-    conv = None
-    if seq.half_width >= 4:
-        core_h = core_for(seq.restrict(seq.half_width // 2))
-        span = min(_PROBE_POINTS[-1], seq.half_width / 4)
-        pts = (_PROBE_POINTS * span / _PROBE_POINTS[-1]).astype(complex)
-        full_v = core.value(pts)
-        half_v = core_h.value(pts)
-        scale = np.maximum(np.abs(full_v), 1e-300)
-        conv = float(np.max(np.abs(full_v - half_v) / scale))
+    core = ProductCore(seq, build_tail(seq) if compensate else None)
+    conv, K = None, seq.half_width
+    if K >= 4:
+        pts = _PROBE_POINTS * min(_PROBE_POINTS[-1], K / 4) / _PROBE_POINTS[-1]
+        half = build_tail(seq.restrict(K // 2)) if compensate else None
+        T = [0.0 if t is None else t.log_tail(pts) for t in (half, core.tail)]
+        outer = seq.positions[np.abs(seq.indices) > K // 2]
+        # inf at a point on a node of the outer half, with no warning
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_ratio = T[0] - T[1] - _outer_logs(outer, pts)
+            conv = float(np.max(np.abs(np.expm1(log_ratio))))
     return GeneratingFunction(seq, core, conv, separation)
+
+
+def _outer_logs(lam, z):
+    """sum_k log(1 - z/lambda_k), log z for a node at 0: directly where
+    |lambda| < 2 max|z|, else -sum_P z^P/P sum_k lambda_k^-P to n terms,
+    N r^(n+1)/((n+1)(1 - r)) < 1e-20 for N nodes, r = max|z|/min|lambda|."""
+    near = np.abs(lam) < 2 * np.max(np.abs(z))
+    out = np.log(np.where(lam[near] == 0, z[:, None],
+                          1 - z[:, None] / lam[near])).sum(axis=1)
+    inv = 1.0 / lam[~near]
+    r = np.max(np.abs(z)) * np.max(np.abs(inv), initial=0.0)
+    n = math.ceil(math.log(5e-21 / inv.size, r)) if r else 0  # r <= 1/2
+    power = inv
+    for P in range(1, n + 1):
+        out -= np.sum(power) * z ** P / P
+        power = power * inv
+    return out
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ class SampleSet:
         val = np.asarray(self.values, dtype=np.complex128).ravel()
         if idx.size != val.size or idx.size == 0:
             raise ValueError("indices and values must align and be nonempty")
-        if np.unique(idx).size != idx.size:
+        if np.any(np.diff(np.sort(idx)) == 0):
             raise ValueError("duplicate sample index")
         if not np.all(np.isfinite(val.real)) or not np.all(np.isfinite(val.imag)):
             raise ValueError("non-finite sample value")

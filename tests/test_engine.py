@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from pwinterp import (FamilySpec, GridSpec, NodeSequence, SampleSet,
-                      build_generating_function, integer_lattice, make_family,
-                      reconstruct)
-from pwinterp._engine import _BLOCK, ProductCore, _fast_len, nearest_nodes
-from pwinterp._tails import _hurwitz_zeta, build_tail, tail_from_shifts
+                      build_generating_function, full_verdict,
+                      integer_lattice, make_family, reconstruct)
+from pwinterp._engine import (_BLOCK, _SERIES_COEF, _W_NEAR, ProductCore,
+                              _fast_len, nearest_nodes)
+from pwinterp._tails import (_hurwitz_zeta, build_tail, lattice_shifts,
+                             tail_from_shifts)
 from pwinterp.genfn import sampled_power_sums
 
 
@@ -387,12 +389,42 @@ class TestPointwisePath:
         from pwinterp._engine import _PASS_FACTORS
         k = np.arange(-1024, 1025)
         core = ProductCore(NodeSequence(k, k + 0.1j * (-1.0) ** k), None)
-        n = 3 * (_PASS_FACTORS // core._lam.size) + 3
+        n = 3 * (_PASS_FACTORS // core.pointwise_layout().size) + 3
         z = rng.uniform(-30, 30, n) + 1j * rng.uniform(-2, 2, n)
         exc = np.where(rng.random(n) < 0.2, rng.integers(0, k.size, n), -1)
         whole = core.eval_points(z, exc)
         assert np.array_equal(whole, np.concatenate(
             [core.eval_points(z[i:i + 1], exc[i:i + 1]) for i in range(n)]))
+
+    def test_racing_first_calls_share_one_layout(self, rng):
+        # the layout is built on a core's first pointwise call and set
+        # whole, the node array last: eight threads racing on that call of
+        # a fresh core all get the values of a serial call
+        import sys
+        import threading
+        k = np.arange(-512, 513)
+        seq = NodeSequence(k, k + 0.1j * (-1.0) ** k)
+        z = rng.uniform(-30, 30, 64) + 1j * rng.uniform(-2, 2, 64)
+        expect = ProductCore(seq, None).eval_points(z)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                core = ProductCore(seq, None)
+                out = [None] * 8
+
+                def run(i, core=core, out=out):
+                    out[i] = core.eval_points(z)
+                threads = [threading.Thread(target=run, args=(i,))
+                           for i in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert all(np.array_equal(v, expect) for v in out)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_full_window_lattice_matches_sine(self, rng):
         # K = 2^15: 1024 chunks; at z = x + 200i, |S| is about 1e270, so
@@ -434,6 +466,8 @@ class TestPointwiseMemory:
         assert peak <= 8 << 20
 
     def test_core_arrays(self, core):
+        # the pointwise layout is built on the first pointwise call
+        core.eval_points(np.array([0.5 + 0.5j]))
         seq = core.seq
         own = [a for a in vars(core).values() if isinstance(a, np.ndarray)
                and not np.shares_memory(a, seq.positions)
@@ -514,6 +548,102 @@ def _bulk_oracle_windows(rng):
 def _wide_count(seq):
     """The number of nodes more than 0.95 from their index."""
     return np.count_nonzero(np.abs(seq.positions - seq.indices) > 0.95)
+
+
+def _full_order_far_moments(core, n_min, n_max):
+    """The far field's cell-table rows 0..5 at full order, whatever the
+    window's shifts: every delta moment to j = 8 and every kernel to
+    m^-13, as the kernel took them before the truncation rule."""
+    K = core.K
+    o_min, o_max = n_min - K, n_max + K
+    L = _fast_len(o_max - o_min + 1)
+    delta = lattice_shifts(core.seq)
+    if core.real:
+        delta = delta.real
+    dhat = []
+    data = np.ones_like(delta)
+    for j in range(9):
+        if j:
+            data = data * delta
+        dhat.append(np.fft.rfft(data.real, L) if np.any(data.real)
+                    else None)
+    o = np.arange(o_min, o_max + 1, dtype=np.float64)
+    far = np.abs(o) > _W_NEAR
+    m = o + 0.5
+    with np.errstate(divide="ignore"):
+        kern = np.where(far, np.log(np.abs(m)), 0.0)
+    inv = np.where(far, 1.0 / m, 0.0)
+    acc = np.zeros((6, L // 2 + 1), dtype=np.complex128)
+    scratch = np.empty(L // 2 + 1, dtype=np.complex128)
+    for P in range(14):
+        if P == 1:
+            kern = inv.copy()
+        elif P > 1:
+            kern *= inv
+        terms = [(s, P - s) for s in range(min(P, 5) + 1)
+                 if P - s <= 8 and dhat[P - s] is not None]
+        if not terms:
+            continue
+        khat = np.fft.rfft(kern, L)
+        for s, j in terms:
+            coef = (1.0 if P == 0 else -1.0 / j if s == 0
+                    else _SERIES_COEF[s] * math.comb(s + j - 1, j))
+            np.multiply(dhat[j], khat, out=scratch)
+            scratch *= coef
+            acc[s] += scratch
+    return np.array([np.fft.irfft(acc[s], L)[2 * K:2 * K + n_max - n_min + 1]
+                     for s in range(6)])
+
+
+def _truncation_bound(D):
+    """The far field's bound on the budgeted table less the full-order one,
+    at the window's largest shift D, on |u| <= 1/2: the term u^s
+    Re(delta^j) m^-(s+j) is below C(s+j-1, j) D^j 2^-s/(s 24.5^(s+j)) per
+    node (D^j/(j 24.5^j) for s = 0), the sum of |m|^-P over |m| >= 24.5 is
+    below 2 (1 + 24.5/(P - 1)) 24.5^-P, and the terms counted are those
+    that one of the two keeps and the other does not: the full order keeps
+    j <= 8, the rule every term above 3e-13 per node and s + j <= 1."""
+    def per_node(s, j):
+        return (D ** j / (j * 24.5 ** j) if s == 0 else math.comb(s + j - 1, j)
+                * D ** j / (2 ** s * s * 24.5 ** (s + j)))
+    full = {(s, j) for s in range(6) for j in range(9)}
+    rule = {(s, j) for s in range(6) for j in range(16)
+            if s + j <= 1 or per_node(s, j) > 3e-13}
+    return sum(per_node(s, j) * 2 * (1 + 24.5 / (s + j - 1))
+               for s, j in full ^ rule)
+
+
+class TestFarTruncation:
+    """The far field's terms cut at the window's own largest shift, against
+    the full-order table."""
+
+    @pytest.mark.parametrize("name", ["real", "real 1.5", "complex",
+                                      "complex 1.4i", "real shift -1.5",
+                                      "real all wide", "complex all wide",
+                                      "signed:0.1", "random:0.35"])
+    def test_within_the_bound_of_full_order(self, name, rng):
+        if ":" in name:
+            # a K = 2^15 verdict's sweep range, x_max = 8192
+            kind, d = name.split(":")
+            seq = make_family(FamilySpec(kind, float(d), seed=5), 1 << 15)
+            n_min, n_max = -8192, 8191
+        else:
+            seq = _bulk_oracle_windows(rng)[name][0]
+            n_min, n_max = 25 - seq.half_width, seq.half_width - 25
+        core = ProductCore(seq, None)
+        D = float(np.max(np.abs(seq.positions - seq.indices)))
+        ref = _full_order_far_moments(core, n_min, n_max)
+        got = np.empty_like(ref)
+        core._far_moments(n_min, n_max, got)
+        # the largest change of each cell's polynomial on |u| <= 1/2
+        err = np.sum(np.abs(got - ref) * 0.5 ** np.arange(6)[:, None], axis=0)
+        # row 0 is the sum of log|m|, up to 6.2e5 at K = 2^15: a few ulps
+        # of it are the rounding of the transforms.  Measured: at most 0.40
+        # of the bound at K = 256 (real shift -1.5, 6.2e-12 of 1.3e-11 +
+        # 2.2e-12), and 1.2e-10 of 5.5e-10 on random:0.35 at K = 2^15
+        bound = (_truncation_bound(D)
+                 + 4 * np.finfo(float).eps * np.max(np.abs(ref[0])))
+        assert np.max(err) <= bound
 
 
 class TestGridPath:
@@ -1130,6 +1260,19 @@ class TestRouting:
         # the bulk kernel has no phase off the axis: values run pointwise
         gf.value(x)
         assert calls == [("bulk", 256, False), ("pointwise", 256, False)]
+
+    def test_bulk_only_verdict_builds_no_pointwise_layout(self, calls,
+                                                         monkeypatch):
+        # a real window's verdict sweeps its weight on the grid kernel, and
+        # its convergence probe forms no product: the pointwise kernel's
+        # node layout is never built
+        built = []
+        layout = ProductCore.pointwise_layout
+        monkeypatch.setattr(ProductCore, "pointwise_layout",
+                            lambda core: built.append(core) or layout(core))
+        report = full_verdict(integer_lattice(1024), 2.0)
+        assert report.verdict == "PASS"
+        assert {c[0] for c in calls} == {"grid"} and built == []
 
     def test_reconstruct_near_node_batch_goes_bulk(self, gf, calls):
         ks = np.arange(-150, 150, 1.5).astype(int)[:200]

@@ -1,14 +1,16 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from pwinterp import (Exponents, FamilySpec, NodeSequence,
                       build_generating_function, comparability_stats,
-                      fit_weight_exponent, integer_lattice, make_family,
-                      select_subsequence)
+                      fit_weight_exponent, integer_lattice, load_nodes,
+                      make_family, save_nodes, select_subsequence)
 from pwinterp._engine import _BLOCK
-from pwinterp.genfn import _linear_fit
+from pwinterp._tails import build_tail
+from pwinterp.genfn import _PROBE_POINTS, _linear_fit
 
 SINC_D = np.pi  # |S| for the lattice is |sin(pi x)| / pi
 
@@ -56,6 +58,84 @@ class TestBuild:
 
     def test_convergence_probe_small(self, gf_lattice_8k):
         assert gf_lattice_8k.convergence_probe < 1e-6
+
+
+def _mp_convergence_probe(seq):
+    """max |1 - S_half/S_full| at the probe points from the full and half
+    windows' products, each times exp of its own tail (the float
+    coefficients, dropped past the trust radius as ``log_tail`` drops
+    them), in 50-digit arithmetic.  Every point is read 1e-30 to the right
+    of itself, so a point on a node reads the ratio's limit there."""
+    K = seq.half_width
+    pts = _PROBE_POINTS * min(_PROBE_POINTS[-1], K / 4) / _PROBE_POINTS[-1]
+    worst = mpmath.mpf(0)
+    with mpmath.workdps(50):
+        windows = [([mpmath.mpc(complex(lam)) for lam in w.positions],
+                    build_tail(w)) for w in (seq, seq.restrict(K // 2))]
+        for x in pts:
+            z = mpmath.mpf(float(x)) + mpmath.mpf("1e-30")
+            S = []
+            for lams, tail in windows:
+                v = mpmath.mpf(1)
+                for lam in lams:
+                    v *= z if lam == 0 else 1 - z / lam
+                if tail is not None and x <= tail.radius:
+                    v *= mpmath.exp(mpmath.polyval(
+                        [mpmath.mpf(float(c)) for c in tail.coeffs[::-1]], z))
+                S.append(v)
+            worst = max(worst, abs(1 - S[1] / S[0]))
+    return float(worst)
+
+
+class TestConvergenceProbe:
+    """``convergence_probe`` against 50-digit products of both windows."""
+
+    @pytest.mark.parametrize("name", ["integer", "signed:0.25",
+                                      "random:0.35", "complex", "loaded"])
+    def test_matches_products(self, name, tmp_path):
+        k = np.arange(-256, 257)
+        if name == "loaded":
+            # 0.01 k off its index: past 1.5 from K = 151 on, so no tail
+            k = np.arange(-200, 201)
+            save_nodes(NodeSequence(k, 1.01 * k), tmp_path / "n.csv")
+            seq = load_nodes(tmp_path / "n.csv")
+            assert build_tail(seq) is None
+        elif name == "complex":
+            seq = NodeSequence(k, k + 0.1j * (-1.0) ** k)
+        elif name == "integer":
+            seq = integer_lattice(256)
+        else:
+            kind, d = name.split(":")
+            seq = make_family(FamilySpec(kind, float(d), seed=3), 256)
+        got = build_generating_function(seq).convergence_probe
+        want = _mp_convergence_probe(seq)
+        # measured: 1.1e-16 (integer) and 2.0e-17 (signed) against values
+        # near 1e-16 and 1e-17; 1.2e-15 on random's 1.9e-3 (6.4e-13
+        # relative), 1.3e-18 on complex's 3.8e-5, 1.3e-15 on loaded's 0.29
+        assert abs(got - want) <= 5e-16 + 2e-12 * want
+
+    def test_point_on_an_outer_node_reads_inf(self):
+        # node 7 of this K = 8 window lies on the probe point 2.0: the full
+        # product vanishes there and the half window's does not
+        k = np.arange(-8, 9)
+        pos = k.astype(float)
+        pos[[15, 10]] = 2.0, 7.0
+        gf = build_generating_function(NodeSequence(k, pos))
+        assert gf.convergence_probe == np.inf
+
+    @pytest.mark.parametrize("K", [4, 8])
+    def test_point_on_a_node_reads_the_ratio(self, K):
+        # the last probe point, K/4, is node K/4 of the half window: both
+        # products vanish there, and the probe reads their ratio, its
+        # factor cancelled, as it does next to the node (the half window's
+        # tail is dropped there, past its trust radius (K/2 + 1)/4)
+        seq = integer_lattice(K)
+        pts = _PROBE_POINTS * (K / 4) / _PROBE_POINTS[-1]
+        assert pts[-1] == K / 4
+        got = build_generating_function(seq).convergence_probe
+        want = _mp_convergence_probe(seq)
+        assert want > 0.4
+        assert abs(got - want) <= 1e-15 * want  # measured: 1.5e-16
 
 
 class TestValue:
