@@ -1,9 +1,11 @@
 """The criteria battery in one sweep: which sequences keep interpolation
 stable, which lose it, and what the evidence looks like.
 
-PASS needs every statistic stable under window doubling; FAIL needs an
-explicit divergence witness (quotient growth trend or a weight power at
-the Muckenhoupt boundary); everything else stays INCONCLUSIVE.
+PASS needs a density scale, the A_p quotients stable under window
+doubling and a converged window; FAIL needs an explicit divergence
+witness (quotient growth trend or a weight power at the Muckenhoupt
+boundary); everything else stays INCONCLUSIVE.  The Carleson column is
+reported and gates nothing.
 """
 from pwinterp import FamilySpec, full_verdict, integer_lattice, make_family
 

@@ -443,7 +443,6 @@ class ProductCore:
         # carries the tail there
         R = self.tail.radius if self.tail is not None else 0.0
         self._tail_cells = (math.ceil(-R), math.floor(R) - 1)
-        self._table_cache = None
 
     def _cell_table(self, n_min, n_max):
         """C[s, n - n_min] for cells n_min..n_max: the coefficient of u^s,
@@ -452,10 +451,7 @@ class ProductCore:
         beyond it: the sum of log|1 - x/lambda_k| (log|x| for a node at 0)
         over the window's nodes more than ``_BAND`` slots from n, plus, on
         the cells of ``_tail_cells``, the far tail T(x) (see
-        ``_tail_taylor``).  One entry is cached, by range."""
-        cached = self._table_cache
-        if cached is not None and cached[0] == (n_min, n_max):
-            return cached[1]
+        ``_tail_taylor``)."""
         table = np.zeros((_T_ORD + 1, n_max - n_min + 1))
         self._far_moments(n_min, n_max, table[:_S_ORD + 1])
         # the mid nodes, taken at their true positions: with
@@ -479,7 +475,6 @@ class ProductCore:
         table += mid
         table[0] -= self.total_lognorm
         table += self._tail_taylor(n_min, n_max)
-        self._table_cache = ((n_min, n_max), table)
         return table
 
     def _tail_taylor(self, n_min, n_max):

@@ -34,7 +34,7 @@ from .criteria import (IntervalFamily, QuadratureStepError, Thresholds,
 from .hilbert import DiscreteHilbertOperator, probe_norm
 from .interp import GridSpec, load_samples, reconstruct
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_PASS = 0
 EXIT_FAIL = 1

@@ -67,10 +67,10 @@ def as_exponents(p) -> Exponents:
 class GeneratingFunction:
     """Evaluator for the product S, the divided product D(z) = S(z)/(z -
     lambda_n) by the nearest node n, the node derivatives S' (D on the
-    nodes) and the weight F = |D|.  The core's bulk cell table, kept for
-    the last cell range, and its pointwise layout, built on first use, are
-    each set whole, so instances are safe to call concurrently.  Build
-    through :func:`build_generating_function`.
+    nodes) and the weight F = |D|.  The core keeps no bulk cell table
+    between calls, and sets its pointwise layout, built on first use,
+    whole, so instances are safe to call concurrently.  Build through
+    :func:`build_generating_function`.
 
     Past ``trust_radius`` the product is not the limit's: every method
     raises :class:`TrustRadiusError` there, those taking points after they
@@ -221,6 +221,8 @@ def build_generating_function(seq, compensate: bool = True,
 
     The build records ``convergence_probe`` (K >= 4): max |S_(K/2)/S_K - 1|
     at eight points, from the two windows' tails and :func:`_outer_logs`.
+    The points reach at most the half window's trust radius (K//2 + 1)/4,
+    past which its tail is dropped.
 
     Parameters
     ----------
@@ -240,7 +242,8 @@ def build_generating_function(seq, compensate: bool = True,
     core = ProductCore(seq, build_tail(seq) if compensate else None)
     conv, K = None, seq.half_width
     if K >= 4:
-        pts = _PROBE_POINTS * min(_PROBE_POINTS[-1], K / 4) / _PROBE_POINTS[-1]
+        reach = min(_PROBE_POINTS[-1], (K // 2 + 1) / 4)
+        pts = _PROBE_POINTS * reach / _PROBE_POINTS[-1]
         half = build_tail(seq.restrict(K // 2)) if compensate else None
         T = [0.0 if t is None else t.log_tail(pts) for t in (half, core.tail)]
         outer = seq.positions[np.abs(seq.indices) > K // 2]

@@ -235,5 +235,5 @@ class TestAcceptance:
                          gpath.read_bytes()))
         assert runs[0] == runs[1]
         payload = json.loads(runs[0][1])
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         _ok("c13 CLI runs byte-identical")

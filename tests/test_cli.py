@@ -433,7 +433,9 @@ class TestCheckCommand:
                         "--xmax", "512", "--json", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
+        # schema 2 dropped the half window's Carleson sum
+        assert "carleson_half" not in payload["report"]
         assert payload["report"]["verdict"] == "PASS"
         assert payload["config"]["p"] == 2.0
 

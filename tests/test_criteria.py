@@ -307,6 +307,28 @@ class TestFullVerdict:
         full_verdict(make_family(FamilySpec("signed", 0.1), 4096), 2.0)
         assert calls == [8193]
 
+    def test_carleson_once_per_verdict(self, monkeypatch):
+        # one whole-window sum, reported; no gate reads a Carleson sum
+        calls = []
+        carleson = criteria.carleson_sum
+
+        def counted(seq, **kwargs):
+            calls.append(len(seq))
+            return carleson(seq, **kwargs)
+        monkeypatch.setattr(criteria, "carleson_sum", counted)
+        rep = full_verdict(make_family(FamilySpec("signed", 0.1), 4096), 2.0)
+        assert calls == [8193]
+        assert not hasattr(rep, "carleson_half")
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_random_window_passes(self, seed):
+        # random:0.35 at K = 2^15 passes on the theorem's gates alone; the
+        # sampled Carleson sups of these two windows and of their halves
+        # lie over 5% apart, and gate nothing
+        seq = make_family(FamilySpec("random", 0.35, seed=seed), 1 << 15)
+        rep = full_verdict(seq, 2.0)
+        assert (rep.verdict, rep.failed_checks) == ("PASS", ())
+
     def test_lattice_passes(self):
         rep = full_verdict(integer_lattice(2048), 2.0)
         assert rep.verdict == "PASS"

@@ -1011,6 +1011,22 @@ def _materialized_sums(gf, p, h, n_half, block):
                      np.add.reduceat(v ** (-1.0 / (p - 1.0)), runs)])
 
 
+def _keep_cell_tables(monkeypatch, gf):
+    """Keep each cell table that ``gf``'s core builds, by range, for one
+    test alone, so that a measured call reads the table an earlier call
+    built and its peak is the tiles' own; returns the kept tables."""
+    core = gf._core
+    build = core._cell_table
+    tables = {}
+
+    def kept(n_min, n_max):
+        if (n_min, n_max) not in tables:
+            tables[n_min, n_max] = build(n_min, n_max)
+        return tables[n_min, n_max]
+    monkeypatch.setattr(core, "_cell_table", kept)
+    return tables
+
+
 class TestPowerSums:
     """``GeneratingFunction.power_sums``, the ``A_p`` sweep's block sums of
     F^p and its dual, against the materialized grid."""
@@ -1070,14 +1086,15 @@ class TestPowerSums:
         return build_generating_function(
             make_family(FamilySpec("signed", 0.1), 1 << 15))
 
-    def test_short_runs_take_the_tiles(self, gf_wide):
+    def test_short_runs_take_the_tiles(self, gf_wide, monkeypatch):
         # runs of 64 points, half a cell, on the 2M-point grid of h = 2^-7
-        # that a signed:0.1 verdict at K = 2^15 sweeps, after a sweep in
-        # runs of 16 cells has cached the cell table: the whole grid as
-        # three arrays took 48.8 MiB
+        # that a signed:0.1 verdict at K = 2^15 sweeps, with the cell table
+        # that a sweep in runs of 16 cells built: the whole grid as three
+        # arrays took 48.8 MiB
         import tracemalloc
         gf = gf_wide
         h, n_half = 2.0 ** -7, 8192 * 128
+        tables = _keep_cell_tables(monkeypatch, gf)
         cells16 = gf.power_sums(2.0, h, n_half, 16 * 128)
         tracemalloc.start()
         try:
@@ -1086,21 +1103,22 @@ class TestPowerSums:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
+        assert len(tables) == 1
         assert peak <= 8 << 20
         assert sums.shape == (2, 2 * n_half // 64)
         regrouped = np.add.reduceat(sums, np.arange(0, sums.shape[1], 32),
                                     axis=1)
         assert np.max(np.abs(regrouped - cells16) / cells16) <= 1e-13
 
-    def test_grid_ending_in_half_cells_streams(self, gf_wide):
+    def test_grid_ending_in_half_cells_streams(self, gf_wide, monkeypatch):
         # x_max = 8191.5 on the same window: the grid of h = 2^-7 ends in
-        # half cells, which the tiles of its whole cells cut, against the
-        # cell table that a whole-cell sweep has cached; sampling the grid
-        # whole took 66.6 MiB.  Its runs of 64 points are those of the
-        # x_max = 8192 grid but the first and the last, to the kernels'
-        # rounding
+        # half cells, which the tiles of its whole cells cut, with the cell
+        # table that a whole-cell sweep built; sampling the grid whole took
+        # 66.6 MiB.  Its runs of 64 points are those of the x_max = 8192
+        # grid but the first and the last, to the kernels' rounding
         import tracemalloc
         h, n_half = 2.0 ** -7, 8192 * 128
+        tables = _keep_cell_tables(monkeypatch, gf_wide)
         cells = gf_wide.power_sums(2.0, h, n_half, 64)
         tracemalloc.start()
         try:
@@ -1109,6 +1127,7 @@ class TestPowerSums:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
+        assert len(tables) == 1
         assert peak <= 8 << 20
         assert sums.shape == (2, 2 * n_half // 64 - 2)
         assert np.max(np.abs(sums - cells[:, 1:-1]) / sums) <= 1e-13

@@ -67,7 +67,8 @@ def _mp_convergence_probe(seq):
     them), in 50-digit arithmetic.  Every point is read 1e-30 to the right
     of itself, so a point on a node reads the ratio's limit there."""
     K = seq.half_width
-    pts = _PROBE_POINTS * min(_PROBE_POINTS[-1], K / 4) / _PROBE_POINTS[-1]
+    reach = min(_PROBE_POINTS[-1], (K // 2 + 1) / 4)
+    pts = _PROBE_POINTS * reach / _PROBE_POINTS[-1]
     worst = mpmath.mpf(0)
     with mpmath.workdps(50):
         windows = [([mpmath.mpc(complex(lam)) for lam in w.positions],
@@ -115,27 +116,39 @@ class TestConvergenceProbe:
         assert abs(got - want) <= 5e-16 + 2e-12 * want
 
     def test_point_on_an_outer_node_reads_inf(self):
-        # node 7 of this K = 8 window lies on the probe point 2.0: the full
-        # product vanishes there and the half window's does not
+        # node 7 of this K = 8 window lies on the last probe point, the half
+        # window's trust radius 1.25: the full product vanishes there and
+        # the half window's does not
         k = np.arange(-8, 9)
         pos = k.astype(float)
-        pos[[15, 10]] = 2.0, 7.0
+        pos[15] = 1.25
         gf = build_generating_function(NodeSequence(k, pos))
         assert gf.convergence_probe == np.inf
 
     @pytest.mark.parametrize("K", [4, 8])
     def test_point_on_a_node_reads_the_ratio(self, K):
-        # the last probe point, K/4, is node K/4 of the half window: both
-        # products vanish there, and the probe reads their ratio, its
-        # factor cancelled, as it does next to the node (the half window's
-        # tail is dropped there, past its trust radius (K/2 + 1)/4)
-        seq = integer_lattice(K)
-        pts = _PROBE_POINTS * (K / 4) / _PROBE_POINTS[-1]
-        assert pts[-1] == K / 4
+        # the last probe point, the half window's trust radius (K//2 + 1)/4,
+        # is a node of both windows of this shifted lattice: both products
+        # vanish there, and the probe reads their ratio, its factor
+        # cancelled, as it does next to the node
+        reach = (K // 2 + 1) / 4
+        seq = make_family(FamilySpec("constant_shift", reach % 1), K)
+        pts = _PROBE_POINTS * reach / _PROBE_POINTS[-1]
+        assert pts[-1] == reach and reach in seq.restrict(K // 2).positions
         got = build_generating_function(seq).convergence_probe
         want = _mp_convergence_probe(seq)
-        assert want > 0.4
-        assert abs(got - want) <= 1e-15 * want  # measured: 1.5e-16
+        # measured: 2.0e-17 on 3.5e-10 (K = 4) and 1.2e-17 on 4.8e-12
+        assert abs(got - want) <= 5e-16 + 1e-12 * want
+
+    @pytest.mark.parametrize("K", [4, 8, 16, 32, 63])
+    @pytest.mark.parametrize("name", ["integer", "signed:0.2"])
+    def test_small_windows_converge(self, name, K):
+        # every probe point lies inside the half window's trust radius, so
+        # the exact lattice and a subcritical family read rounding alone
+        seq = (integer_lattice(K) if name == "integer"
+               else make_family(FamilySpec("signed", 0.2), K))
+        got = build_generating_function(seq).convergence_probe
+        assert got <= 1e-11  # measured worst: 4.1e-12 (integer, K = 63)
 
 
 class TestValue:
