@@ -45,9 +45,13 @@ Three kernels on two paths approximate the symmetric infinite product
   which ``continuous_ap`` sweeps the weight on.  Every cell there holds
   the same offsets u, so a tile of cells by offsets takes its cell
   polynomials as one matrix product, the table's columns times the powers
-  of u, and its band as the nine values lambda_(n+j) - (n + 1/2)
-  broadcast against u, the product of the nine distances divided by the
-  least: no gathers, no argmin, and no per-point nearest node.  Its
+  of u.  Of its band, the values b = lambda_(n+j) - (n + 1/2), it
+  broadcasts against u only the slots that can hold a point's nearest
+  node at the tile's own largest shift (two while it is at most 1/4),
+  their product divided by the least; the other slots enter as one exact
+  polynomial prod |b - u| per cell, expanded from its roots and taken by
+  one more matrix product with the same powers: no gathers, no argmin,
+  and no per-point nearest node.  Its
   tiles, at most ``_BLOCK`` points each, have one entrance,
   ``grid_logabs``: the one producer of the ``A_p`` sweep's weight grid,
   which takes the grid's description, never an array, and yields log F,
@@ -101,7 +105,8 @@ from ._tails import TailCompensation, lattice_shifts
 # u = x - (n + 1/2) in [-1/2, 1/2) and D = max|delta_k| <= MAX_SHIFT, the
 # window's own largest shift:
 # * the band, |k - n| <= _BAND, is multiplied directly: |delta| <= MAX_SHIFT
-#   keeps the nearest node there;
+#   keeps the nearest node there (the grid kernel multiplies only the slots
+#   that can hold it, ``_direct_slots``, and the rest as one polynomial);
 # * the truncation rule: every series term below is kept while its bound
 #   per node, at the window's D, exceeds _BUDGET = 3e-13, and no longer;
 # * the mid field, _BAND < |k - n| <= _W_NEAR, enters the cell's Taylor
@@ -162,6 +167,33 @@ def _fast_len(n: int) -> int:
             p35 *= 3
         p5 *= 5
     return best
+
+
+def _direct_slots(shift) -> int:
+    """How many band slots a grid tile multiplies point by point, 2J, at
+    its own largest shift D = max|lambda_k - k| over its band: a point in
+    cell n has a node within 1/2 + D, and slots n - j and n + 1 + j lie
+    no nearer than j - D, so they enter for j < 1/2 + 2D alone: J = 1 up
+    to D = 1/4, 2 to 3/4, 3 to 5/4 and 4 to ``MAX_SHIFT`` = 1.5.  A slot
+    left out is never nearer than the nearest node, and a tie with it
+    leaves |S|/dist as it is."""
+    return 2 * math.ceil(0.5 + 2.0 * shift)
+
+
+def _root_poly(roots, n_left):
+    """Coefficients c[s] of u^s, one column per cell, of prod |b - u| over
+    ``roots`` b, a (slots, cells) array whose first ``n_left`` rows lie
+    left of every u in [-1/2, 1/2) and the rest right of it, expanded
+    root by root.  On a real window that product is prod (b - u) times
+    (-1)^n_left, a polynomial positive on the cell; off the axis the
+    coefficients are complex and the polynomial's modulus is the
+    product."""
+    c = np.zeros((roots.shape[0] + 1,) + roots.shape[1:], dtype=roots.dtype)
+    c[0] = -1.0 if n_left % 2 else 1.0
+    for i, r in enumerate(roots):  # times (r - u), from degree i to i + 1
+        c[1:i + 2] = r * c[1:i + 2] - c[:i + 1]
+        c[0] *= r
+    return c
 
 
 class OverflowReported(OverflowError):
@@ -675,15 +707,25 @@ class ProductCore:
         Yields tiles in the grid's order, each the next ``_BLOCK`` points
         (the last may be shorter): whole cells by a run of offsets, the
         tile's rows its cells (one cell by ``_BLOCK`` offsets when M
-        exceeds ``_BLOCK``), so memory stays O(``_BLOCK``).  Each tile
+        exceeds ``_BLOCK``), so memory stays O(``_BLOCK``) besides the
+        per-cell arrays, the table and the band's.  Each tile
         is a fresh array, the caller's to keep or overwrite, and its memory
         runs along its longer side.  In a tile the cell polynomial is one
         matrix product, the tile's table columns times the powers
         u^0..u^_T_ORD of its offsets.  The band is the nine values b =
-        lambda_(n+j) - (n + 1/2), |j| <= ``_BAND``, whose distances |b - u|
-        (complex moduli off the axis) are multiplied and divided by their
-        minimum, the nearest node's.  At an exact hit that minimum is 0 and
-        the point takes the product of the other eight.
+        lambda_(n+j) - (n + 1/2), |j| <= ``_BAND``, with distances |b - u|
+        (complex moduli off the axis).  The tile reads its own largest
+        shift D over its band's nodes, and ``_direct_slots(D)`` of the
+        slots, those next to the cell on either side, can hold a point's
+        nearest node: their distances are multiplied point by point and
+        divided by their minimum, the nearest node's (two slots, the
+        larger distance of the two).  At an exact hit that minimum is 0
+        and the point takes the product of the others.  The other slots
+        are never nearer than it, and enter as one polynomial
+        prod |b - u| per cell, exact in u, whose coefficients come from
+        its roots once per call and whose values are one more matrix
+        product with the tile's powers of u; it multiplies the band's
+        quotient before the one log.
         """
         table = self._cell_table(n0, n0 + cells - 1)
         tail_apart = self._tail_apart(n0, n0 + cells - 1)
@@ -691,16 +733,25 @@ class ProductCore:
         rows = _BLOCK // span  # cells per tile
         # a tile's arrays are (offsets, cells) when it has more cells
         cells_inner = rows > span
-        d_all = np.empty((2 * _BAND + 1,) + ((span, rows) if cells_inner
-                                             else (rows, span)))
+        d_all = np.empty((2 * _BAND,) + ((span, rows) if cells_inner
+                                         else (rows, span)))
+        at = n0 + self.K  # array offset of node n0
+        nodes = self._kernel_pos[at - _BAND:at + cells + _BAND]
+        shift = np.abs(nodes - np.arange(n0 - _BAND, n0 + cells + _BAND))
+        band = np.lib.stride_tricks.sliding_window_view(nodes, cells) - (
+            np.arange(n0, n0 + cells) + 0.5)
+        rest_polys = {}  # J: the other slots' polynomials, every cell's
         j_last = None
         for c0 in range(0, cells, rows):
             c1 = min(c0 + rows, cells)
             n = np.arange(n0 + c0, n0 + c1)
-            at = n0 + c0 + self.K  # array offset of node n0 + c0
-            band = np.lib.stride_tricks.sliding_window_view(
-                self._kernel_pos[at - _BAND:at + c1 - c0 + _BAND],
-                c1 - c0) - (n + 0.5)
+            half = _direct_slots(float(shift[c0:c1 + 2 * _BAND].max())) // 2
+            if half not in rest_polys:
+                rest_polys[half] = _root_poly(np.concatenate(
+                    [band[:_BAND + 1 - half], band[_BAND + 1 + half:]]),
+                    _BAND + 1 - half)
+            near_band = band[_BAND + 1 - half:_BAND + 1 + half, c0:c1]
+            coef = rest_polys[half][:, c0:c1]
             for j0 in range(0, M, span):
                 if j0 != j_last:  # once, unless a cell spans several tiles
                     frac = (np.arange(j0, j0 + span) + 0.5) / M  # x - n
@@ -708,26 +759,31 @@ class ProductCore:
                     powers = np.vander(u, _T_ORD + 1, increasing=True).T
                     j_last = j0
                 poly = table[:, c0:c1].T @ powers  # (cells, offsets)
-                b, v = band[:, :, None], u
+                b, v = near_band[:, :, None], u
+                rest = coef.T @ powers[:coef.shape[0]]
                 if cells_inner:
-                    poly = poly.T
-                    b, v = band[:, None, :], u[:, None]
-                d = d_all[:, :poly.shape[0], :poly.shape[1]]
-                np.copyto(d, b.real)
-                d -= v
+                    poly, rest = poly.T, rest.T
+                    b, v = near_band[:, None, :], u[:, None]
+                d = d_all[:2 * half, :poly.shape[0], :poly.shape[1]]
+                np.subtract(b.real, v, out=d)
                 if self.real:
                     np.abs(d, out=d)
                 else:
                     np.hypot(d, b.imag, out=d)
-                near = d.min(axis=0)
-                prod = np.multiply.reduce(d, axis=0)
-                if not near.all():  # exact hits: the other eight
-                    hit = near == 0.0
-                    other = d[:, hit]
-                    other[other == 0.0] = 1.0
-                    prod[hit] = np.multiply.reduce(other, axis=0)
-                    near[hit] = 1.0
-                np.divide(prod, near, out=prod)
+                    rest = np.abs(rest)
+                if half == 1:  # the product over the least, hits too
+                    prod = np.maximum(d[0], d[1])
+                else:
+                    near = d.min(axis=0)
+                    prod = np.multiply.reduce(d, axis=0)
+                    if not near.all():  # exact hits: the other slots
+                        hit = near == 0.0
+                        other = d[:, hit]
+                        other[other == 0.0] = 1.0
+                        prod[hit] = np.multiply.reduce(other, axis=0)
+                        near[hit] = 1.0
+                    np.divide(prod, near, out=prod)
+                prod *= rest
                 np.log(prod, out=prod)
                 prod += poly
                 if tail_apart:

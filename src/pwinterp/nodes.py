@@ -298,13 +298,15 @@ def relative_density(seq: NodeSequence, r_candidates) -> float | None:
     if not r_candidates or r_candidates[0] <= 0:
         raise ValueError("candidates must be positive ascending")
     lo, hi = seq.real_span()
-    eta = np.abs(seq.positions.imag)
-    xi = seq.positions.real
+    # one stable sort by real part; each candidate filters it in order
+    order = np.argsort(seq.positions.real, kind="stable")
+    eta = np.abs(seq.positions.imag[order])
+    xi = seq.positions.real[order]
     for r in r_candidates:
         ok = eta <= r
         if not np.any(ok):
             continue
-        xs = np.sort(xi[ok])
+        xs = xi[ok]
         worst = max(xs[0] - lo, hi - xs[-1])
         if xs.size > 1:
             worst = max(worst, float(np.max(np.diff(xs))) / 2.0)

@@ -181,6 +181,33 @@ class TestContinuousAp:
         assert np.ptp(res.level_max) < 1e-12 * res.sup
         assert np.all(res.level_argmax == 0.0)
 
+    @pytest.mark.parametrize("scale", [1 + 1e-10, 1 - 1e-10])
+    @pytest.mark.parametrize("copy", ["reported", "farthest"])
+    def test_centres_ignore_rounding_among_copies(self, monkeypatch, scale,
+                                                  copy):
+        # alternating:0.2 repeats every 2 cells, so each level's largest
+        # quotient comes in copies that differ by rounding alone (up to
+        # 8.7e-11 relative at K = 2^15); scaling one copy, the reported
+        # one or the one farthest from 0, by 1 +- 1e-10 moves no centre
+        seq = make_family(FamilySpec("alternating", 0.2), 4096)
+        want = [row[2] for row in full_verdict(seq, 2.0).ap_quotients]
+        pick = criteria._max_centre
+        copies = []
+
+        def nudged(q, centres):
+            tied = np.flatnonzero(q >= q.max() * (1.0 - 1e-9))
+            copies.append(tied.size)
+            j = (np.flatnonzero(centres == pick(q, centres))[0]
+                 if copy == "reported"
+                 else tied[np.argmax(np.abs(centres[tied]))])
+            q = q.copy()
+            q[j] *= scale
+            return pick(q, centres)
+        monkeypatch.setattr(criteria, "_max_centre", nudged)
+        got = [row[2] for row in full_verdict(seq, 2.0).ap_quotients]
+        assert len(copies) == len(want) and min(copies) >= 2
+        assert got == want
+
     def test_nonpositive_sampler_rejected(self):
         fam = IntervalFamily(x_max=32.0, m_min=2, m_max=5)
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import pytest
 from pwinterp import (FamilySpec, GridSpec, NodeSequence, SampleSet,
                       build_generating_function, full_verdict,
                       integer_lattice, make_family, reconstruct)
+from pwinterp import _engine
 from pwinterp._engine import (_BLOCK, _SERIES_COEF, _W_NEAR, ProductCore,
                               _fast_len, nearest_nodes)
 from pwinterp._tails import (_hurwitz_zeta, build_tail, lattice_shifts,
@@ -857,14 +858,25 @@ def _takes_tiles(core, M, n_half, run=1):
 
 
 def _grid_windows():
-    """Five K = 2048 windows for the midpoint-grid kernel."""
+    """Thirteen K = 2048 windows for the midpoint-grid kernel.  The last
+    eight set the slots each tile multiplies directly, from its largest
+    shift D: shifts on both sides of D = 1/4, where two slots become four,
+    at 3/4 and 5/4, where the rule admits a slot that at worst ties the
+    nearest node, and at 1; a lattice with one wide node in each of two
+    tiles of 128 cells (its right neighbour moved by 0.5 to keep the
+    nodes apart); and a complex shift below 1/4."""
     K = 2048
     k = np.arange(-K, K + 1)
+    wide = k + np.select([k == -150, k == -149, k == 60], [1.0, 0.5, -1.4])
     return {"lattice": integer_lattice(K),
             "signed:0.2": make_family(FamilySpec("signed", 0.2), K),
             "k - 1.5": NodeSequence(k, k - 1.5),
             "random:0.35": make_family(FamilySpec("random", 0.35, seed=1), K),
-            "k + 0.1i(-1)^k": NodeSequence(k, k + 0.1j * (-1.0) ** k)}
+            "k + 0.1i(-1)^k": NodeSequence(k, k + 0.1j * (-1.0) ** k),
+            **{f"k + {d}": NodeSequence(k, k + d)
+               for d in (0.2499, 0.25, 0.2501, 0.75, 1.0, 1.25)},
+            "k, +1 at -150, -1.4 at 60": NodeSequence(k, wide),
+            "k + 0.24i": NodeSequence(k, k + 0.24j)}
 
 
 class TestMidpointGridKernel:
@@ -900,6 +912,74 @@ class TestMidpointGridKernel:
             gf.seq.array_offset(np.arange(-300, 300))])
         sprime = gf.node_derivatives(np.arange(-300, 300))
         np.testing.assert_allclose(F[::16], np.abs(sprime), rtol=1e-8)
+
+    def test_tiles_multiply_the_slots_their_shift_admits(self, cores,
+                                                         monkeypatch):
+        # each tile's own largest shift D sets the slots it multiplies
+        # point by point: 2 up to D = 1/4, 4 to 3/4, 6 to 5/4, 8 to 1.5
+        calls = []
+        pick = _engine._direct_slots
+
+        def spy(shift):
+            calls.append((shift, pick(shift)))
+            return calls[-1][1]
+        monkeypatch.setattr(_engine, "_direct_slots", spy)
+
+        def tiles(name, M=128):
+            calls.clear()
+            list(cores[name].grid_tiles(-300, M, 600))
+            return calls
+        for M in (1, 128):
+            assert tiles("lattice", M) and all(c == (0.0, 2)
+                                               for c in calls)
+        # tiles of 128 cells, -300..-173, ..., 212..299: the wide nodes at
+        # -150 (D = 1) and 60 (D = 1.4) lie in the second and third
+        shifts, slots = zip(*tiles("k, +1 at -150, -1.4 at 60"))
+        assert slots == (2, 6, 8, 2, 2)
+        np.testing.assert_allclose(shifts, [0.0, 1.0, 1.4, 0.0, 0.0],
+                                   rtol=1e-14)
+        for name, want in (("k + 0.2499", 2), ("k + 0.25", 2),
+                           ("k + 0.2501", 4), ("k + 0.75", 4),
+                           ("k + 1.0", 6), ("k + 1.25", 6),
+                           ("k + 0.24i", 2), ("k - 1.5", 8)):
+            assert [c[1] for c in tiles(name)] == [want] * 5
+
+    def test_only_the_origin_tiles_multiply_more(self, monkeypatch):
+        # signed:0.1 at K = 2^15, the verdict's grid of h = 2^-7: of its
+        # 128 tiles of 128 cells, only the two whose +-4 band holds the
+        # node at 0 (delta0 = 1) multiply more than two slots
+        seq = make_family(FamilySpec("signed", 0.1), 1 << 15)
+        core = ProductCore(seq, build_tail(seq))
+        slots = []
+        pick = _engine._direct_slots
+
+        def spy(shift):
+            slots.append(pick(shift))
+            return slots[-1]
+        monkeypatch.setattr(_engine, "_direct_slots", spy)
+        list(core.grid_tiles(-8192, 128, 16384))
+        first = -8192 + 128 * np.arange(128)  # each tile's first cell
+        holds_origin = (first - 4 <= 0) & (first + 127 + 4 >= 0)
+        assert np.count_nonzero(holds_origin) == 2
+        assert np.array_equal(np.array(slots) > 2, holds_origin)
+        assert set(slots) == {2, 6}
+
+    @pytest.mark.parametrize("q", [9, 25, 41])
+    def test_exact_hits_past_two_slots(self, q):
+        # shifts q/32 of 4, 6 and 8 direct slots; h = 1/16 puts point j of
+        # every cell on a node, which the tiles divide out of the others
+        shift, j = q / 32, (q % 32 - 1) // 2
+        k = np.arange(-2048, 2049)
+        gf = build_generating_function(NodeSequence(k, k + shift))
+        x = _dyadic_grid(-300, 600, 16)
+        F = np.exp(_tile_logabs(gf._core, -300, 16, 600))
+        assert np.all(np.isfinite(F)) and np.all(F > 0)
+        at = np.arange(-300, 300) - q // 32  # the node in each cell
+        assert np.array_equal(x[j::16], gf.seq.positions.real[
+            gf.seq.array_offset(at)])
+        np.testing.assert_allclose(F[j::16],
+                                   np.abs(gf.node_derivatives(at)),
+                                   rtol=1e-8)
 
     def test_memory_stays_within_tiles(self, cores):
         # M = 2^20 over two cells: 2M points, 16 MiB as one array, in 128

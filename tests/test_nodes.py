@@ -225,6 +225,63 @@ class TestRelativeDensity:
         assert relative_density(seq, [0.5, 2.5]) == pytest.approx(2.5)
 
 
+def _density_by_resort(seq, r_candidates):
+    """``relative_density`` the direct way: the eligible real parts sorted
+    anew for each candidate."""
+    lo, hi = seq.real_span()
+    eta, xi = np.abs(seq.positions.imag), seq.positions.real
+    for r in sorted(float(r) for r in r_candidates):
+        ok = eta <= r
+        if not np.any(ok):
+            continue
+        xs = np.sort(xi[ok])
+        worst = max(xs[0] - lo, hi - xs[-1])
+        if xs.size > 1:
+            worst = max(worst, float(np.max(np.diff(xs))) / 2.0)
+        if worst <= r:
+            return r
+    return None
+
+
+class TestRelativeDensitySortsOnce:
+    """``relative_density`` sorts the real parts once and filters them per
+    candidate: the same r0 as sorting each candidate's nodes anew."""
+
+    CANDIDATES = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5]
+
+    @pytest.mark.parametrize("spec", [
+        FamilySpec("integer"), FamilySpec("constant_shift", 0.97),
+        FamilySpec("signed", 0.1), FamilySpec("signed", -0.25),
+        FamilySpec("signed", 0.25, delta0=0.25),
+        FamilySpec("alternating", 0.2), FamilySpec("alternating", 0.45),
+        FamilySpec("random", 0.35, seed=7), FamilySpec("random", 0.49, seed=3),
+    ], ids=str)
+    def test_generated_families(self, spec):
+        seq = make_family(spec, 512)
+        for n in range(1, len(self.CANDIDATES) + 1):
+            cands = self.CANDIDATES[-n:]
+            assert (relative_density(seq, cands)
+                    == _density_by_resort(seq, cands))
+
+    def test_complex_window_admits_nodes_by_candidate(self, rng):
+        # heights 0, 0.6, 1.1 and 2.2 in a random pattern, and real parts
+        # shifted by up to 0.9, out of index order: each candidate admits
+        # another set of nodes
+        k = np.arange(-200, 201)
+        eta = rng.choice([0.0, 0.6, 1.1, 2.2], size=k.size, p=[0.5, 0.2,
+                                                               0.2, 0.1])
+        seq = NodeSequence(k, k + rng.uniform(-0.9, 0.9, k.size)
+                           + 1j * eta)
+        admitted = [np.count_nonzero(eta <= r) for r in (0.5, 1.0, 1.5, 2.5)]
+        assert len(set(admitted)) == 4
+        assert np.any(np.diff(seq.positions.real) < 0)
+        got = [relative_density(seq, [r]) for r in self.CANDIDATES]
+        assert got == [_density_by_resort(seq, [r]) for r in self.CANDIDATES]
+        assert any(g is None for g in got) and any(g is not None for g in got)
+        assert (relative_density(seq, self.CANDIDATES)
+                == _density_by_resort(seq, self.CANDIDATES))
+
+
 class TestSequenceInvariants:
     def test_duplicate_index_rejected(self):
         with pytest.raises(ValueError):
